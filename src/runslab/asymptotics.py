@@ -20,7 +20,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import StreamPool, mix_key
+from ._rng import StreamPool, mix_key, mix_keys
 from .patterns import AsymptoticSummary, PatternFunctional, fluctuation_covariance
 from .stats import MomentAccumulator
 
@@ -101,13 +101,20 @@ def parabola_path_max(rng: np.random.Generator, steps: int, step: float) -> floa
     return max(0.0, float(both_sides.max()))
 
 
+# Path keys are derived this many at a time, so memory stays flat in the
+# number of paths.
+_KEY_BLOCK = 1 << 12
+
+
 def sample_parabola_max(config: VSamplerConfig) -> VEstimate:
     """Monte Carlo estimate of the parabola-max mean, one stream per path."""
     pool = StreamPool(config.base_seed)
     steps = config.steps
     acc = MomentAccumulator()
-    for index in range(config.paths):
-        acc.add(parabola_path_max(pool.get(index), steps, config.step))
+    for lo in range(0, config.paths, _KEY_BLOCK):
+        count = min(_KEY_BLOCK, config.paths - lo)
+        for key in mix_keys(config.base_seed, lo, count).tolist():
+            acc.add(parabola_path_max(pool.rekey(key), steps, config.step))
     return VEstimate(
         mean=acc.mean,
         sd=acc.sd(),

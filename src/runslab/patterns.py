@@ -478,7 +478,7 @@ def insertion_jump_moments(pattern: PatternFunctional, t: Rational) -> Tuple[flo
             idx = cfg_index(i - o)
             sub |= ((cfgs >> idx) & 1) << (ell - 1 - i)
         jump += values[sub | center_bit] - values[sub]
-    ones = np.bitwise_count(cfgs.astype(np.uint64)).astype(np.int64)
+    ones = sum((cfgs >> bit) & 1 for bit in range(nb))  # popcount, any numpy
     probs = tval**ones * (1.0 - tval) ** (nb - ones)
     e1 = float(np.dot(probs, jump))
     e2 = float(np.dot(probs, jump * jump))

@@ -7,6 +7,7 @@ command line and the seed.
 """
 
 import csv
+import hashlib
 import io
 import json
 
@@ -62,6 +63,33 @@ def test_exact_empty_sequence_has_no_runs(capsys):
 
 
 # -- simulate ----------------------------------------------------------------
+
+
+# SHA-256 of stdout, recorded from the per-rep sweep implementation: the
+# block kernels must reproduce its rows byte for byte.  Rep counts are not
+# multiples of any block's row count; the seeds include a negative and a
+# wider-than-64-bit one, which the stream keys reduce modulo 2^64.
+GOLDEN_STDOUT = {
+    "simulate --model runs --n 9 --reps 1500 --seed 5":
+        "cc0aa1e6e24dc86bc8ffa464f485098df770d8751808aba5969cf0ac51a4d172",
+    "simulate --model runs --n 13 --reps 1300 --seed -3 --grid 0.5":
+        "d1541cd87f58ee8f431334ddcd0c4ad72f9aa603740c8051300be264524fe7a5",
+    "simulate --model runs --n 52 --reps 700 --seed 18446744073709551621":
+        "60511c6d9f8778cb63b82da729dca719301b7735cdfd25ec8c9e948c091c5ff9",
+    "simulate --model runs-cyclic --n 40 --reps 900 --seed 2 --grid 0.25,0.5,0.75":
+        "c481be823acb6c4ba117357968a1b993d201426f8528099c369cff82a33abbc6",
+    "simulate --model pattern --run-length 1 --n 12 --reps 800 --seed 4":
+        "7fa283f02c7ce036bc66264639c0dd3f28f37081608eabe31cdd3104d5606456",
+    "simulate --model pattern --run-length 1 --n 200 --reps 300 --seed 6 --grid 0.5":
+        "00b16b5e2572e20e32948cde3356b17464df778f01e0ada44b3eb58fac197e31",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
+def test_simulate_stdout_matches_golden_digest(capsys, command):
+    code, out, _ = run_cli(capsys, command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_simulate_rows_are_byte_deterministic(capsys):

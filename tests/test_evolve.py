@@ -14,11 +14,13 @@ from runslab.combinatorics import (
     count_runs,
     mean_runs_discrete,
 )
+from runslab import evolve
+from runslab._rng import stream
 from runslab.evolve import (
     MODELS,
     SimConfig,
-    _runs_values_loop,
-    _runs_values_vectorized,
+    _pattern_values,
+    _runs_values,
     pattern_from_order,
     run_sweep,
     runs_from_order,
@@ -29,9 +31,68 @@ from runslab.evolve import (
     simulate_runs_randomized_time,
 )
 from runslab.patterns import run_length_pattern, runs_pattern
+from runslab.stats import MomentAccumulator
 
 
 perms = st.permutations(range(8))
+
+
+# -- bitmask oracles ---------------------------------------------------------
+#
+# Plain per-step loops over an occupancy bitmask, written independently of
+# the block kernels; the kernels must match them exactly.
+
+
+def runs_values_loop(order, cyclic):
+    n = len(order)
+    values = np.zeros(n + 1, dtype=np.int64)
+    occupied = 0
+    x = 0
+    if cyclic:
+        for m, c in enumerate(order, 1):
+            x += 1 - ((occupied >> ((c - 1) % n)) & 1) - ((occupied >> ((c + 1) % n)) & 1)
+            values[m] = x
+            occupied |= 1 << c
+    else:
+        for m, c in enumerate(order, 1):
+            left = (occupied >> (c - 1)) & 1 if c > 0 else 0
+            right = (occupied >> (c + 1)) & 1 if c < n - 1 else 0
+            x += 1 - left - right
+            values[m] = x
+            occupied |= 1 << int(c)
+    return values
+
+
+def pattern_values_loop(table, ell, order, cyclic):
+    n = len(order)
+    values = np.empty(n + 1, dtype=np.float64)
+    running = table[0] * (n if cyclic else n - ell + 1)
+    values[0] = running
+    occupied = 0
+    for m, c in enumerate(order, 1):
+        delta = 0.0
+        for o in range(ell):
+            start = c - o
+            if not cyclic and not 0 <= start <= n - ell:
+                continue
+            mask = 0
+            for i in range(ell):
+                if i == o:
+                    continue
+                if (occupied >> ((start + i) % n)) & 1:
+                    mask |= 1 << (ell - 1 - i)
+            delta += table[mask | (1 << (ell - 1 - o))] - table[mask]
+        running += delta
+        values[m] = running
+        occupied |= 1 << int(c)
+    return values
+
+
+def random_block(rng, rows, n):
+    """Random insertion orders, one a row, as the kernels take them: row r
+    holds flat cell indices r*n + cell."""
+    orders = np.stack([rng.permutation(n) for _ in range(rows)])
+    return orders, orders + n * np.arange(rows)[:, None]
 
 
 # -- runs kernels ------------------------------------------------------------
@@ -75,11 +136,14 @@ def test_loop_and_vectorized_kernels_identical():
         for cyclic in (False, True):
             if cyclic and n < 2:
                 continue
-            order = rng.permutation(n)
-            np.testing.assert_array_equal(
-                _runs_values_loop(order.tolist(), cyclic),
-                _runs_values_vectorized(order, cyclic),
-            )
+            for rows in (1, 2, 7):
+                orders, flat = random_block(rng, rows, n)
+                block = _runs_values(flat, cyclic)
+                assert block.shape == (rows, n + 1)
+                for order, values in zip(orders, block):
+                    np.testing.assert_array_equal(
+                        runs_values_loop(order.tolist(), cyclic), values
+                    )
 
 
 def test_order_must_be_permutation():
@@ -209,18 +273,19 @@ def test_pattern_needs_room_for_windows():
 
 
 def test_pattern_float_tables_loop_equals_vectorized():
-    from runslab.evolve import _pattern_values_loop, _pattern_values_vectorized
-
     pat = run_length_pattern(1)
     table = pat.table_float()
     rng = np.random.default_rng(8)
     for n in (6, 127, 128, 200):
-        order = rng.permutation(n)
-        for cyclic in (True, False):
-            np.testing.assert_array_equal(
-                _pattern_values_loop(table, pat.length, order.tolist(), cyclic),
-                _pattern_values_vectorized(table, pat.length, order, cyclic),
-            )
+        for rows in (1, 3):
+            orders, flat = random_block(rng, rows, n)
+            for cyclic in (True, False):
+                block = _pattern_values(table, pat.length, flat, cyclic)
+                for order, values in zip(orders, block):
+                    np.testing.assert_array_equal(
+                        pattern_values_loop(table, pat.length, order.tolist(), cyclic),
+                        values,
+                    )
 
 
 # -- queue models ------------------------------------------------------------
@@ -258,18 +323,38 @@ def test_queue_grid_samples_count_in_system():
 # -- sweep harness -----------------------------------------------------------
 
 
-def test_sweep_matches_individual_trajectories():
-    config = SimConfig(model="runs-linear", n=60, reps=40, base_seed=21)
+@pytest.mark.parametrize("block_cells", [256, evolve._BLOCK_CELL_BUDGET])
+@pytest.mark.parametrize(
+    "model,n",
+    [
+        (model, n)
+        for model in ("runs-linear", "runs-cyclic")
+        for n in (1, 2, 3, 9, 13, 52, 127, 128, 129)
+        if not (model == "runs-cyclic" and n < 2)
+    ],
+)
+def test_sweep_matches_individual_trajectories(monkeypatch, model, n, block_cells):
+    # 301 reps: with 256-cell blocks, a count that is not a multiple of the
+    # block's rows (except for one-row blocks) and spans several blocks.
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", block_cells)
+    reps, seed, grid = 301, 21, (0.25, 0.5, 0.75)
+    config = SimConfig(
+        model=model, n=n, reps=reps, base_seed=seed, grid=grid,
+        keep_max_samples=True, keep_grid_samples=True,
+    )
     result = run_sweep(config)
-    from runslab._rng import StreamPool
-
-    pool = StreamPool(21)
-    maxes = []
-    for rep in range(40):
-        order = pool.get(rep).permutation(60)
-        maxes.append(runs_from_order(order).max_value)
-    assert result.max_stats.count == 40
-    assert result.max_stats.mean == pytest.approx(np.mean(maxes), rel=1e-12)
+    steps = [int(round(t * n)) for t in grid]
+    trajs = [
+        runs_from_order(
+            stream(seed, rep).permutation(n), cyclic=model == "runs-cyclic", grid=steps
+        )
+        for rep in range(reps)
+    ]
+    np.testing.assert_array_equal(result.max_samples, [t.max_value for t in trajs])
+    np.testing.assert_array_equal(result.grid_samples, [t.samples for t in trajs])
+    for stats, field in ((result.argmax_stats, "argmax"), (result.mid_stats, "mid_value")):
+        expected = MomentAccumulator.from_values([float(getattr(t, field)) for t in trajs])
+        assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
 
 
 def test_sweep_models_all_run():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from runslab._rng import StreamPool, mix_key, splitmix64, stream
+from runslab._rng import StreamPool, mix_key, mix_keys, splitmix64, stream
 
 
 def test_splitmix64_reference_vectors():
@@ -24,6 +24,15 @@ def test_mix_key_frozen_values():
 @given(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1))
 def test_mix_key_is_64_bit(base, index):
     assert 0 <= mix_key(base, index) < 2**64
+
+
+@pytest.mark.parametrize("base", [0, -1, 2**64 - 1, 2**70 + 5])
+@pytest.mark.parametrize("start", [0, 2**40])
+def test_mix_keys_match_mix_key(base, start):
+    # The CLI accepts negative and wider-than-64-bit seeds; both forms mask.
+    keys = mix_keys(base, start, 40)
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [mix_key(base, start + i) for i in range(40)]
 
 
 def test_mix_key_asymmetric():
@@ -55,6 +64,14 @@ def test_pool_matches_fresh_streams():
     for index in (0, 1, 17, 2**40):
         np.testing.assert_array_equal(
             pool.get(index).random(16), stream(99, index).random(16)
+        )
+
+
+def test_pool_rekey_matches_fresh_streams():
+    pool = StreamPool(base_seed=7)
+    for index, key in enumerate(mix_keys(7, 0, 5).tolist()):
+        np.testing.assert_array_equal(
+            pool.rekey(key).permutation(30), stream(7, index).permutation(30)
         )
 
 
