@@ -25,6 +25,14 @@ samples off the block of paths.  Blocks hold at most ``_BLOCK_CELL_BUDGET``
 cells, so small-n sweeps amortize numpy's per-call cost over hundreds of
 repetitions while large-n sweeps keep one repetition, and one path, in
 memory at a time.
+
+The time-ordered models (runs-time and the queues) sweep each row in
+ascending time, ties broken by index, which is the order a stable argsort
+gives.  They sort with numpy's default argsort instead, several times
+faster than the stable (timsort) one on float64, and sort stably again only
+the rows whose sorted times are not strictly increasing.  A row of distinct
+times has exactly one ascending order, so the result is the stable order
+bit for bit whatever algorithm numpy's default sort uses.
 """
 
 from __future__ import annotations
@@ -166,6 +174,25 @@ def _step_summary(values: np.ndarray, step_idx: Optional[np.ndarray]):
     return maxv, argmax, values[:, (n + 1) // 2].copy(), samples
 
 
+def _time_order(keys: np.ndarray):
+    """Per row of `keys`: the order `argsort(kind="stable")` gives, and the
+    keys in that order.
+
+    A row whose keys are all distinct has one ascending order, so any sort
+    finds it: numpy's default sort orders every row, and only rows whose
+    sorted keys are not strictly increasing (a tie, or a NaN) are sorted
+    again stably.
+    """
+    rows, m = keys.shape
+    order = np.argsort(keys, axis=1)
+    ranked = keys.reshape(-1)[order + m * np.arange(rows)[:, None]]
+    redo = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    if redo.any():
+        order[redo] = np.argsort(keys[redo], axis=1, kind="stable")
+        ranked[redo] = np.take_along_axis(keys[redo], order[redo], axis=1)
+    return order, ranked
+
+
 def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
     """Per sorted row, how many entries are <= each point of `pts`."""
     return np.array([np.searchsorted(row, pts, side="right") for row in sorted_rows])
@@ -227,10 +254,9 @@ def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], cyclic
     fill fractions `pts` (None without them).
     """
     rows = np.arange(times.shape[0])
-    orders = np.argsort(times, axis=1, kind="stable")
+    orders, sorted_times = _time_order(times)
     orders += times.shape[1] * rows[:, None]  # flat insertion orders
     values = _runs_values(orders, cyclic)
-    sorted_times = times.reshape(-1)[orders]
     maxv, argmax_step = _first_max(values)
     argmax_t = np.where(argmax_step == 0, 0.0, sorted_times[rows, argmax_step - 1])
     at = values[rows[:, None], _count_at_most(sorted_times, (0.5, *(pts or ())))]
@@ -379,13 +405,13 @@ def _queue_summary(arrive: np.ndarray, depart: np.ndarray, pts: Optional[Sequenc
     """
     rows, n = arrive.shape
     times = np.concatenate([arrive, depart], axis=1)
-    event_order = np.argsort(times, axis=1, kind="stable")
+    event_order, event_times = _time_order(times)
     values = np.zeros((rows, 2 * n + 1), dtype=np.int64)
     np.cumsum(np.where(event_order < n, 1, -1), axis=1, out=values[:, 1:])
     maxv, argmax = _first_max(values)
     samples = None
     if pts is not None:
-        counts = _count_at_most(np.take_along_axis(times, event_order, axis=1), pts)
+        counts = _count_at_most(event_times, pts)
         samples = values[np.arange(rows)[:, None], counts]
     return values, maxv, argmax, values[:, n].copy(), samples
 

@@ -82,6 +82,29 @@ GOLDEN_STDOUT = {
         "7fa283f02c7ce036bc66264639c0dd3f28f37081608eabe31cdd3104d5606456",
     "simulate --model pattern --run-length 1 --n 200 --reps 300 --seed 6 --grid 0.5":
         "00b16b5e2572e20e32948cde3356b17464df778f01e0ada44b3eb58fac197e31",
+    # The time-ordered models, recorded while each row was still ordered by
+    # a stable (timsort) argsort: the tie-checked default sort must give
+    # the same rows.  n = 10^4 gives 3-row blocks, n = 100 327-row blocks.
+    "simulate --model runs-time --n 100 --reps 1000 --seed 7":
+        "ddefa02b5fe84aa14e4aa9de609590352953c9845146d1687552e3a7ead93362",
+    "simulate --model runs-time --n 333 --reps 250 --seed -11 --grid 0.1,0.5,0.9":
+        "a1f7900a1d358df398582f6ed640e02c88705fbaa485d397694c14a0631dae75",
+    "simulate --model runs-time --n 1 --reps 41 --seed 3 --grid 0.5":
+        "7e6895241890b83129b523fc36140284a9373e78b80baa6dc106b715bca72c53",
+    "simulate --model runs-time --n 10000 --reps 7 --seed 4 --grid 0.25,0.5":
+        "67740bd85de19aee695f929912591ae545075c9461898b3dfc5cfba36d223fa5",
+    "simulate --model pq --n 1 --reps 37 --seed 1":
+        "994979ecc0a3de61147d206d657e7441875ab68194b73992dbbc43e395e69d1e",
+    "simulate --model pq --n 100 --reps 1000 --seed -2 --grid 0.25,0.5,0.75":
+        "8fb7a0cf9af14ed390e034a202d343746f61df9f5c086e34fe408c684f9dfe62",
+    "simulate --model pq --n 10000 --reps 20 --seed 9 --grid 0.5":
+        "2317d91595b491ac87f542388fa124164a06f1a0ca7a507fdf7c44f906d33c10",
+    "simulate --model lazy-hash --n 1 --reps 37 --seed -1 --grid 0.5":
+        "9969dadf47a2b80dd219752640a7c97a579d1d31e5707e74516fe982a847626b",
+    "simulate --model lazy-hash --n 100 --reps 700 --seed 12":
+        "cf96d36da8f8cdc01211c01677fe8a6c7161dbc7ae18be8ec5f4c4efbca79a33",
+    "simulate --model lazy-hash --n 10000 --reps 20 --seed -5 --grid 0.3,0.7":
+        "26479f26fde43494f4f808cfc00bd40c1bdaa76c2dd9f2dadbffaa320838ac89",
 }
 
 

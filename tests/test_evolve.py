@@ -20,7 +20,10 @@ from runslab.evolve import (
     MODELS,
     SimConfig,
     _pattern_values,
+    _queue_summary,
+    _runs_time_summary,
     _runs_values,
+    _time_order,
     pattern_from_order,
     run_sweep,
     runs_from_order,
@@ -222,6 +225,77 @@ def test_time_model_argmax_at_zero_start():
     assert traj.max_value == 1
 
 
+# -- time order --------------------------------------------------------------
+#
+# The time-ordered kernels sort with numpy's default (unstable) argsort and
+# re-sort only rows with ties; the oracle is a stable argsort of the block.
+
+
+def tie_blocks():
+    rng = np.random.default_rng(21)
+    one_tied = rng.random((6, 200))
+    one_tied[3, 17] = one_tied[3, 150]
+    many_nans = rng.random((2, 600))
+    many_nans[:, ::3] = np.nan
+    return {
+        "all-equal": np.full((3, 50), 0.5),
+        "all-equal-one-row": np.full((1, 9), 0.25),
+        "eighths": rng.integers(0, 8, size=(5, 40)) / 8,
+        "few-values-long-rows": rng.integers(0, 4, size=(2, 5000)) / 4,
+        "one-tied-row": one_tied,
+        "one-row": rng.random((1, 300)),
+        "one-row-tied": np.array([[0.3, 0.1, 0.3, 0.2, 0.1, 0.3]]),
+        "length-1": rng.random((4, 1)),
+        "length-2": np.array([[0.5, 0.5], [0.7, 0.1], [0.1, 0.7]]),
+        "signed-zeros": np.array([[0.0, -0.0, 0.0, -0.0, -1.0]]),
+        "nans": np.array([[np.nan, 0.3, np.nan, 0.1], [0.4, 0.2, 0.9, 0.6]]),
+        "many-nans": many_nans,
+    }
+
+
+def assert_stable_time_order(keys):
+    order, ranked = _time_order(keys)
+    stable = np.argsort(keys, axis=1, kind="stable")
+    np.testing.assert_array_equal(order, stable)
+    expected = np.take_along_axis(keys, stable, axis=1)
+    np.testing.assert_array_equal(ranked.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", sorted(tie_blocks()))
+def test_time_order_equals_stable_argsort(name):
+    assert_stable_time_order(tie_blocks()[name])
+
+
+tie_prone = st.sampled_from([0.0, -0.0, 0.125, 0.5, 0.875, 1.0])
+
+
+@given(
+    st.integers(1, 4).flatmap(
+        lambda rows: st.lists(
+            st.lists(tie_prone, min_size=rows, max_size=rows), min_size=1, max_size=40
+        )
+    )
+)
+@settings(max_examples=200, deadline=None)
+def test_time_order_equals_stable_argsort_on_random_ties(columns):
+    assert_stable_time_order(np.array(columns).T.copy())
+
+
+def test_runs_time_summary_follows_stable_order_on_ties():
+    times = np.array([[0.5, 0.5, 0.2, 0.5, 0.9, 0.2], [0.6, 0.1, 0.4, 0.3, 0.8, 0.7]])
+    pts = (0.2, 0.5)
+    values, maxv, argmax_t, mid, samples = _runs_time_summary(times, pts)
+    for r, row in enumerate(times):
+        order = np.argsort(row, kind="stable")
+        path = runs_values_loop(order.tolist(), cyclic=False)
+        np.testing.assert_array_equal(values[r], path)
+        assert maxv[r] == path.max()
+        first = int(np.argmax(path))
+        assert argmax_t[r] == (row[order[first - 1]] if first else 0.0)
+        assert mid[r] == path[np.sum(row <= 0.5)]
+        assert list(samples[r]) == [path[np.sum(row <= t)] for t in pts]
+
+
 # -- pattern model -----------------------------------------------------------
 
 
@@ -318,6 +392,46 @@ def test_queue_grid_samples_count_in_system():
     traj = simulate_priority_queue(40, seed=9, grid=[0.1, 0.5, 0.9])
     assert traj.samples.shape == (3,)
     assert all(0 <= s <= 40 for s in traj.samples)
+
+
+def queue_reference(arrive, depart, pts):
+    """One row's occupancy path from a stable argsort of the 2n event times
+    (arrivals are indices 0..n-1, so at equal times they come first), and
+    its max, first argmax, value after n events and value at each of `pts`."""
+    n = len(arrive)
+    times = np.concatenate([arrive, depart])
+    order = np.argsort(times, kind="stable")
+    path = np.concatenate([[0], np.cumsum(np.where(order < n, 1, -1))])
+    samples = [path[np.sum(times <= t)] for t in pts]
+    return path, path.max(), int(np.argmax(path)), path[n], samples
+
+
+def assert_queue_rows_match_reference(arrive, depart, pts):
+    values, maxv, argmax, mid, samples = _queue_summary(arrive, depart, pts)
+    for r in range(arrive.shape[0]):
+        path, pmax, pargmax, pmid, psamples = queue_reference(arrive[r], depart[r], pts)
+        np.testing.assert_array_equal(values[r], path)
+        assert (maxv[r], argmax[r], mid[r]) == (pmax, pargmax, pmid)
+        assert list(samples[r]) == psamples
+
+
+def test_queue_summary_on_tied_event_times():
+    # Row 0: item 1 arrives and departs at 0.5, item 0 departs at 0.5 when
+    # items 1 and 2 arrive.  Row 1 has no ties.
+    arrive = np.array([[0.2, 0.5, 0.5, 0.1], [0.15, 0.6, 0.35, 0.05]])
+    depart = np.array([[0.5, 0.5, 0.9, 0.3], [0.7, 0.65, 0.4, 0.95]])
+    pts = (0.05, 0.3, 0.5, 0.95)
+    values = _queue_summary(arrive, depart, pts)[0]
+    np.testing.assert_array_equal(values[0], [0, 1, 2, 1, 2, 3, 2, 1, 0])
+    assert_queue_rows_match_reference(arrive, depart, pts)
+
+
+def test_queue_summary_on_many_tied_event_times():
+    # Long rows of times on a 1/16 grid: ties everywhere, including items
+    # that arrive and depart at once, so an unstable sort would reorder them.
+    rng = np.random.default_rng(4)
+    pairs = rng.integers(0, 17, size=(2, 3, 400)) / 16
+    assert_queue_rows_match_reference(pairs.min(axis=0), pairs.max(axis=0), (0.25, 0.5, 0.75))
 
 
 # -- sweep harness -----------------------------------------------------------

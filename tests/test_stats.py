@@ -5,6 +5,7 @@ ks_2samp for the KS statistic, and the classic normal-theory standard
 error of a sample variance for the jackknife sanity check.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -187,6 +188,19 @@ def test_empirical_grid_is_jackknife_of_sweep_samples():
     assert result.covariance.shape == (2, 2)
     assert result.covariance[0, 0] > 0
     np.testing.assert_allclose(result.covariance, result.covariance.T, atol=1e-15)
+
+
+def test_runs_time_grid_matches_golden_digest():
+    # SHA-256 of the float64 bytes, recorded while the runs-time kernel still
+    # ordered each row by a stable (timsort) argsort, before it moved to the
+    # tie-checked default sort: the estimate must not change by one bit.
+    result = empirical_covariance_grid("runs-time", 2000, 300, (0.2, 0.4, 0.6, 0.8), seed=13)
+    assert hashlib.sha256(result.covariance.tobytes()).hexdigest() == (
+        "6eae9a44c9bb1d52577665a0edf7ace0ec7c4d602e124f1570c0e9008d127867"
+    )
+    assert hashlib.sha256(result.se.tobytes()).hexdigest() == (
+        "8a9841c66d16762b321e3a8bdcc60ae755bcc0081ede619bc9f5b32c637d34c5"
+    )
 
 
 # -- Kolmogorov-Smirnov ------------------------------------------------------
