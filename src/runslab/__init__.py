@@ -71,7 +71,6 @@ from .stats import (
     se_band,
 )
 from .asymptotics import (
-    BROWNIAN_PARABOLA_MEAN,
     COVARIANCE_MODELS,
     CovarianceModel,
     DiscretizationCheck,
@@ -154,7 +153,6 @@ __all__ = [
     "ks_statistic",
     "se_band",
     # asymptotics
-    "BROWNIAN_PARABOLA_MEAN",
     "COVARIANCE_MODELS",
     "CovarianceModel",
     "DiscretizationCheck",

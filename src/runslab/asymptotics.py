@@ -4,8 +4,8 @@ Three ingredients:
 
 * a Monte Carlo sampler for the mean of max_t (B(t) - t^2/2) over two-sided
   Brownian motion -- the constant that multiplies every n^(1/3) second-order
-  correction; the literature value 0.996193 is kept as a reference and the
-  sampler is the in-house oracle for it;
+  correction; the literature value 0.996193 is kept as a reference in
+  `verify.REFERENCES` and the sampler is the in-house oracle for it;
 * first- and second-order predictions for the mean and variance of the
   maxima of the runs, queue, and general window-pattern processes;
 * the closed-form limit covariances of the centered processes, as
@@ -25,7 +25,6 @@ from .patterns import AsymptoticSummary, PatternFunctional, fluctuation_covarian
 from .stats import MomentAccumulator
 
 __all__ = [
-    "BROWNIAN_PARABOLA_MEAN",
     "VSamplerConfig",
     "VEstimate",
     "parabola_path_max",
@@ -41,9 +40,6 @@ __all__ = [
     "pattern_covariance_model",
     "COVARIANCE_MODELS",
 ]
-
-# Reference mean of max over t of (two-sided Brownian motion minus t^2/2).
-BROWNIAN_PARABOLA_MEAN = 0.996193
 
 
 @dataclass(frozen=True)
@@ -184,12 +180,14 @@ def predict_max_mean(
     n: int,
     *,
     summary: Optional[AsymptoticSummary] = None,
-    v_mean: float = BROWNIAN_PARABOLA_MEAN,
+    v_mean: float,
 ) -> float:
     """Leading term plus the n^(1/3) correction for the expected maximum.
 
     runs: n/4 + (1/2) v n^(1/3); queue: n/2 + v n^(1/3); pattern: peak mean
     times n plus correction_scale * v * n^(1/3) from the given summary.
+    `v_mean` is the parabola-max mean v, for instance
+    `REFERENCES["brownian-parabola-mean"]` or a `sample_parabola_max` estimate.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -224,13 +222,11 @@ def local_drift_model(model, *, summary: Optional[AsymptoticSummary] = None):
     """(diffusion, curvature coefficient) of the n^(1/3)-scale local limit.
 
     Near its peak the centered process looks like diffusion * B(x) minus
-    curvature_coefficient * x^2.  Accepts the family names plus
-    "run-length-1"; a pattern summary supplies the general case.
+    curvature_coefficient * x^2.  Accepts the family names; a pattern
+    summary supplies the general case.
     """
     if summary is not None:
         return math.sqrt(summary.jump_variance), abs(summary.peak_curvature) / 2.0
-    if model == "run-length-1":
-        return math.sqrt(80.0 / 81.0), 1.0
     family = _family(model)
     if family == "runs":
         return 1.0 / math.sqrt(2.0), 1.0

@@ -8,8 +8,11 @@ as CSV (default) or as JSON that mirrors the rows cell-for-cell, plus a
 manifest carrying the command line, base seed, artifact version, and wall
 time.  Cells are formatted once, the same way for both formats: floats with
 17 significant digits (lossless round trip), exact rationals as "p/q".
-Wall time lives only in the JSON manifest, so the row bytes for a fixed
-command line and seed are identical from run to run.
+The run's wall time lives only in the JSON manifest, so the row bytes for
+a fixed command line and seed are identical from run to run.  The
+exception is the verify rows whose value is a check's own wall time:
+exact-moments-runtime-seconds, and at full scale
+reference-max-runtime-seconds and desk-scale-runtime-seconds.
 
 Exit codes: 0 success, 1 failed verification or inadmissible analysis,
 2 usage errors.

@@ -8,8 +8,6 @@ about exact moments of window-pattern statistics -- by closed form where one
 exists, and by exhaustive enumeration as an independent baseline.
 
 All probabilities and moments are `fractions.Fraction`; nothing here samples.
-Floating-point helpers are provided separately for scales where the exact
-binomials overflow any reasonable budget.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ __all__ = [
     "ExactMoments",
     "run_count_pmf",
     "run_count_pmf_enumerated",
-    "run_count_prob_float",
     "mean_runs_discrete",
     "var_runs_discrete",
     "mean_runs_time",
@@ -65,18 +62,12 @@ class RunCountPmf:
     m: int
     probs: Dict[int, Fraction]
 
-    def support(self) -> list[int]:
-        return sorted(self.probs)
-
     def mean(self) -> Fraction:
         return sum((k * p for k, p in self.probs.items()), Fraction(0))
 
     def variance(self) -> Fraction:
         mu = self.mean()
         return sum((p * (k - mu) ** 2 for k, p in self.probs.items()), Fraction(0))
-
-    def moments(self) -> ExactMoments:
-        return ExactMoments(self.mean(), self.variance())
 
 
 def _check_nm(n: int, m: int) -> None:
@@ -146,20 +137,6 @@ def run_count_pmf_enumerated(n: int, m: int, cyclic: bool = False) -> RunCountPm
         counts[k] = counts.get(k, 0) + 1
     total = comb(n, m)
     return RunCountPmf(n, m, {k: Fraction(c, total) for k, c in counts.items()})
-
-
-def run_count_prob_float(n: int, m: int, k: int) -> float:
-    """P(run count = k) via log-gamma, usable far beyond exact-binomial scale."""
-    _check_nm(n, m)
-    if m == 0:
-        return 1.0 if k == 0 else 0.0
-    if not 1 <= k <= min(m, n - m + 1):
-        return 0.0
-
-    def logc(a: int, b: int) -> float:
-        return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
-
-    return math.exp(logc(m - 1, k - 1) + logc(n - m + 1, k) - logc(n, m))
 
 
 def mean_runs_discrete(n: int, m: int) -> Fraction:

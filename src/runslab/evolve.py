@@ -165,13 +165,13 @@ def _first_max(values: np.ndarray):
 
 
 def _step_summary(values: np.ndarray, step_idx: Optional[np.ndarray]):
-    """Per row of a step-indexed block: max, first argmax, value at step
-    ceil(n/2), and the values at the grid steps (None without a grid).
-    All are copies, so the block of paths can be freed."""
+    """A step-indexed block of paths and, per row: max, first argmax, value
+    at step ceil(n/2), and the values at the grid steps (None without a
+    grid).  The per-row parts are copies, so the paths can be freed."""
     n = values.shape[1] - 1
     maxv, argmax = _first_max(values)
     samples = values[:, step_idx] if step_idx is not None else None
-    return maxv, argmax, values[:, (n + 1) // 2].copy(), samples
+    return values, maxv, argmax, values[:, (n + 1) // 2].copy(), samples
 
 
 def _time_order(keys: np.ndarray):
@@ -198,25 +198,30 @@ def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
     return np.array([np.searchsorted(row, pts, side="right") for row in sorted_rows])
 
 
-def _check_step_grid(grid: Sequence[int], n: int) -> np.ndarray:
+def _check_step_grid(grid: Optional[Sequence[int]], n: int) -> Optional[np.ndarray]:
+    if grid is None:
+        return None
     idx = np.asarray(grid, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() > n):
         raise ValueError(f"step grid must lie in 0..{n}")
     return idx
 
 
-def _step_trajectory(
-    model: str, values: np.ndarray, grid: Optional[Sequence[int]], keep_values: bool, cast,
+def _trajectory(
+    model: str, n: int, summary, grid: Optional[Sequence], keep_values: bool
 ) -> Trajectory:
-    n = values.shape[1] - 1
-    step_idx = _check_step_grid(grid, n) if grid is not None else None
-    maxv, argmax, mid, samples = _step_summary(values, step_idx)
+    """Row 0 of a kernel summary (paths, max, argmax, mid value, samples).
+
+    ``.item()`` gives Python ints for the integer paths and floats for the
+    float ones (pattern values, runs-time arrival times).
+    """
+    values, maxv, argmax, mid, samples = summary
     return Trajectory(
         model=model,
         n=n,
-        max_value=cast(maxv[0]),
-        argmax=int(argmax[0]),
-        mid_value=cast(mid[0]),
+        max_value=maxv[0].item(),
+        argmax=argmax[0].item(),
+        mid_value=mid[0].item(),
         grid=tuple(grid) if grid is not None else None,
         samples=samples[0] if samples is not None else None,
         values=values[0] if keep_values else None,
@@ -270,12 +275,11 @@ def runs_from_order(
     """Run counts along an explicit insertion order (the identity order
     keeps a single growing run, which pins the increment logic in tests)."""
     order = _check_order(order)
-    _require_positive(order.size)
-    _check_cyclic_size(cyclic, order.size)
-    return _step_trajectory(
-        "runs-cyclic" if cyclic else "runs-linear",
-        _runs_values(order[None, :], cyclic), grid, keep_values, int,
-    )
+    n = order.size
+    _require_positive(n)
+    _check_cyclic_size(cyclic, n)
+    summary = _step_summary(_runs_values(order[None, :], cyclic), _check_step_grid(grid, n))
+    return _trajectory("runs-cyclic" if cyclic else "runs-linear", n, summary, grid, keep_values)
 
 
 def simulate_runs(
@@ -303,17 +307,8 @@ def simulate_runs_randomized_time(
     _check_cyclic_size(cyclic, n)
     times = stream(seed).random(n)
     grid_t = DEFAULT_TIME_GRID if grid is None else tuple(float(t) for t in grid)
-    values, maxv, argmax_t, mid, samples = _runs_time_summary(times[None, :], grid_t, cyclic)
-    return Trajectory(
-        model="runs-time",
-        n=n,
-        max_value=int(maxv[0]),
-        argmax=float(argmax_t[0]),
-        mid_value=int(mid[0]),
-        grid=grid_t,
-        samples=samples[0],
-        values=values[0] if keep_values else None,
-    )
+    summary = _runs_time_summary(times[None, :], grid_t, cyclic)
+    return _trajectory("runs-time", n, summary, grid_t, keep_values)
 
 
 # -- window-pattern kernel ---------------------------------------------------
@@ -361,9 +356,11 @@ def pattern_from_order(
 ) -> Trajectory:
     """Windowed sum along an explicit insertion order."""
     order = _check_order(order)
-    _check_pattern_size(pattern, order.size)
+    n = order.size
+    _check_pattern_size(pattern, n)
     values = _pattern_values(pattern.table_float(), pattern.length, order[None, :], cyclic)
-    return _step_trajectory("pattern", values, grid, keep_values, float)
+    summary = _step_summary(values, _check_step_grid(grid, n))
+    return _trajectory("pattern", n, summary, grid, keep_values)
 
 
 def simulate_pattern(
@@ -421,17 +418,8 @@ def _queue_trajectory(
     grid: Optional[Sequence[float]], keep_values: bool,
 ) -> Trajectory:
     grid_t = tuple(float(t) for t in grid) if grid is not None else None
-    values, maxv, argmax, mid, samples = _queue_summary(arrive[None, :], depart[None, :], grid_t)
-    return Trajectory(
-        model=model,
-        n=arrive.size,
-        max_value=int(maxv[0]),
-        argmax=int(argmax[0]),
-        mid_value=int(mid[0]),
-        grid=grid_t,
-        samples=samples[0] if samples is not None else None,
-        values=values[0] if keep_values else None,
-    )
+    summary = _queue_summary(arrive[None, :], depart[None, :], grid_t)
+    return _trajectory(model, arrive.size, summary, grid_t, keep_values)
 
 
 def simulate_priority_queue(
@@ -558,7 +546,7 @@ def _block_summary(config: SimConfig, pool: StreamPool, keys):
         else:
             values = _runs_values(orders, model == "runs-cyclic")
         step_idx = _grid_step_indices(grid, n) if grid is not None else None
-        return (values, *_step_summary(values, step_idx))
+        return _step_summary(values, step_idx)
     if model == "runs-time":
         return _runs_time_summary(_draw_uniforms(pool, keys, n), grid)
     draw = _queue_events_minmax if model == "priority-queue" else _queue_events_inverse

@@ -485,43 +485,19 @@ def insertion_jump_moments(pattern: PatternFunctional, t: Rational) -> Tuple[flo
     return e1, e2 - e1 * e1
 
 
-def _route_gap(a: float, b: float) -> float:
-    return abs(a - b) / max(1.0, abs(a), abs(b))
+def _check_routes(quantity: str, a: float, b: float) -> None:
+    if abs(a - b) / max(1.0, abs(a), abs(b)) > 1e-10:
+        raise ArithmeticError(f"{quantity} routes disagree: {a} vs {b}")
 
 
 def variance_rate(pattern: PatternFunctional) -> float:
-    """Per-cell variance rate of the windowed sum at the mean-rate peak.
-
-    Computed from the centered decomposition and, independently, from the
-    window-lag covariance sum; the two must agree to 1e-10 or this raises.
-    """
-    dec = decompose_fluctuations(pattern)
-    t0 = _peak_point(dec.mean_rate)
-    route_a = _variance_rate_from_terms(dec, t0)
-    route_b = window_lag_covariance(pattern, t0, t0)
-    if _route_gap(float(route_a), float(route_b)) > 1e-10:
-        raise ArithmeticError(
-            f"variance-rate routes disagree: {float(route_a)} vs {float(route_b)}"
-        )
-    return float(route_a)
+    """Per-cell variance rate of the windowed sum at the mean-rate peak."""
+    return summarize(pattern).variance_rate
 
 
 def jump_variance(pattern: PatternFunctional) -> float:
-    """Variance of the single-insertion jump at the mean-rate peak.
-
-    Decomposition route checked against plain neighbor enumeration when the
-    window is small enough to enumerate; disagreement beyond 1e-10 raises.
-    """
-    dec = decompose_fluctuations(pattern)
-    t0 = _peak_point(dec.mean_rate)
-    route_a = _jump_variance_from_terms(dec, t0)
-    if pattern.length <= MAX_JUMP_WINDOW:
-        _, route_b = insertion_jump_moments(pattern, float(t0))
-        if _route_gap(float(route_a), route_b) > 1e-10:
-            raise ArithmeticError(
-                f"jump-variance routes disagree: {float(route_a)} vs {route_b}"
-            )
-    return float(route_a)
+    """Variance of the single-insertion jump at the mean-rate peak."""
+    return summarize(pattern).jump_variance
 
 
 def correction_scale(pattern: PatternFunctional) -> float:
@@ -545,22 +521,25 @@ class AsymptoticSummary:
 
 
 def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
-    """Full asymptotic summary with both routes cross-checked."""
+    """Full asymptotic summary with both routes cross-checked.
+
+    The variance rate comes from the centered decomposition and,
+    independently, from the window-lag covariance sum; the jump variance
+    from the decomposition and, when the window is small enough to
+    enumerate, from plain neighbor enumeration.  Routes that disagree
+    beyond 1e-10 raise ArithmeticError.
+    """
     dec = decompose_fluctuations(pattern)
     g = dec.mean_rate
     t0 = _peak_point(g)
     curv = g.derivative().derivative()(t0)
 
     vr_a = _variance_rate_from_terms(dec, t0)
-    vr_b = window_lag_covariance(pattern, t0, t0)
-    if _route_gap(float(vr_a), float(vr_b)) > 1e-10:
-        raise ArithmeticError(f"variance-rate routes disagree: {float(vr_a)} vs {float(vr_b)}")
+    _check_routes("variance-rate", float(vr_a), float(window_lag_covariance(pattern, t0, t0)))
 
     jv_a = _jump_variance_from_terms(dec, t0)
     if pattern.length <= MAX_JUMP_WINDOW:
-        _, jv_b = insertion_jump_moments(pattern, float(t0))
-        if _route_gap(float(jv_a), jv_b) > 1e-10:
-            raise ArithmeticError(f"jump-variance routes disagree: {float(jv_a)} vs {jv_b}")
+        _check_routes("jump-variance", float(jv_a), insertion_jump_moments(pattern, float(t0))[1])
 
     scale_cubed = jv_a * jv_a / (-curv)
     return AsymptoticSummary(

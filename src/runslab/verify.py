@@ -308,16 +308,17 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
         deficit = max(deficit, max(0.0, -cov.min_grid_eigenvalue(grid)))
     out.append(compare("limit-covariance-psd-deficit", deficit, 0.0, 1e-9))
 
-    for label, model_name, ref_name in (
-        ("runs-drift-correction-scale", "runs", "runs-correction-scale"),
-        ("queue-drift-correction-scale", "queue", "queue-correction-scale"),
+    for label, model_name, summary, ref_name in (
+        ("runs-drift-correction-scale", "runs", None, "runs-correction-scale"),
+        ("queue-drift-correction-scale", "queue", None, "queue-correction-scale"),
         (
             "run-length-1-drift-correction-scale",
-            "run-length-1",
+            "pattern",
+            summarize(run_length_pattern(1)),
             "run-length-1-correction-scale",
         ),
     ):
-        sigma, curvature = local_drift_model(model_name)
+        sigma, curvature = local_drift_model(model_name, summary=summary)
         value = correction_scale_from_drift(sigma, curvature)
         out.append(compare(label, value, ctx.reference(ref_name), 1e-12))
     return out

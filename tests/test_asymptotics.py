@@ -15,7 +15,6 @@ import pytest
 
 from runslab._rng import mix_key
 from runslab.asymptotics import (
-    BROWNIAN_PARABOLA_MEAN,
     COVARIANCE_MODELS,
     VSamplerConfig,
     correction_scale_from_drift,
@@ -29,8 +28,10 @@ from runslab.asymptotics import (
     sample_parabola_max,
 )
 from runslab.patterns import run_length_pattern, runs_pattern, summarize
+from runslab.verify import REFERENCES
 
 SMALL = VSamplerConfig(step=0.01, horizon=3.0, paths=150, base_seed=7)
+V = REFERENCES["brownian-parabola-mean"]
 
 
 # -- parabola-max sampler ----------------------------------------------------
@@ -96,19 +97,21 @@ def test_discretization_check_structure_and_reuse():
 def test_predicted_mean_formulas():
     n = 1000
     cube = n ** (1 / 3)
-    runs = predict_max_mean("runs", n)
-    assert runs == pytest.approx(n / 4 + 0.5 * BROWNIAN_PARABOLA_MEAN * cube)
-    assert predict_max_mean("runs-linear", n) == runs
-    assert predict_max_mean("runs-cyclic", n) == runs
-    assert predict_max_mean("runs-time", n) == runs
-    queue = predict_max_mean("queue", n)
-    assert queue == pytest.approx(n / 2 + BROWNIAN_PARABOLA_MEAN * cube)
-    assert predict_max_mean("pq", n) == queue
-    assert predict_max_mean("priority-queue", n) == queue
-    assert predict_max_mean("lazy-hash", n) == queue
-    # overriding the constant shifts only the correction term
+    runs = predict_max_mean("runs", n, v_mean=V)
+    assert runs == pytest.approx(n / 4 + 0.5 * V * cube)
+    assert predict_max_mean("runs-linear", n, v_mean=V) == runs
+    assert predict_max_mean("runs-cyclic", n, v_mean=V) == runs
+    assert predict_max_mean("runs-time", n, v_mean=V) == runs
+    queue = predict_max_mean("queue", n, v_mean=V)
+    assert queue == pytest.approx(n / 2 + V * cube)
+    assert predict_max_mean("pq", n, v_mean=V) == queue
+    assert predict_max_mean("priority-queue", n, v_mean=V) == queue
+    assert predict_max_mean("lazy-hash", n, v_mean=V) == queue
+    # changing the constant shifts only the correction term
     bumped = predict_max_mean("runs", n, v_mean=1.0)
-    assert bumped - runs == pytest.approx(0.5 * (1.0 - BROWNIAN_PARABOLA_MEAN) * cube)
+    assert bumped - runs == pytest.approx(0.5 * (1.0 - V) * cube)
+    with pytest.raises(TypeError):
+        predict_max_mean("runs", n)  # the constant has one home: the caller passes it
 
 
 def test_predicted_variance_formulas():
@@ -120,13 +123,13 @@ def test_predicted_variance_formulas():
 
 def test_pattern_predictions_require_summary():
     with pytest.raises(ValueError):
-        predict_max_mean("pattern", 100)
+        predict_max_mean("pattern", 100, v_mean=V)
     with pytest.raises(ValueError):
         predict_max_var("pattern", 100)
     with pytest.raises(ValueError):
-        predict_max_mean("no-such-model", 100)
+        predict_max_mean("no-such-model", 100, v_mean=V)
     with pytest.raises(ValueError):
-        predict_max_mean("runs", 0)
+        predict_max_mean("runs", 0, v_mean=V)
     with pytest.raises(ValueError):
         predict_max_var("runs", 0)
 
@@ -134,8 +137,8 @@ def test_pattern_predictions_require_summary():
 def test_pattern_mean_prediction_uses_summary_scale():
     summary = summarize(runs_pattern())
     n = 8000
-    via_pattern = predict_max_mean("pattern", n, summary=summary)
-    assert via_pattern == pytest.approx(predict_max_mean("runs", n), rel=1e-12)
+    via_pattern = predict_max_mean("pattern", n, summary=summary, v_mean=V)
+    assert via_pattern == pytest.approx(predict_max_mean("runs", n, v_mean=V), rel=1e-12)
 
 
 # -- local drift models and the correction scale -----------------------------
@@ -148,9 +151,10 @@ def test_drift_models_reproduce_known_scales():
     d, c = local_drift_model("queue")
     assert (d, c) == (math.sqrt(2), 2.0)
     assert correction_scale_from_drift(d, c) == pytest.approx(1.0, rel=1e-12)
-    d, c = local_drift_model("run-length-1")
-    assert d == pytest.approx(math.sqrt(80 / 81))
-    assert c == 1.0
+    # run-length-1 from its summary: the closed forms sqrt(80/81) and 1,
+    # bit for bit
+    d, c = local_drift_model("pattern", summary=summarize(run_length_pattern(1)))
+    assert (d, c) == (math.sqrt(80 / 81), 1.0)
 
 
 def test_drift_model_from_summary_closes_the_loop():
@@ -167,6 +171,8 @@ def test_drift_model_from_summary_closes_the_loop():
 def test_drift_model_validation():
     with pytest.raises(ValueError):
         local_drift_model("pattern")
+    with pytest.raises(ValueError):
+        local_drift_model("run-length-1")  # a pattern: pass its summary
     with pytest.raises(ValueError):
         correction_scale_from_drift(1.0, 0.0)
     with pytest.raises(ValueError):

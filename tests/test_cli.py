@@ -14,7 +14,9 @@ import json
 import pytest
 
 from runslab.cli import COLUMNS, main
-from runslab.patterns import constant_pattern, run_length_pattern, save_pattern
+from runslab.patterns import (
+    PatternFunctional, constant_pattern, run_length_pattern, save_pattern,
+)
 
 
 def run_cli(capsys, argv):
@@ -105,14 +107,42 @@ GOLDEN_STDOUT = {
         "cf96d36da8f8cdc01211c01677fe8a6c7161dbc7ae18be8ec5f4c4efbca79a33",
     "simulate --model lazy-hash --n 10000 --reps 20 --seed -5 --grid 0.3,0.7":
         "26479f26fde43494f4f808cfc00bd40c1bdaa76c2dd9f2dadbffaa320838ac89",
+    # Window reports, the exact max table and the quick verify rows,
+    # recorded before the window summary's route checks, the drift model
+    # and the limit constants each moved to a single home.  {psi} is a
+    # window file whose mean-rate peak, 1/sqrt(3), is irrational.
+    "pattern --run-length 1 --report":
+        "5a80a5c9bb1b4c10caf7d2a5a2ebe90d696e1935115d1d6594b73141a6ea8b58",
+    "pattern --run-length 2 --report":
+        "ea5e030e8687a04c0e59100f0589db13736d52da46ea37ad48f394bd4ead292a",
+    "pattern --run-length 3 --report":
+        "ffccd351a64771b927db6056ce95c791da847ace9f29753cfb51d3c7b208844e",
+    "pattern --psi-file {psi} --report":
+        "c29e57b153525015e6bb1ddebc57a12a5b79246016d930726f4ab53123b951b1",
+    "exact --n 12 --max-pmf":
+        "e4746c90a949131a9c87a515d7a42842f20e75c17f279b92eb866ebb336a35b3",
+    "verify --scale quick --seed 0":
+        "481130fa92b1dd467f16620c3fa162d3d8a4897022d7924d411dc75e41f2e100",
 }
+
+# Rows that report wall time, the one kind of cell that changes from run to
+# run; digests are taken without them.
+RUNTIME_QUANTITIES = ("exact-moments-runtime-seconds",)
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_STDOUT))
-def test_simulate_stdout_matches_golden_digest(capsys, command):
-    code, out, _ = run_cli(capsys, command.split())
+def test_simulate_stdout_matches_golden_digest(capsys, tmp_path, command):
+    psi = tmp_path / "peak.psi"
+    values = [0] * 8
+    values[0b010], values[0b110] = 1, 2  # mean rate t - t^3
+    save_pattern(PatternFunctional(3, tuple(values)), psi)
+    code, out, _ = run_cli(capsys, command.format(psi=psi).split())
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command]
+    kept = [
+        line for line in out.splitlines(keepends=True)
+        if not any(f",{q}," in line for q in RUNTIME_QUANTITIES)
+    ]
+    assert hashlib.sha256("".join(kept).encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
 def test_simulate_rows_are_byte_deterministic(capsys):

@@ -15,7 +15,6 @@ from runslab.combinatorics import (
     mean_runs_time,
     run_count_pmf,
     run_count_pmf_enumerated,
-    run_count_prob_float,
     var_runs_discrete,
     var_runs_time,
 )
@@ -85,14 +84,6 @@ def test_discrete_moment_examples():
     assert mean_runs_discrete(5, 0) == 0
     assert mean_runs_discrete(5, 5) == 1
     assert var_runs_discrete(5, 5) == 0
-
-
-def test_prob_float_agrees_with_exact():
-    for n in (6, 11):
-        for m in range(n + 1):
-            pmf = run_count_pmf(n, m)
-            for k, p in pmf.probs.items():
-                assert run_count_prob_float(n, m, k) == pytest.approx(float(p), rel=1e-12)
 
 
 def test_invalid_ranges_rejected():

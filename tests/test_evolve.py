@@ -437,38 +437,106 @@ def test_queue_summary_on_many_tied_event_times():
 # -- sweep harness -----------------------------------------------------------
 
 
+def single_trajectories(case, n, seed, reps, grid):
+    """(max, argmax, mid value, grid samples) per rep, one rep at a time.
+
+    Rep 0 goes through the public single-trajectory function; rep r > 0
+    through the model's draw on stream(seed, r) and its kernel on a one-row
+    block.  Step-indexed models sample steps round(t * n).
+    """
+    steps = [int(round(t * n)) for t in grid]
+    pattern = run_length_pattern(1)
+    cyclic = case in ("runs-cyclic", "pattern-cyclic")
+    draws = {
+        "priority-queue": evolve._queue_events_minmax,
+        "lazy-hash": evolve._queue_events_inverse,
+    }
+    out = []
+    for rep in range(reps):
+        rng = stream(seed, rep)
+        if case in ("runs-linear", "runs-cyclic"):
+            traj = (
+                simulate_runs(n, seed, cyclic=cyclic, grid=steps) if rep == 0
+                else runs_from_order(rng.permutation(n), cyclic=cyclic, grid=steps)
+            )
+        elif case.startswith("pattern"):
+            traj = (
+                simulate_pattern(pattern, n, seed, cyclic=cyclic, grid=steps) if rep == 0
+                else pattern_from_order(pattern, rng.permutation(n), cyclic=cyclic, grid=steps)
+            )
+        elif rep == 0:
+            simulate = {
+                "runs-time": simulate_runs_randomized_time,
+                "priority-queue": simulate_priority_queue,
+                "lazy-hash": simulate_lazy_hash,
+            }[case]
+            traj = simulate(n, seed, grid=grid)
+        else:
+            if case == "runs-time":
+                summary = _runs_time_summary(rng.random(n)[None, :], grid)
+            else:
+                arrive, depart = draws[case](rng, n)
+                summary = _queue_summary(arrive[None, :], depart[None, :], grid)
+            out.append(tuple(part[0] for part in summary[1:]))
+            continue
+        out.append((traj.max_value, traj.argmax, traj.mid_value, traj.samples))
+    return out
+
+
 @pytest.mark.parametrize("block_cells", [256, evolve._BLOCK_CELL_BUDGET])
 @pytest.mark.parametrize(
-    "model,n",
+    "case,n",
     [
-        (model, n)
-        for model in ("runs-linear", "runs-cyclic")
+        (case, n)
+        for case in ("runs-linear", "runs-cyclic")
         for n in (1, 2, 3, 9, 13, 52, 127, 128, 129)
-        if not (model == "runs-cyclic" and n < 2)
-    ],
+        if not (case == "runs-cyclic" and n < 2)
+    ]
+    + [
+        (case, n)
+        for case in ("runs-time", "priority-queue", "lazy-hash")
+        for n in (1, 2, 9, 52, 129)
+    ]
+    + [(case, n) for case in ("pattern-linear", "pattern-cyclic") for n in (6, 9, 52, 129)],
 )
-def test_sweep_matches_individual_trajectories(monkeypatch, model, n, block_cells):
+def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells):
     # 301 reps: with 256-cell blocks, a count that is not a multiple of the
     # block's rows (except for one-row blocks) and spans several blocks.
     monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", block_cells)
     reps, seed, grid = 301, 21, (0.25, 0.5, 0.75)
+    pattern = case.startswith("pattern")
     config = SimConfig(
-        model=model, n=n, reps=reps, base_seed=seed, grid=grid,
+        model="pattern" if pattern else case, n=n, reps=reps, base_seed=seed, grid=grid,
+        pattern=run_length_pattern(1) if pattern else None, cyclic=case != "pattern-linear",
         keep_max_samples=True, keep_grid_samples=True,
     )
     result = run_sweep(config)
-    steps = [int(round(t * n)) for t in grid]
-    trajs = [
-        runs_from_order(
-            stream(seed, rep).permutation(n), cyclic=model == "runs-cyclic", grid=steps
-        )
-        for rep in range(reps)
-    ]
-    np.testing.assert_array_equal(result.max_samples, [t.max_value for t in trajs])
-    np.testing.assert_array_equal(result.grid_samples, [t.samples for t in trajs])
-    for stats, field in ((result.argmax_stats, "argmax"), (result.mid_stats, "mid_value")):
-        expected = MomentAccumulator.from_values([float(getattr(t, field)) for t in trajs])
+    maxes, argmaxes, mids, samples = zip(*single_trajectories(case, n, seed, reps, grid))
+    np.testing.assert_array_equal(result.max_samples, maxes)
+    np.testing.assert_array_equal(result.grid_samples, samples)
+    # One chunk holds every rep, so its per-rep argmax and mid value are the
+    # ones run_sweep accumulated.
+    assert evolve._chunk_size(n, reps) == reps
+    _, chunk_argmaxes, chunk_mids, _ = evolve._sweep_chunk(config, 0, reps)
+    np.testing.assert_array_equal(chunk_argmaxes, argmaxes)
+    np.testing.assert_array_equal(chunk_mids, mids)
+    for stats, field in ((result.argmax_stats, argmaxes), (result.mid_stats, mids)):
+        expected = MomentAccumulator.from_values(field)
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
+
+
+def test_trajectory_scalars_are_python_numbers():
+    pattern = run_length_pattern(1)
+    for traj, value_type, argmax_type in (
+        (simulate_runs(20, 1), int, int),
+        (simulate_pattern(pattern, 20, 1), float, int),
+        (simulate_runs_randomized_time(20, 1), int, float),  # argmax is a time
+        (simulate_priority_queue(20, 1), int, int),
+        (simulate_lazy_hash(20, 1), int, int),
+    ):
+        assert type(traj.n) is int
+        assert type(traj.max_value) is value_type and type(traj.mid_value) is value_type
+        assert type(traj.argmax) is argmax_type
 
 
 def test_sweep_models_all_run():

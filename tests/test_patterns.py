@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runslab import patterns
 from runslab.patterns import (
     MAX_ANALYSIS_WINDOW,
     MAX_JUMP_WINDOW,
@@ -247,7 +248,8 @@ def test_run_length_one_constants():
     assert abs(s.correction_scale**3 - 3200 / 6561) < 1e-14
 
 
-@pytest.mark.parametrize("d", range(1, 7))
+# d = 7, 8: windows past the jump-enumeration cap, checked by one route
+@pytest.mark.parametrize("d", range(1, 9))
 def test_run_length_closed_forms(d):
     refs = run_length_reference_constants(d)
     s = summarize(run_length_pattern(d))
@@ -297,6 +299,18 @@ def test_route_functions_match_summary():
     assert variance_rate(run_length_pattern(2)) == s.variance_rate
     assert jump_variance(run_length_pattern(2)) == s.jump_variance
     assert correction_scale(run_length_pattern(2)) == s.correction_scale
+
+
+@pytest.mark.parametrize(
+    "route,quantity",
+    [("_variance_rate_from_terms", "variance-rate"), ("_jump_variance_from_terms", "jump-variance")],
+)
+def test_route_disagreement_raises(monkeypatch, route, quantity):
+    exact = getattr(patterns, route)
+    monkeypatch.setattr(patterns, route, lambda dec, t: exact(dec, t) + Fraction(1, 10**6))
+    for reader in (summarize, variance_rate, jump_variance, correction_scale):
+        with pytest.raises(ArithmeticError, match=f"{quantity} routes disagree"):
+            reader(run_length_pattern(1))
 
 
 # -- two-time covariance routes ----------------------------------------------
