@@ -29,19 +29,15 @@ from .patterns import (
     NoInteriorPeakError,
     PatternFunctional,
     constant_pattern,
-    correction_scale,
     decompose_fluctuations,
     fluctuation_covariance,
-    jump_variance,
     load_pattern,
     mean_rate,
-    peak_time,
     run_length_pattern,
     run_length_reference_constants,
     runs_pattern,
     save_pattern,
     summarize,
-    variance_rate,
     window_lag_covariance,
 )
 from .evolve import (
@@ -80,7 +76,6 @@ from .asymptotics import (
     discretization_self_check,
     limit_covariance,
     local_drift_model,
-    pattern_covariance_model,
     predict_max_mean,
     predict_max_var,
     sample_parabola_max,
@@ -114,19 +109,15 @@ __all__ = [
     "NoInteriorPeakError",
     "PatternFunctional",
     "constant_pattern",
-    "correction_scale",
     "decompose_fluctuations",
     "fluctuation_covariance",
-    "jump_variance",
     "load_pattern",
     "mean_rate",
-    "peak_time",
     "run_length_pattern",
     "run_length_reference_constants",
     "runs_pattern",
     "save_pattern",
     "summarize",
-    "variance_rate",
     "window_lag_covariance",
     # simulation
     "MODELS",
@@ -162,7 +153,6 @@ __all__ = [
     "discretization_self_check",
     "limit_covariance",
     "local_drift_model",
-    "pattern_covariance_model",
     "predict_max_mean",
     "predict_max_var",
     "sample_parabola_max",

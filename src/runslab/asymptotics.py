@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ._rng import StreamPool, mix_key, mix_keys
-from .patterns import AsymptoticSummary, PatternFunctional, fluctuation_covariance
+from .patterns import AsymptoticSummary
 from .stats import MomentAccumulator
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "correction_scale_from_drift",
     "CovarianceModel",
     "limit_covariance",
-    "pattern_covariance_model",
     "COVARIANCE_MODELS",
 ]
 
@@ -320,15 +319,3 @@ def limit_covariance(name: str) -> CovarianceModel:
             f"unknown covariance model {name!r}; choose from {sorted(COVARIANCE_MODELS)}"
         ) from None
 
-
-def pattern_covariance_model(pattern: PatternFunctional) -> CovarianceModel:
-    """Limit covariance of a window functional's centered randomized-time sum."""
-
-    def func(s: float, t: float) -> float:
-        return float(fluctuation_covariance(pattern, s, t))
-
-    return CovarianceModel(
-        name="pattern-time",
-        note=f"window functional of length {pattern.length} at fixed times",
-        func=func,
-    )

@@ -14,6 +14,13 @@ exception is the verify rows whose value is a check's own wall time:
 exact-moments-runtime-seconds, and at full scale
 reference-max-runtime-seconds and desk-scale-runtime-seconds.
 
+`pattern --report` adds one variance-share-<a> row per pattern a of the
+window's decomposition: a's term of the variance rate, evaluated at the
+rational with denominator <= 10^12 nearest the float peak time, not at the
+exact peak.  An irrational peak therefore leaves last-bit residue: for the
+window with mean rate t - t^3 (peak 1/sqrt(3)) variance-share-1 prints
+3.3e-33, where the exact value is 0.
+
 Exit codes: 0 success, 1 failed verification or inadmissible analysis,
 2 usage errors.
 """
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -37,9 +45,9 @@ from .combinatorics import (
     var_runs_discrete,
 )
 from .patterns import (
+    MAX_ANALYSIS_WINDOW,
     NoInteriorPeakError,
     PatternFunctional,
-    decompose_fluctuations,
     load_pattern,
     run_length_pattern,
     summarize,
@@ -256,13 +264,15 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
         _row("mid-mean", result.mid_stats.mean, se=result.mid_stats.se(), **meta),
     ]
     if result.grid_stats is not None:
-        cov = result.grid_stats.covariance()
+        stats = result.grid_stats
+        # a single rep has no spread: se is nan, as for max-mean
+        var = stats.covariance().diagonal() if stats.count > 1 else [math.nan] * stats.dim
         for i, t in enumerate(config.grid):
             rows.append(
                 _row(
                     f"grid-mean-{t:g}",
-                    result.grid_stats.mean[i],
-                    se=(cov[i, i] / result.grid_stats.count) ** 0.5,
+                    stats.mean[i],
+                    se=(var[i] / stats.count) ** 0.5,
                     **meta,
                 )
             )
@@ -272,6 +282,10 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 def cmd_pattern(args, manifest: RunManifest) -> int:
     pattern = _load_cli_pattern(args)
+    if pattern.length > MAX_ANALYSIS_WINDOW:
+        raise UsageError(
+            f"exact analysis capped at window length {MAX_ANALYSIS_WINDOW}, got {pattern.length}"
+        )
     try:
         summary = summarize(pattern)
     except NoInteriorPeakError as exc:
@@ -286,7 +300,7 @@ def cmd_pattern(args, manifest: RunManifest) -> int:
         _row("correction-scale", summary.correction_scale),
     ]
     if args.report:
-        dec = decompose_fluctuations(pattern)
+        dec = summary.decomposition
         t0 = Fraction(summary.peak_time).limit_denominator(10**12)
         q = t0 * (1 - t0)
         for alpha in sorted(dec.terms, key=lambda a: (len(a), a)):

@@ -251,7 +251,7 @@ def _runs_values(orders: np.ndarray, cyclic: bool) -> np.ndarray:
     return _accumulate(delta, orders, np.int64)
 
 
-def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], cyclic: bool = False):
+def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
     """Runs with independent arrival times, one row of `times` per rep.
 
     Returns the step-indexed paths (in arrival order) and, per row: max,
@@ -261,7 +261,7 @@ def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], cyclic
     rows = np.arange(times.shape[0])
     orders, sorted_times = _time_order(times)
     orders += times.shape[1] * rows[:, None]  # flat insertion orders
-    values = _runs_values(orders, cyclic)
+    values = _runs_values(orders, cyclic=False)
     maxv, argmax_step = _first_max(values)
     argmax_t = np.where(argmax_step == 0, 0.0, sorted_times[rows, argmax_step - 1])
     at = values[rows[:, None], _count_at_most(sorted_times, (0.5, *(pts or ())))]
@@ -294,20 +294,18 @@ def simulate_runs(
 
 
 def simulate_runs_randomized_time(
-    n: int, seed: int, *, grid: Optional[Sequence[float]] = None, cyclic: bool = False,
-    keep_values: bool = False,
+    n: int, seed: int, *, grid: Optional[Sequence[float]] = None, keep_values: bool = False,
 ) -> Trajectory:
-    """Runs process with independent uniform arrival times per cell.
+    """Runs process (linear row) with independent uniform arrival times per cell.
 
     The path visits exactly the states of the step-indexed process (in
     arrival order), so its max equals the step-indexed max; samples are
     taken at fill fractions t by counting arrivals up to t.
     """
     _require_positive(n)
-    _check_cyclic_size(cyclic, n)
     times = stream(seed).random(n)
     grid_t = DEFAULT_TIME_GRID if grid is None else tuple(float(t) for t in grid)
-    summary = _runs_time_summary(times[None, :], grid_t, cyclic)
+    summary = _runs_time_summary(times[None, :], grid_t)
     return _trajectory("runs-time", n, summary, grid_t, keep_values)
 
 

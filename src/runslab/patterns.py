@@ -22,9 +22,9 @@ is `fractions.Fraction` so route agreement is not at the mercy of rounding.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -46,10 +46,6 @@ __all__ = [
     "FluctuationDecomposition",
     "decompose_fluctuations",
     "centered_product_sum",
-    "peak_time",
-    "variance_rate",
-    "jump_variance",
-    "correction_scale",
     "insertion_jump_moments",
     "fluctuation_covariance",
     "window_lag_covariance",
@@ -101,12 +97,6 @@ class PatternFunctional:
                 f"need {1 << self.length} window values for length {self.length}, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(_to_fraction(v) for v in self.values))
-
-    @classmethod
-    def from_table(cls, values: Iterable[Rational]) -> "PatternFunctional":
-        vals = tuple(values)
-        length = (len(vals)).bit_length() - 1
-        return cls(length, vals)
 
     def value_at(self, window: Sequence[int]) -> Fraction:
         w = 0
@@ -327,21 +317,7 @@ def _peak_point(g: Polynomial) -> Fraction:
     return points[best]
 
 
-def peak_time(pattern: PatternFunctional) -> float:
-    """The fill fraction maximizing the mean rate, certified unique."""
-    return float(_peak_point(mean_rate(pattern)))
-
-
 # -- variance rate and jump variance, two routes each ------------------------
-
-
-def _variance_rate_from_terms(dec: FluctuationDecomposition, t: Fraction) -> Fraction:
-    q = t * (1 - t)
-    total = Fraction(0)
-    for alpha, poly in dec.terms.items():
-        nu = alpha.count("1")
-        total += poly(t) ** 2 * q**nu
-    return total
 
 
 def _jump_variance_from_terms(dec: FluctuationDecomposition, t: Fraction) -> Fraction:
@@ -490,24 +466,6 @@ def _check_routes(quantity: str, a: float, b: float) -> None:
         raise ArithmeticError(f"{quantity} routes disagree: {a} vs {b}")
 
 
-def variance_rate(pattern: PatternFunctional) -> float:
-    """Per-cell variance rate of the windowed sum at the mean-rate peak."""
-    return summarize(pattern).variance_rate
-
-
-def jump_variance(pattern: PatternFunctional) -> float:
-    """Variance of the single-insertion jump at the mean-rate peak."""
-    return summarize(pattern).jump_variance
-
-
-def correction_scale(pattern: PatternFunctional) -> float:
-    """Scale of the cube-root correction to the running maximum.
-
-    (jump variance squared over absolute peak curvature) to the power 1/3.
-    """
-    return summarize(pattern).correction_scale
-
-
 @dataclass(frozen=True)
 class AsymptoticSummary:
     """Everything the limit theory needs about one window functional."""
@@ -518,6 +476,8 @@ class AsymptoticSummary:
     variance_rate: float    # per-cell variance of values at the peak
     jump_variance: float    # variance of the single-insertion jump at the peak
     correction_scale: float  # multiplies the parabola-max mean times n^(1/3)
+    # the exact decomposition the numbers above come from
+    decomposition: FluctuationDecomposition = field(compare=False, repr=False)
 
 
 def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
@@ -534,7 +494,7 @@ def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
     t0 = _peak_point(g)
     curv = g.derivative().derivative()(t0)
 
-    vr_a = _variance_rate_from_terms(dec, t0)
+    vr_a = fluctuation_covariance(dec, t0, t0)
     _check_routes("variance-rate", float(vr_a), float(window_lag_covariance(pattern, t0, t0)))
 
     jv_a = _jump_variance_from_terms(dec, t0)
@@ -549,6 +509,7 @@ def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
         variance_rate=float(vr_a),
         jump_variance=float(jv_a),
         correction_scale=float(scale_cubed) ** (1.0 / 3.0),
+        decomposition=dec,
     )
 
 

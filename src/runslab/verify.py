@@ -266,7 +266,7 @@ def _check_random_routes(ctx: VerifyContext) -> List[ComparisonReport]:
         attempts += 1
         pattern = _random_pattern(rng)
         try:
-            summarize(pattern)
+            summary = summarize(pattern)
         except NoInteriorPeakError:
             continue
         except ArithmeticError:
@@ -275,7 +275,7 @@ def _check_random_routes(ctx: VerifyContext) -> List[ComparisonReport]:
             continue
         admissible += 1
         deriv = mean_rate(pattern).derivative()
-        g1 = decompose_fluctuations(pattern).terms.get("1")
+        g1 = summary.decomposition.terms.get("1")
         if g1 is None:
             if not deriv.is_zero():
                 derivative_failures += 1
@@ -295,11 +295,11 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
 
     model = limit_covariance("runs-time")
     worst = 0.0
-    pattern = runs_pattern()
+    dec = decompose_fluctuations(runs_pattern())
     for i in range(1, 10, 2):
         for j in range(1, 10, 2):
             s, t = Fraction(i, 10), Fraction(j, 10)
-            exact = float(fluctuation_covariance(pattern, s, t))
+            exact = float(fluctuation_covariance(dec, s, t))
             worst = max(worst, abs(exact - model(float(s), float(t))))
     out.append(compare("runs-time-covariance-identity-gap", worst, 0.0, 1e-12))
 
@@ -327,16 +327,24 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
 # -- Monte Carlo reproductions (full scale) ----------------------------------
 
 
+def _sweep(ctx: VerifyContext, model: str, n: int, reps: int, seed: int, **kw):
+    """Run one sweep; return it with the row context (model, n, reps, seed)."""
+    res = run_sweep(SimConfig(model=model, n=n, reps=reps, base_seed=seed, jobs=ctx.jobs, **kw))
+    return res, dict(model=model, n=n, reps=reps, seed=seed)
+
+
+def _correction(ctx: VerifyContext, scale: str, n: int) -> float:
+    """Predicted n^(1/3) term of a max mean: scale * parabola-max mean * n^(1/3)."""
+    return ctx.reference(scale) * ctx.reference("brownian-parabola-mean") * n ** (1.0 / 3.0)
+
+
 def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     """Mean of the trajectory max at n = 3..9 vs the exact value, 4 SE."""
     out: List[ComparisonReport] = []
     base = ctx.seed("small-max-mc")
     for n in range(3, 10):
         exact = float(sum(k * p for k, p in max_pmf_subset_dp(n).items()))
-        seed = mix_key(base, n)
-        res = run_sweep(
-            SimConfig(model="runs-linear", n=n, reps=1_000_000, base_seed=seed, jobs=ctx.jobs)
-        )
+        res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
         se = res.max_stats.se()
         out.append(
             compare(
@@ -346,10 +354,7 @@ def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
                 4.0 * se,
                 se=se,
                 source="exact",
-                model="runs-linear",
-                n=n,
-                reps=1_000_000,
-                seed=seed,
+                **meta,
             )
         )
     return out
@@ -361,10 +366,7 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
     out: List[ComparisonReport] = []
     base = ctx.seed("reference-maxima")
     for n, ref_name, band in ((13, "runs-max-13-mean", 0.03), (52, "runs-max-52-mean", 0.08)):
-        seed = mix_key(base, n)
-        res = run_sweep(
-            SimConfig(model="runs-linear", n=n, reps=1_000_000, base_seed=seed, jobs=ctx.jobs)
-        )
+        res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
         out.append(
             compare(
                 f"reference-max-mean-{n}",
@@ -373,10 +375,7 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
                 band,
                 se=res.max_stats.se(),
                 source="quoted-constant",
-                model="runs-linear",
-                n=n,
-                reps=1_000_000,
-                seed=seed,
+                **meta,
             )
         )
     out.append(
@@ -388,18 +387,10 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
 def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
     """Cube-root correction to the runs max at n = 10^6."""
     t0 = time.perf_counter()
-    n, reps = 1_000_000, 10_000
-    seed = ctx.seed("desk-scale-max")
-    res = run_sweep(
-        SimConfig(model="runs-linear", n=n, reps=reps, base_seed=seed, jobs=ctx.jobs)
-    )
-    correction = (
-        ctx.reference("runs-correction-scale")
-        * ctx.reference("brownian-parabola-mean")
-        * n ** (1.0 / 3.0)
-    )
+    n = 1_000_000
+    res, meta = _sweep(ctx, "runs-linear", n, 10_000, ctx.seed("desk-scale-max"))
+    correction = _correction(ctx, "runs-correction-scale", n)
     var_ref = ctx.reference("runs-variance-rate") * n
-    common = dict(model="runs-linear", n=n, reps=reps, seed=seed, source="limit")
     return [
         compare(
             "desk-scale-max-mean",
@@ -407,14 +398,16 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
             n / 4 + correction,
             0.15 * correction,
             se=res.max_stats.se(),
-            **common,
+            source="limit",
+            **meta,
         ),
         compare(
             "desk-scale-max-variance",
             res.max_stats.variance(),
             var_ref,
             0.05 * var_ref,
-            **common,
+            source="limit",
+            **meta,
         ),
         compare("desk-scale-runtime-seconds", time.perf_counter() - t0, 0.0, 1800.0),
     ]
@@ -525,16 +518,9 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
 
 def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
     """Queue-size max moments and the two-implementation KS comparison."""
-    n, reps = 10_000, 10_000
-    seed = ctx.seed("queue-sweep")
-    res = run_sweep(
-        SimConfig(model="priority-queue", n=n, reps=reps, base_seed=seed, jobs=ctx.jobs)
-    )
-    correction = (
-        ctx.reference("queue-correction-scale")
-        * ctx.reference("brownian-parabola-mean")
-        * n ** (1.0 / 3.0)
-    )
+    n = 10_000
+    res, meta = _sweep(ctx, "priority-queue", n, 10_000, ctx.seed("queue-sweep"))
+    correction = _correction(ctx, "queue-correction-scale", n)
     var_ref = n / 4
     out = [
         compare(
@@ -544,10 +530,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
             0.15 * correction,
             se=res.max_stats.se(),
             source="limit",
-            model="priority-queue",
-            n=n,
-            reps=reps,
-            seed=seed,
+            **meta,
         ),
         compare(
             "queue-max-variance",
@@ -555,37 +538,24 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
             var_ref,
             0.05 * var_ref,
             source="limit",
-            model="priority-queue",
-            n=n,
-            reps=reps,
-            seed=seed,
+            **meta,
         ),
     ]
 
     ks_n, ks_reps = 100, 100_000
-    samples = {}
-    for label, model_tag in (("queue-ks-pq", "priority-queue"), ("queue-ks-lazy", "lazy-hash")):
-        samples[label] = run_sweep(
-            SimConfig(
-                model=model_tag,
-                n=ks_n,
-                reps=ks_reps,
-                base_seed=ctx.seed(label),
-                jobs=ctx.jobs,
-                keep_max_samples=True,
-            )
-        ).max_samples
-    stat = ks_statistic(samples["queue-ks-pq"], samples["queue-ks-lazy"])
+    pq, meta = _sweep(
+        ctx, "priority-queue", ks_n, ks_reps, ctx.seed("queue-ks-pq"), keep_max_samples=True
+    )
+    lazy, _ = _sweep(
+        ctx, "lazy-hash", ks_n, ks_reps, ctx.seed("queue-ks-lazy"), keep_max_samples=True
+    )
     out.append(
         compare(
             "queue-implementations-ks",
-            stat,
+            ks_statistic(pq.max_samples, lazy.max_samples),
             0.0,
             ks_critical_value(ks_reps, ks_reps, alpha=0.01),
-            model="priority-queue",
-            n=ks_n,
-            reps=ks_reps,
-            seed=ctx.seed("queue-ks-pq"),
+            **meta,
         )
     )
     return out
@@ -593,23 +563,11 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
 
 def _check_pattern_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     """Run-length-1 window max at n = 10^5 vs its cube-root prediction."""
-    n, reps = 100_000, 10_000
-    seed = ctx.seed("pattern-max-mc")
-    res = run_sweep(
-        SimConfig(
-            model="pattern",
-            n=n,
-            reps=reps,
-            base_seed=seed,
-            pattern=run_length_pattern(1),
-            jobs=ctx.jobs,
-        )
+    n = 100_000
+    res, meta = _sweep(
+        ctx, "pattern", n, 10_000, ctx.seed("pattern-max-mc"), pattern=run_length_pattern(1)
     )
-    correction = (
-        ctx.reference("run-length-1-correction-scale")
-        * ctx.reference("brownian-parabola-mean")
-        * n ** (1.0 / 3.0)
-    )
+    correction = _correction(ctx, "run-length-1-correction-scale", n)
     return [
         compare(
             "pattern-max-mean",
@@ -618,10 +576,7 @@ def _check_pattern_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
             0.15 * correction,
             se=res.max_stats.se(),
             source="limit",
-            model="pattern",
-            n=n,
-            reps=reps,
-            seed=seed,
+            **meta,
         )
     ]
 

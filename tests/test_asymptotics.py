@@ -8,7 +8,6 @@ the path maximum monotone in the horizon).
 
 import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from runslab.asymptotics import (
     limit_covariance,
     local_drift_model,
     parabola_path_max,
-    pattern_covariance_model,
     predict_max_mean,
     predict_max_var,
     sample_parabola_max,
@@ -231,24 +229,3 @@ def test_model_rejects_times_outside_unit_interval():
         model(-0.1, 0.5)
     with pytest.raises(ValueError):
         model(0.5, 1.2)
-
-
-def test_pattern_covariance_model_matches_runs_kernel():
-    model = pattern_covariance_model(runs_pattern())
-    reference = limit_covariance("runs-time")
-    for s in GRID9:
-        for t in GRID9:
-            assert model(s, t) == pytest.approx(reference(s, t), abs=1e-12)
-    assert "length 2" in model.note
-
-
-def test_pattern_covariance_model_diagonal_against_lag_route():
-    # On the diagonal the kernel must agree with the independent
-    # window-lag covariance route.
-    from runslab.patterns import window_lag_covariance
-
-    pattern = run_length_pattern(1)
-    model = pattern_covariance_model(pattern)
-    for t in (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)):
-        lag = float(window_lag_covariance(pattern, t, t))
-        assert model(float(t), float(t)) == pytest.approx(lag, abs=1e-12)

@@ -181,6 +181,17 @@ def test_single_rep_variance_prints_nan(capsys):
     assert parse_csv(out)["max-variance"]["value"] == "nan"
 
 
+def test_single_rep_grid_prints_nan_se(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["simulate", "--model", "runs", "--n", "10", "--reps", "1", "--seed", "0", "--grid", "0.5"],
+    )
+    assert code == 0
+    row = parse_csv(out)["grid-mean-0.5"]
+    assert row["se"] == "nan"
+    assert float(row["value"]) >= 0
+
+
 def test_seed_env_fallback(capsys, monkeypatch):
     argv = ["simulate", "--model", "runs", "--n", "30", "--reps", "20"]
     monkeypatch.setenv("RUNSLAB_SEED", "9")
@@ -255,6 +266,22 @@ def test_flat_window_has_no_admissible_peak(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert "no admissible t0" in err
+
+
+@pytest.mark.parametrize("source", ["run-length", "psi-file"])
+def test_window_past_analysis_cap_is_a_usage_error(capsys, tmp_path, source):
+    # run length 9 is a window of 11 cells; the file window has 11 cells too
+    if source == "run-length":
+        argv = ["pattern", "--run-length", "9"]
+    else:
+        path = tmp_path / "wide.psi"
+        save_pattern(run_length_pattern(9), path)
+        argv = ["pattern", "--psi-file", str(path)]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "window length" in err
 
 
 def test_simulate_pattern_via_psi_file(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Window functionals: decomposition, peak finding, the two variance routes."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,22 +14,18 @@ from runslab.patterns import (
     PatternFunctional,
     centered_product_sum,
     constant_pattern,
-    correction_scale,
     decompose_fluctuations,
     fluctuation_covariance,
     format_pattern_text,
     insertion_jump_moments,
-    jump_variance,
     load_pattern,
     mean_rate,
     parse_pattern_text,
-    peak_time,
     run_length_pattern,
     run_length_reference_constants,
     runs_pattern,
     save_pattern,
     summarize,
-    variance_rate,
     window_lag_covariance,
 )
 from runslab.polys import Polynomial
@@ -58,12 +55,6 @@ def test_table_size_validation():
         PatternFunctional(17, tuple([0] * (1 << 17)))
     with pytest.raises(ValueError):
         run_length_pattern(0)
-
-
-def test_from_table_infers_length():
-    pat = PatternFunctional.from_table([0, 1, 2, 3])
-    assert pat.length == 2
-    assert pat.values[3] == 3
 
 
 def test_text_round_trip(tmp_path):
@@ -177,17 +168,17 @@ def test_derivative_identity_all_length_two(table_bits, t):
 
 
 def test_peak_time_runs_is_exact_half():
-    assert peak_time(runs_pattern()) == 0.5
+    assert summarize(runs_pattern()).peak_time == 0.5
 
 
 @pytest.mark.parametrize("d", range(1, 7))
 def test_peak_time_run_length(d):
-    assert peak_time(run_length_pattern(d)) == pytest.approx(d / (d + 2), abs=1e-15)
+    assert summarize(run_length_pattern(d)).peak_time == pytest.approx(d / (d + 2), abs=1e-15)
 
 
 def test_constant_pattern_has_no_peak():
     with pytest.raises(NoInteriorPeakError):
-        peak_time(constant_pattern(Fraction(3, 4), length=2))
+        summarize(constant_pattern(Fraction(3, 4), length=2))
 
 
 def test_boundary_maximum_rejected():
@@ -195,21 +186,21 @@ def test_boundary_maximum_rejected():
     pat = PatternFunctional(2, (1, 1, 0, 1))
     assert mean_rate(pat) == Polynomial([1, -1, 1])
     with pytest.raises(NoInteriorPeakError):
-        peak_time(pat)
+        summarize(pat)
 
 
 def test_twin_peaks_rejected():
     # symmetric two-hump mean rate: no unique interior peak
     pat = _pattern_with_bernstein([0, 1, -1, 1, 0])
     with pytest.raises(NoInteriorPeakError):
-        peak_time(pat)
+        summarize(pat)
 
 
 def test_degenerate_flat_peak_rejected():
     # (1-2t)^3 derivative: single critical point but zero curvature
     pat = _pattern_with_bernstein([0, 1, 0, 1, 0])
     with pytest.raises(NoInteriorPeakError):
-        peak_time(pat)
+        summarize(pat)
 
 
 def _pattern_with_bernstein(weights):
@@ -294,23 +285,28 @@ def test_jump_window_cap():
         insertion_jump_moments(wide, Fraction(1, 2))
 
 
-def test_route_functions_match_summary():
-    s = summarize(run_length_pattern(2))
-    assert variance_rate(run_length_pattern(2)) == s.variance_rate
-    assert jump_variance(run_length_pattern(2)) == s.jump_variance
-    assert correction_scale(run_length_pattern(2)) == s.correction_scale
+def test_summary_carries_its_decomposition():
+    pat = run_length_pattern(2)
+    s = summarize(pat)
+    dec = decompose_fluctuations(pat)
+    assert s.decomposition.mean_rate == dec.mean_rate
+    assert dict(s.decomposition.terms) == dict(dec.terms)
+    # carried along, not part of the summary's value: it stays out of
+    # equality, hashing and repr
+    other = replace(s, decomposition=decompose_fluctuations(runs_pattern()))
+    assert other == s and hash(other) == hash(s)
+    assert "decomposition" not in repr(s)
 
 
 @pytest.mark.parametrize(
     "route,quantity",
-    [("_variance_rate_from_terms", "variance-rate"), ("_jump_variance_from_terms", "jump-variance")],
+    [("fluctuation_covariance", "variance-rate"), ("_jump_variance_from_terms", "jump-variance")],
 )
 def test_route_disagreement_raises(monkeypatch, route, quantity):
     exact = getattr(patterns, route)
-    monkeypatch.setattr(patterns, route, lambda dec, t: exact(dec, t) + Fraction(1, 10**6))
-    for reader in (summarize, variance_rate, jump_variance, correction_scale):
-        with pytest.raises(ArithmeticError, match=f"{quantity} routes disagree"):
-            reader(run_length_pattern(1))
+    monkeypatch.setattr(patterns, route, lambda *args: exact(*args) + Fraction(1, 10**6))
+    with pytest.raises(ArithmeticError, match=f"{quantity} routes disagree"):
+        summarize(run_length_pattern(1))
 
 
 # -- two-time covariance routes ----------------------------------------------

@@ -5,8 +5,13 @@ only need the quick tier green, the override hook live, and the check
 registry stable.
 """
 
+import hashlib
+from dataclasses import astuple, replace
+
 import pytest
 
+from runslab import cli, patterns, verify
+from runslab.evolve import run_sweep
 from runslab.verify import REFERENCES, check_names, run_checks
 
 QUICK_NAMES = [
@@ -75,3 +80,76 @@ def test_references_table_spot_values():
     assert REFERENCES["runs-variance-rate"] == pytest.approx(1 / 16)
     assert REFERENCES["run-length-1-variance-rate"] == pytest.approx(76 / 729)
     assert REFERENCES["run-length-1-jump-variance"] == pytest.approx(80 / 81)
+
+
+# -- row pins ----------------------------------------------------------------
+#
+# The Monte Carlo checks are too slow for this tier at their agreed sizes,
+# so their row assembly is pinned on the same sweeps shrunk to n <= 60 and
+# reps <= 40: each row keeps the full-scale model, n, reps and seed it
+# names, and only the sampled values come from the small sweep.
+
+MC_CHECKS = (
+    verify._check_small_max_mc,
+    verify._check_reference_maxima,
+    verify._check_desk_scale,
+    verify._check_queues,
+    verify._check_pattern_max_mc,
+)
+
+# SHA-256 over the rows of MC_CHECKS (wall-time rows dropped), recorded
+# while each check still built its sweep and its cube-root term inline.
+MC_ROWS_DIGEST = "c41ffb5207b8463e469aa726f10f14e6cebc658673f2b73e0fbdc3ad7ded5aa0"
+
+
+def _shrunk_sweep(config):
+    return run_sweep(replace(config, n=min(config.n, 60), reps=min(config.reps, 40)))
+
+
+def test_monte_carlo_rows_match_golden_digest(monkeypatch):
+    monkeypatch.setattr(verify, "run_sweep", _shrunk_sweep)
+    ctx = verify.VerifyContext(base_seed=0)
+    rows = [
+        repr(astuple(report))
+        for check in MC_CHECKS
+        for report in check(ctx)
+        if not report.quantity.endswith("-runtime-seconds")
+    ]
+    assert len(rows) == 15
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == MC_ROWS_DIGEST
+
+
+def _count_calls(monkeypatch, name):
+    """Count every call of patterns.<name>, under each name it has."""
+    calls = []
+    exact = getattr(patterns, name)
+
+    def counted(pattern):
+        calls.append(pattern)
+        return exact(pattern)
+
+    for module in (patterns, cli, verify):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_pattern_report_decomposes_once(monkeypatch, capsys):
+    decompositions = _count_calls(monkeypatch, "decompose_fluctuations")
+    assert cli.main(["pattern", "--run-length", "2", "--report"]) == 0
+    assert "variance-share-" in capsys.readouterr().out
+    assert len(decompositions) == 1
+
+
+@pytest.mark.parametrize(
+    "check,extra", [(verify._check_random_routes, 0), (verify._check_limit_models, 1)]
+)
+def test_checks_decompose_once_per_summary(monkeypatch, check, extra):
+    # random routes: one decomposition per summarize call (admissible or
+    # not); limit models: those, plus one for the runs covariance points.
+    decompositions = _count_calls(monkeypatch, "decompose_fluctuations")
+    summaries = _count_calls(monkeypatch, "summarize")
+    check(verify.VerifyContext(base_seed=0))
+    assert summaries
+    assert len(decompositions) == len(summaries) + extra
