@@ -39,6 +39,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .combinatorics import (
+    MAX_DP_CELLS,
     max_pmf_subset_dp,
     mean_runs_discrete,
     run_count_pmf,
@@ -208,8 +209,8 @@ def cmd_exact(args, manifest: RunManifest) -> int:
         raise UsageError("exact needs --n >= 1")
     rows: List[Dict[str, str]] = []
     if args.max_pmf:
-        if n > 16:
-            raise UsageError("--max-pmf supports n <= 16")
+        if n > MAX_DP_CELLS:
+            raise UsageError(f"--max-pmf supports n <= {MAX_DP_CELLS}")
         pmf = max_pmf_subset_dp(n)
         for k in sorted(pmf):
             rows.append(_row(f"max-pmf-{k}", pmf[k], n=n))

@@ -17,9 +17,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
+
+import numpy as np
 
 __all__ = [
+    "MAX_DP_CELLS",
     "MAX_ORDER_CELLS",
     "MAX_SUBSET_CELLS",
     "RunCountPmf",
@@ -42,8 +45,14 @@ __all__ = [
 MAX_ORDER_CELLS = 10
 MAX_SUBSET_CELLS = 22
 
-# The subset-lattice DP visits 2^n * O(n) states; 16 cells is ~4M updates.
+# The subset-lattice DP updates a running-max histogram once per (subset,
+# empty cell): at 16 cells, 2^16 subsets and 16 * 2^15 row updates, in
+# numpy.  Its int64 order counts stay exact because 16! < 2^63.
 MAX_DP_CELLS = 16
+assert math.factorial(MAX_DP_CELLS) < 2**63
+
+# brute_force_max_pmf walks the orders in blocks of this many trailing cells.
+_ORDER_BLOCK_TAIL = 7
 
 
 @dataclass(frozen=True)
@@ -176,40 +185,47 @@ def var_runs_time(n: int, t):
     return n * t * (1 - t) * (1 - 3 * t + 3 * t * t) + t * t * (1 - t) * (3 - 5 * t)
 
 
-def _max_runs_over_order(order: Sequence[int], n: int) -> int:
-    """Running maximum of the linear run count along one insertion order."""
-    occ = 0
-    x = 0
-    best = 0
-    last = n - 1
-    for cell in order:
-        d = 1
-        if cell > 0 and (occ >> (cell - 1)) & 1:
-            d -= 1
-        if cell < last and (occ >> (cell + 1)) & 1:
-            d -= 1
-        occ |= 1 << cell
-        x += d
-        if x > best:
-            best = x
-    return best
+def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
+    """Set bits of each entry of x below 2^bits (`np.bitwise_count` is numpy 2)."""
+    return sum((x >> b) & 1 for b in range(bits))
 
 
 def brute_force_max_pmf(n: int) -> Dict[int, Fraction]:
     """Exact distribution of the maximal run count over the whole fill.
 
     Walks all n! insertion orders; capped by the order enumeration budget.
+    The orders go in blocks that share their first n - 7 cells: one block
+    holds every order of the remaining cells, and its rows step through the
+    fill together on an int8 occupancy row padded by an empty cell at each
+    end, so memory stays at one block of 7! rows whatever n is.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_ORDER_CELLS:
         raise ValueError(f"order enumeration capped at n <= {MAX_ORDER_CELLS}, got {n}")
-    counts: Dict[int, int] = {}
-    for order in itertools.permutations(range(n)):
-        h = _max_runs_over_order(order, n)
-        counts[h] = counts.get(h, 0) + 1
+    tail = min(n, _ORDER_BLOCK_TAIL)
+    suffixes = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
+    rows = len(suffixes)
+    width = n + 2
+    row_start = np.arange(rows, dtype=np.intp) * width
+    counts = np.zeros((n + 1) // 2 + 1, dtype=np.int64)
+    for prefix in itertools.permutations(range(n), n - tail):
+        rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.intp)
+        orders = np.empty((rows, n), dtype=np.intp)
+        orders[:, : n - tail] = prefix
+        orders[:, n - tail :] = rest[suffixes]
+        occ = np.zeros(rows * width, dtype=np.int8)
+        x = np.zeros(rows, dtype=np.int8)
+        best = np.zeros(rows, dtype=np.int8)
+        for step in range(n):
+            cell = row_start + orders[:, step] + 1
+            x += 1 - occ[cell - 1] - occ[cell + 1]
+            occ[cell] = 1
+            np.maximum(best, x, out=best)
+        counts += np.bincount(best, minlength=counts.size)
     total = math.factorial(n)
-    return {h: Fraction(c, total) for h, c in sorted(counts.items())}
+    assert counts.sum() == total
+    return {h: Fraction(int(c), total) for h, c in enumerate(counts) if c}
 
 
 def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
@@ -219,46 +235,42 @@ def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
     orders: the run count depends only on the occupied set, so orders that
     reach the same (occupied set, running max) state are interchangeable.
     Independent of `brute_force_max_pmf` and feasible to n = 16.
+
+    The lattice is walked one popcount layer at a time, and only two layers
+    are held: row i of a layer's int64 histogram counts the insertion orders
+    of its i-th subset by running max, and `rank` maps a subset to its row.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_DP_CELLS:
         raise ValueError(f"subset DP capped at n <= {MAX_DP_CELLS}, got {n}")
 
-    runs_of = [0] * (1 << n)
-    for s in range(1, 1 << n):
-        r = 0
-        prev = 0
-        ss = s
-        for _ in range(n):
-            bit = ss & 1
-            if bit and not prev:
-                r += 1
-            prev = bit
-            ss >>= 1
-        runs_of[s] = r
+    subsets = np.arange(1 << n, dtype=np.int32)
+    size = _popcount(subsets, n)
+    runs_of = _popcount(subsets & ~(subsets << 1), n)  # cells with an empty left neighbour
+    rank = np.empty(1 << n, dtype=np.int32)
+    heights = np.arange((n + 1) // 2 + 1, dtype=np.int32)
 
-    # layer[s][h] = number of insertion orders of the cells of s whose
-    # running max equals h.  Advance one inserted cell at a time.
-    layer: Dict[int, Dict[int, int]] = {0: {0: 1}}
-    for _ in range(n):
-        nxt: Dict[int, Dict[int, int]] = {}
-        for s, hist in layer.items():
-            for j in range(n):
-                bit = 1 << j
-                if s & bit:
-                    continue
-                s2 = s | bit
-                r2 = runs_of[s2]
-                dest = nxt.setdefault(s2, {})
-                for h, c in hist.items():
-                    h2 = r2 if r2 > h else h
-                    dest[h2] = dest.get(h2, 0) + c
-        layer = nxt
-    (final,) = layer.values()
+    layer = subsets[:1]
+    hist = (heights == 0).astype(np.int64)[None, :]
+    for k in range(1, n + 1):
+        nxt_layer = np.flatnonzero(size == k).astype(np.int32)
+        rank[nxt_layer] = np.arange(nxt_layer.size)
+        nxt = np.zeros((nxt_layer.size, heights.size), dtype=np.int64)
+        for j in range(n):
+            free = (layer >> j) & 1 == 0
+            dest = layer[free] | (1 << j)
+            r = runs_of[dest][:, None]
+            # mass at a running max h <= r moves to r; above r it stays
+            moved = hist[free]
+            at_most = np.cumsum(moved, axis=1)
+            moved[heights < r] = 0
+            np.copyto(moved, at_most, where=heights == r)
+            nxt[rank[dest]] += moved
+        layer, hist = nxt_layer, nxt
     total = math.factorial(n)
-    assert sum(final.values()) == total
-    return {h: Fraction(c, total) for h, c in sorted(final.items())}
+    assert hist.sum() == total
+    return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}
 
 
 def brute_force_pattern_moments(pattern, n: int, m: int, cyclic: bool = True) -> ExactMoments:

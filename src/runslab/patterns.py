@@ -21,6 +21,7 @@ is `fractions.Fraction` so route agreement is not at the mercy of rounding.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polys import Polynomial, real_roots_in_interval
+from .polys import Polynomial, _cleared, real_roots_in_interval
 
 __all__ = [
     "MAX_WINDOW_LEN",
@@ -222,53 +223,70 @@ def decompose_fluctuations(pattern: PatternFunctional) -> FluctuationDecompositi
 
     Writes each cell indicator as t + (indicator - t) and multilinearly
     expands; one in-place butterfly pass per cell, entries are polynomials
-    in t.  The empty-product coefficient is the mean rate.
+    in t.  The empty-product coefficient is the mean rate.  The butterfly
+    only adds, subtracts and multiplies by t, so it runs on the integer
+    coefficients of den * entry, den the values' common denominator.
     """
     ell = pattern.length
     _check_analysis_length(ell)
-    t = Polynomial.identity()
-    one_minus_t = Polynomial((1, -1))
-    zero = Polynomial()
-    coeffs = [Polynomial.constant(v) for v in pattern.values]
+    den, ints = _cleared(pattern.values)
+    # coeffs[mask][i]: coefficient of t^i, times den; degree stays <= ell
+    coeffs = [[v] + [0] * ell for v in ints]
     for cell in range(ell):
         bit = 1 << (ell - 1 - cell)
         for mask in range(1 << ell):
             if mask & bit:
                 continue
             lo = coeffs[mask]
-            hi = coeffs[mask | bit]
-            if lo.is_zero() and hi.is_zero():
-                continue
-            coeffs[mask] = one_minus_t * lo + t * hi
-            coeffs[mask | bit] = hi - lo
+            step = [h - l for h, l in zip(coeffs[mask | bit], lo)]
+            # (1 - t) * lo + t * hi = lo + t * step
+            coeffs[mask] = [lo[0]] + [l + d for l, d in zip(lo[1:], step)]
+            coeffs[mask | bit] = step
 
-    terms: Dict[str, Polynomial] = {}
+    sums: Dict[str, list] = {}
     for mask in range(1, 1 << ell):
-        poly = coeffs[mask]
-        if poly.is_zero():
+        if not any(coeffs[mask]):
             continue
         bits = [(mask >> (ell - 1 - i)) & 1 for i in range(ell)]
         first = bits.index(1)
         last = ell - 1 - bits[::-1].index(1)
         alpha = "".join("1" if bits[i] else "0" for i in range(first, last + 1))
-        terms[alpha] = terms.get(alpha, zero) + poly
-    terms = {a: p for a, p in terms.items() if not p.is_zero()}
-    return FluctuationDecomposition(ell, coeffs[0], terms)
+        acc = sums.setdefault(alpha, [0] * (ell + 1))
+        for i, c in enumerate(coeffs[mask]):
+            acc[i] += c
+
+    def poly(ints: Sequence[int]) -> Polynomial:
+        return Polynomial(Fraction(c, den) for c in ints)
+
+    terms = {a: poly(c) for a, c in sums.items() if any(c)}
+    return FluctuationDecomposition(ell, poly(coeffs[0]), terms)
 
 
 def mean_rate(pattern: PatternFunctional) -> Polynomial:
-    """Expected window value at fill fraction t, as an exact polynomial."""
+    """Expected window value at fill fraction t, as an exact polynomial.
+
+    The sum over windows of value * t^ones * (1 - t)^(ell - ones), with the
+    values summed by popcount first and (1 - t)^j expanded binomially, on
+    integers over the values' common denominator.
+    """
     ell = pattern.length
     _check_analysis_length(ell)
-    t = Polynomial.identity()
-    one_minus_t = Polynomial((1, -1))
-    out = Polynomial()
-    for w, v in enumerate(pattern.values):
-        if v == 0:
-            continue
-        ones = bin(w).count("1")
-        out = out + v * t**ones * one_minus_t ** (ell - ones)
-    return out
+    den, sums = _sums_by_ones(pattern.values, ell)
+    out = [0] * (ell + 1)
+    for ones, v in enumerate(sums):
+        for i in range(ell - ones + 1):
+            out[ones + i] += (-1) ** i * math.comb(ell - ones, i) * v
+    return Polynomial(Fraction(c, den) for c in out)
+
+
+def _sums_by_ones(values: Sequence[Fraction], ell: int) -> Tuple[int, list]:
+    """(den, sums): sums[k] is den times the total value of the windows with
+    k occupied cells."""
+    den, ints = _cleared(values)
+    sums = [0] * (ell + 1)
+    for w, v in enumerate(ints):
+        sums[bin(w).count("1")] += v
+    return den, sums
 
 
 def centered_product_sum(row: Sequence[int], alpha: str, t: Rational) -> Fraction:
@@ -330,13 +348,10 @@ def _jump_variance_from_terms(dec: FluctuationDecomposition, t: Fraction) -> Fra
 
 
 def _window_mean_direct(values: Sequence[Fraction], ell: int, t: Fraction) -> Fraction:
-    total = Fraction(0)
-    for w, v in enumerate(values):
-        if v == 0:
-            continue
-        ones = bin(w).count("1")
-        total += v * t**ones * (1 - t) ** (ell - ones)
-    return total
+    den, sums = _sums_by_ones(values, ell)
+    num, m = t.numerator, t.denominator
+    total = sum(v * num**ones * (m - num) ** (ell - ones) for ones, v in enumerate(sums))
+    return Fraction(total, den * m**ell)
 
 
 def _pair_expectation(
@@ -347,19 +362,24 @@ def _pair_expectation(
     Cells fill at independent uniform times, so a cell seen at two fill
     fractions is (1,1) with probability min, (0,0) with 1 - max, and only
     the earlier look can be 0 when the later is 1.
+
+    Each of the ell + min(lag, ell) cells contributes one factor, so the
+    sum runs on integer numerators: the values over their common
+    denominator, the probabilities over tl's and tr's common denominator m.
     """
+    m = math.lcm(tl.denominator, tr.denominator)
+    nl = tl.numerator * (m // tl.denominator)
+    nr = tr.numerator * (m // tr.denominator)
     joint = (
-        (1 - max(tl, tr), max(Fraction(0), tr - tl)),  # left bit 0: right 0 / 1
-        (max(Fraction(0), tl - tr), min(tl, tr)),      # left bit 1: right 0 / 1
+        (m - max(nl, nr), max(0, nr - nl)),  # left bit 0: right 0 / 1
+        (max(0, nl - nr), min(nl, nr)),      # left bit 1: right 0 / 1
     )
-    total = Fraction(0)
-    for w1, v1 in enumerate(values):
-        if v1 == 0:
-            continue
-        for w2, v2 in enumerate(values):
-            if v2 == 0:
-                continue
-            prob = Fraction(1)
+    vden, ints = _cleared(values)
+    nonzero = [(w, v) for w, v in enumerate(ints) if v]
+    total = 0
+    for w1, v1 in nonzero:
+        for w2, v2 in nonzero:
+            prob = 1
             # overlap: cells lag..ell-1 of the left window
             for c in range(lag, ell):
                 a = (w1 >> (ell - 1 - c)) & 1
@@ -371,12 +391,12 @@ def _pair_expectation(
                 continue
             for c in range(0, min(lag, ell)):  # cells only in the left window
                 a = (w1 >> (ell - 1 - c)) & 1
-                prob *= tl if a else 1 - tl
+                prob *= nl if a else m - nl
             for c in range(max(ell - lag, 0), ell):  # cells only in the right window
                 b = (w2 >> (ell - 1 - c)) & 1
-                prob *= tr if b else 1 - tr
+                prob *= nr if b else m - nr
             total += v1 * v2 * prob
-    return total
+    return Fraction(total, vden * vden * m ** (ell + min(lag, ell)))
 
 
 def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) -> Fraction:

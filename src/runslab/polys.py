@@ -5,10 +5,18 @@ argument type, so feeding a Fraction in gets an exact value out.  Root
 isolation uses a Sturm chain on the squarefree part plus exact bisection --
 enough machinery to certify that a polynomial has exactly one critical point
 of interest inside (0, 1) and to pin it to any requested width.
+
+Exact evaluation and bisection run on Python integers underneath: the
+coefficients are cleared to a common denominator L, a rational point N/M is
+kept as its two integers, and Horner's rule works on L * M^d * p(N/M); a
+single Fraction is built from the result.  Exact arithmetic does not depend
+on the order of operations, so every value equals the one that Fraction
+arithmetic step by step would give.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -23,6 +31,22 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(x)  # exact dyadic value of the float
     raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+
+
+def _cleared(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(L, [L * c for c in coeffs]) with L the lcm of the denominators."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return den, [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _horner_int(ints: Sequence[int], num: int, den: int) -> int:
+    """sum(ints[i] * num^i * den^(d-i)): den^d times the polynomial at num/den."""
+    acc = 0
+    scale = 1
+    for c in reversed(ints):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
 
 
 class Polynomial:
@@ -143,6 +167,10 @@ class Polynomial:
 
     def __call__(self, x):
         """Horner evaluation; exact when x is a Fraction or int."""
+        if self.coeffs and isinstance(x, (int, Fraction)):
+            den, ints = _cleared(self.coeffs)
+            num, xden = x.numerator, x.denominator
+            return Fraction(_horner_int(ints, num, xden), den * xden ** self.degree)
         acc = 0 * x  # keeps the caller's numeric type
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -286,6 +314,8 @@ def refine_root(p: Polynomial, a, b, width=Fraction(1, 10**18)) -> tuple[Fractio
     """Shrink a bracketing interval (p(a)p(b) < 0) below `width` by bisection.
 
     Exact rational roots hit by a bisection point are returned as (r, r).
+    The bracket is kept as integer numerators lo, hi over one denominator q,
+    which doubles with each halving, and only the sign of p is tested.
     """
     a = _as_fraction(a)
     b = _as_fraction(b)
@@ -297,13 +327,19 @@ def refine_root(p: Polynomial, a, b, width=Fraction(1, 10**18)) -> tuple[Fractio
     if fa * p(b) >= 0:
         raise ValueError("interval does not bracket a sign change")
     width = _as_fraction(width)
-    while b - a > width:
-        mid = (a + b) / 2
-        fm = p(mid)
+    _, ints = _cleared(p.coeffs)
+    rising = fa < 0  # p(lo) keeps the sign of p(a): p rises through the root
+    q = math.lcm(a.denominator, b.denominator)
+    lo = a.numerator * (q // a.denominator)
+    hi = b.numerator * (q // b.denominator)
+    while (hi - lo) * width.denominator > width.numerator * q:
+        mid = lo + hi
+        q *= 2
+        fm = _horner_int(ints, mid, q)
         if fm == 0:
-            return mid, mid
-        if (fa > 0) == (fm > 0):
-            a, fa = mid, fm
+            return Fraction(mid, q), Fraction(mid, q)
+        if (fm < 0) == rising:
+            lo, hi = mid, 2 * hi
         else:
-            b = mid
-    return a, b
+            lo, hi = 2 * lo, mid
+    return Fraction(lo, q), Fraction(hi, q)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -35,6 +36,7 @@ from .combinatorics import (
     var_runs_time,
 )
 from .patterns import (
+    AsymptoticSummary,
     NoInteriorPeakError,
     PatternFunctional,
     decompose_fluctuations,
@@ -113,6 +115,11 @@ class VerifyContext:
     base_seed: int = 0
     jobs: int = 1
     overrides: Mapping[str, float] = field(default_factory=dict)
+
+    @cached_property
+    def run_length_1(self) -> AsymptoticSummary:
+        """The run-length-1 window summary, worked out once per run."""
+        return summarize(run_length_pattern(1))
 
     def reference(self, name: str) -> float:
         if name in self.overrides:
@@ -208,7 +215,7 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
         )
     out.append(compare("runs-peak-time", runs.peak_time, 0.5, 0.0, model="runs-linear"))
 
-    rl1 = summarize(run_length_pattern(1))
+    rl1 = ctx.run_length_1
     for quantity, value, ref_name in (
         ("run-length-1-variance-rate", rl1.variance_rate, "run-length-1-variance-rate"),
         ("run-length-1-jump-variance", rl1.jump_variance, "run-length-1-jump-variance"),
@@ -227,7 +234,7 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
     for d in range(1, 7):
         refs = run_length_reference_constants(d)
         try:
-            summary = summarize(run_length_pattern(d))
+            summary = rl1 if d == 1 else summarize(run_length_pattern(d))
         except ArithmeticError:
             route_failures += 1
             continue
@@ -314,7 +321,7 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
         (
             "run-length-1-drift-correction-scale",
             "pattern",
-            summarize(run_length_pattern(1)),
+            ctx.run_length_1,
             "run-length-1-correction-scale",
         ),
     ):

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from runslab.cli import COLUMNS, main
+from runslab.combinatorics import MAX_DP_CELLS
 from runslab.patterns import (
     PatternFunctional, constant_pattern, run_length_pattern, save_pattern,
 )
@@ -123,6 +124,24 @@ GOLDEN_STDOUT = {
         "e4746c90a949131a9c87a515d7a42842f20e75c17f279b92eb866ebb336a35b3",
     "verify --scale quick --seed 0":
         "481130fa92b1dd467f16620c3fa162d3d8a4897022d7924d411dc75e41f2e100",
+    # The rest of the exact tables and window reports, recorded while the
+    # max-pmf DP was a dict walk and every Fraction was evaluated, bisected
+    # and multiplied in Fraction arithmetic: the integer kernels must give
+    # the same rows.
+    "exact --n 13 --max-pmf":
+        "4d05cdbe376eb91f5e572f138fb7e4115d7700f77d3fdae534f802dc09c12880",
+    "exact --n 14 --max-pmf":
+        "1015cbda0580bea54719c7d40e6fe87e0e78ad534a7e89f932178acd576524c4",
+    "exact --n 15 --max-pmf":
+        "53e2d893d961f754c012cc593de3534f27b176218fb98051958ee11cd992d934",
+    "exact --n 16 --max-pmf":
+        "3bf8fb676811abf14bbb1d3b6a74493cd1480564e931a6e1b7782ed3943499a6",
+    "pattern --run-length 4 --report":
+        "9db48ef1972876d6055c518255f2ad859e29337cc874fb923fca87e2a0ce8e30",
+    "pattern --run-length 5 --report":
+        "252cdd6cd505b78156454db08668cb100ad7cca0031e9c60bef2e0a5c1de26e9",
+    "pattern --run-length 6 --report":
+        "1c1e42908af69919af87726587b7c9e17f70c7ba31fc5c02657d31d8b16eac11",
 }
 
 # Rows that report wall time, the one kind of cell that changes from run to
@@ -360,6 +379,12 @@ def test_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert "error" in err.lower()
+
+
+def test_max_pmf_cap_message_follows_the_dp_cap(capsys):
+    code, _, err = run_cli(capsys, ["exact", "--n", str(MAX_DP_CELLS + 1), "--max-pmf"])
+    assert code == 2
+    assert err == f"error: --max-pmf supports n <= {MAX_DP_CELLS}\n" == "error: --max-pmf supports n <= 16\n"
 
 
 def test_argparse_exits_are_propagated(capsys):

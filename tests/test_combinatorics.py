@@ -1,12 +1,16 @@
 """Exact counting layer: pmf vs enumeration, closed-form moments, maxima."""
 
+import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from runslab.combinatorics import (
+    MAX_DP_CELLS,
+    MAX_ORDER_CELLS,
     brute_force_max_pmf,
     brute_force_pattern_moments,
     count_runs,
@@ -126,6 +130,90 @@ def test_time_variance_at_half():
 
 
 # -- maximum over the insertion history --------------------------------------
+#
+# Plain-Python oracles for the two numpy routes: a per-order loop over an
+# occupancy bitmask, and a subset DP that keeps one dict per subset.
+
+
+def max_runs_over_order(order, n):
+    occ = 0
+    x = 0
+    best = 0
+    for cell in order:
+        d = 1
+        if cell > 0 and (occ >> (cell - 1)) & 1:
+            d -= 1
+        if cell < n - 1 and (occ >> (cell + 1)) & 1:
+            d -= 1
+        occ |= 1 << cell
+        x += d
+        best = max(best, x)
+    return best
+
+
+def brute_force_max_pmf_loop(n):
+    counts = {}
+    for order in itertools.permutations(range(n)):
+        h = max_runs_over_order(order, n)
+        counts[h] = counts.get(h, 0) + 1
+    total = math.factorial(n)
+    return {h: Fraction(c, total) for h, c in sorted(counts.items())}
+
+
+def max_pmf_subset_dp_dict(n):
+    runs_of = [count_runs([(s >> j) & 1 for j in range(n)]) for s in range(1 << n)]
+    # layer[s][h] = insertion orders of the cells of s with running max h
+    layer = {0: {0: 1}}
+    for _ in range(n):
+        nxt = {}
+        for s, hist in layer.items():
+            for j in range(n):
+                if s >> j & 1:
+                    continue
+                s2 = s | 1 << j
+                dest = nxt.setdefault(s2, {})
+                for h, c in hist.items():
+                    h2 = max(h, runs_of[s2])
+                    dest[h2] = dest.get(h2, 0) + c
+        layer = nxt
+    (final,) = layer.values()
+    total = math.factorial(n)
+    return {h: Fraction(c, total) for h, c in sorted(final.items())}
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_subset_dp_matches_dict_oracle(n):
+    # every n up to 14, so exhaustive rather than sampled; keys in order too
+    got = max_pmf_subset_dp(n)
+    want = max_pmf_subset_dp_dict(n)
+    assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_brute_force_matches_loop_oracle(n):
+    got = brute_force_max_pmf(n)
+    want = brute_force_max_pmf_loop(n)
+    assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize(
+    "func,n",
+    [(max_pmf_subset_dp, MAX_DP_CELLS), (brute_force_max_pmf, 9), (brute_force_max_pmf, 10)],
+)
+def test_exact_max_tables_stay_in_memory_budget(func, n):
+    # two DP layers at a time; one block of 7! orders at a time
+    tracemalloc.start()
+    try:
+        func(n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_brute_force_budget_enforced():
+    with pytest.raises(ValueError, match="capped"):
+        brute_force_max_pmf(MAX_ORDER_CELLS + 1)
 
 
 def test_max_pmf_three_cells():
@@ -164,6 +252,8 @@ def test_max_dominates_final_count():
 def test_subset_dp_budget_enforced():
     with pytest.raises(ValueError):
         max_pmf_subset_dp(40)
+    with pytest.raises(ValueError, match="capped"):
+        max_pmf_subset_dp(MAX_DP_CELLS + 1)
 
 
 # -- exhaustive pattern moments ----------------------------------------------

@@ -1,8 +1,10 @@
 """Window functionals: decomposition, peak finding, the two variance routes."""
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -29,6 +31,7 @@ from runslab.patterns import (
     window_lag_covariance,
 )
 from runslab.polys import Polynomial
+from runslab.verify import _random_pattern
 
 
 # -- construction and the text format ----------------------------------------
@@ -119,6 +122,56 @@ def test_analysis_window_cap():
     too_wide = constant_pattern(0, length=MAX_ANALYSIS_WINDOW + 1)
     with pytest.raises(ValueError):
         decompose_fluctuations(too_wide)
+
+
+def decompose_oracle(pattern):
+    """The Polynomial butterfly that the integer-coefficient one replaced."""
+    ell = pattern.length
+    t = Polynomial.identity()
+    coeffs = [Polynomial.constant(v) for v in pattern.values]
+    for cell in range(ell):
+        bit = 1 << (ell - 1 - cell)
+        for mask in range(1 << ell):
+            if not mask & bit:
+                lo, hi = coeffs[mask], coeffs[mask | bit]
+                coeffs[mask] = (1 - t) * lo + t * hi
+                coeffs[mask | bit] = hi - lo
+    terms = {}
+    for mask in range(1, 1 << ell):
+        if coeffs[mask]:
+            alpha = format(mask, f"0{ell}b").strip("0")
+            terms[alpha] = terms.get(alpha, Polynomial()) + coeffs[mask]
+    return coeffs[0], {a: p for a, p in terms.items() if p}
+
+
+def mean_rate_oracle(pattern):
+    ell = pattern.length
+    t = Polynomial.identity()
+    out = Polynomial()
+    for w, v in enumerate(pattern.values):
+        ones = bin(w).count("1")
+        out = out + v * t**ones * (1 - t) ** (ell - ones)
+    return out
+
+
+window_values = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(max_denominator=10**6),
+    st.floats(-2, 2).map(Fraction),
+)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5).flatmap(
+    lambda ell: st.lists(window_values, min_size=1 << ell, max_size=1 << ell)
+))
+def test_integer_kernels_match_polynomial_oracles(values):
+    pattern = PatternFunctional(len(values).bit_length() - 1, tuple(values))
+    dec = decompose_fluctuations(pattern)
+    mean, terms = decompose_oracle(pattern)
+    assert dec.mean_rate == mean == mean_rate(pattern) == mean_rate_oracle(pattern)
+    assert list(dec.terms) == list(terms)
+    assert all(dec.terms[a] == terms[a] for a in terms)
 
 
 rows = st.lists(st.integers(0, 1), min_size=4, max_size=10)
@@ -320,6 +373,49 @@ def test_covariance_routes_agree_everywhere(s, t):
         assert fluctuation_covariance(pat, s, t) == window_lag_covariance(pat, s, t)
 
 
+def pair_expectation_oracle(values, ell, lag, tl, tr):
+    """The Fraction loop that _pair_expectation's integer sum replaced."""
+    joint = (
+        (1 - max(tl, tr), max(Fraction(0), tr - tl)),
+        (max(Fraction(0), tl - tr), min(tl, tr)),
+    )
+    total = Fraction(0)
+    for w1, v1 in enumerate(values):
+        for w2, v2 in enumerate(values):
+            if v1 == 0 or v2 == 0:
+                continue
+            prob = Fraction(1)
+            for c in range(lag, ell):
+                prob *= joint[(w1 >> (ell - 1 - c)) & 1][(w2 >> (ell - 1 - (c - lag))) & 1]
+            for c in range(0, min(lag, ell)):
+                prob *= tl if (w1 >> (ell - 1 - c)) & 1 else 1 - tl
+            for c in range(max(ell - lag, 0), ell):
+                prob *= tr if (w2 >> (ell - 1 - c)) & 1 else 1 - tr
+            total += v1 * v2 * prob
+    return total
+
+
+fill_times = st.one_of(
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.builds(lambda k: Fraction(k, 2**80), st.integers(0, 2**80)),
+)
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 4), fill_times, fill_times, st.booleans())
+def test_pair_expectation_matches_fraction_oracle(data, ell, tl, tr, same_time):
+    values = data.draw(st.lists(
+        st.one_of(st.just(Fraction(0)), st.fractions(max_denominator=50)),
+        min_size=1 << ell, max_size=1 << ell,
+    ))
+    lag = data.draw(st.integers(0, ell + 1))
+    if same_time:
+        tr = tl
+    got = patterns._pair_expectation(values, ell, lag, tl, tr)
+    assert type(got) is Fraction
+    assert got == pair_expectation_oracle(values, ell, lag, tl, tr)
+
+
 def test_covariance_symmetric_and_diagonal():
     pat = run_length_pattern(1)
     s, t = Fraction(1, 3), Fraction(2, 3)
@@ -335,3 +431,30 @@ def test_runs_covariance_closed_form():
             s, t = Fraction(num_s, 10), Fraction(num_t, 10)
             closed = s * (1 - t) * (1 - s - 2 * t + 3 * s * t)
             assert fluctuation_covariance(pat, s, t) == closed
+
+
+# -- golden digest of summaries ----------------------------------------------
+
+
+def test_random_window_summaries_match_golden_digest():
+    # SHA-256 over 200 seeded random windows of verify's kind: the six
+    # summary floats, or the type of the exception.  Recorded while every
+    # evaluation, bisection and pair expectation ran in Fraction arithmetic.
+    rng = np.random.default_rng(2024)
+    digest = hashlib.sha256()
+    for _ in range(200):
+        try:
+            s = summarize(_random_pattern(rng))
+        except ValueError as exc:  # NoInteriorPeakError among them
+            record = type(exc).__name__
+        except ArithmeticError as exc:
+            record = type(exc).__name__
+        else:
+            record = repr((
+                s.peak_time, s.peak_mean, s.peak_curvature,
+                s.variance_rate, s.jump_variance, s.correction_scale,
+            ))
+        digest.update((record + "\n").encode())
+    assert digest.hexdigest() == (
+        "245d31aa21c2896a17d17d95b5f5fc3ec91bcc0af04575994bbe3e7cc624f9c6"
+    )

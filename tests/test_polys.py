@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from runslab.polys import (
     Polynomial,
@@ -136,3 +136,93 @@ def test_refine_root_shrinks_bracket():
 def test_refine_root_needs_sign_change():
     with pytest.raises(ValueError):
         refine_root(X**2 + 1, 0, 1)
+
+
+# -- integer kernels against Fraction oracles --------------------------------
+#
+# Evaluation and bisection run on integer numerators; these are the plain
+# Fraction loops they replaced, which must give the same values and types.
+
+
+def horner_oracle(p, x):
+    acc = 0 * x
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def refine_root_oracle(p, a, b, width=Fraction(1, 10**18)):
+    a, b, width = Fraction(a), Fraction(b), Fraction(width)
+    if a == b:
+        return a, b
+    fa = p(a)
+    if fa == 0:
+        return a, a
+    if fa * p(b) >= 0:
+        raise ValueError("interval does not bracket a sign change")
+    while b - a > width:
+        mid = (a + b) / 2
+        fm = p(mid)
+        if fm == 0:
+            return mid, mid
+        if (fa > 0) == (fm > 0):
+            a, fa = mid, fm
+        else:
+            b = mid
+    return a, b
+
+
+points = st.one_of(
+    st.integers(-50, 50),
+    st.fractions(min_value=-3, max_value=3, max_denominator=10**9),
+    st.floats(min_value=-3, max_value=3, allow_nan=False),
+)
+
+
+@given(st.lists(st.fractions(max_denominator=10**6), max_size=7), points)
+def test_evaluation_matches_fraction_horner(cs, x):
+    p = Polynomial(cs)
+    got, want = p(x), horner_oracle(p, x)
+    assert got == want and type(got) is type(want)
+
+
+# distinct rational roots, some dyadic so that a bisection midpoint can hit
+# one exactly, times a factor with no real root
+roots = st.one_of(
+    st.fractions(min_value=-2, max_value=2, max_denominator=50),
+    st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-2**8, 2**8), st.integers(0, 8)),
+)
+gaps = st.fractions(min_value=0, max_value=2, max_denominator=64)
+widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**18), Fraction(1, 10**24), Fraction(3, 7)])
+
+
+@settings(deadline=None)
+@given(
+    st.lists(roots, min_size=1, max_size=5, unique=True),
+    st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool),
+    st.booleans(),
+    gaps,
+    gaps,
+    widths,
+)
+def test_refine_root_matches_fraction_bisection(rs, lead, quadratic, left, right, width):
+    p = Polynomial.constant(lead)
+    for r in rs:
+        p = p * (X - r)
+    if quadratic:
+        p = p * (X**2 + X + 1)
+    assert squarefree_part(p) == p
+    a, b = rs[0] - left, rs[0] + right  # around the first root
+    assume(p(a) * p(b) < 0)
+    assert refine_root(p, a, b, width) == refine_root_oracle(p, a, b, width)
+
+
+@given(st.integers(1, 2**40 - 1), st.integers(1, 40))
+def test_refine_root_lands_on_dyadic_root(k, j):
+    # a root k/2^j in (0, 1) is a bisection midpoint of [0, 1]
+    root = Fraction(k, 2**j)
+    assume(root < 1)
+    p = (X - root) * (X + 2)
+    got = refine_root(p, 0, 1)
+    assert got == refine_root_oracle(p, 0, 1)
+    assert got == (root, root)

@@ -12,6 +12,7 @@ import pytest
 
 from runslab import cli, patterns, verify
 from runslab.evolve import run_sweep
+from runslab.patterns import run_length_pattern
 from runslab.verify import REFERENCES, check_names, run_checks
 
 QUICK_NAMES = [
@@ -153,3 +154,11 @@ def test_checks_decompose_once_per_summary(monkeypatch, check, extra):
     check(verify.VerifyContext(base_seed=0))
     assert summaries
     assert len(decompositions) == len(summaries) + extra
+
+
+def test_quick_scale_summarizes_run_length_1_once(monkeypatch):
+    # the closed-form constants, d = 1 of the closed-form loop and the drift
+    # row all read one summary
+    summaries = _count_calls(monkeypatch, "summarize")
+    assert run_checks("quick").passed
+    assert summaries.count(run_length_pattern(1)) == 1
