@@ -28,11 +28,13 @@ memory at a time.
 
 The time-ordered models (runs-time and the queues) sweep each row in
 ascending time, ties broken by index, which is the order a stable argsort
-gives.  They sort with numpy's default argsort instead, several times
-faster than the stable (timsort) one on float64, and sort stably again only
-the rows whose sorted times are not strictly increasing.  A row of distinct
-times has exactly one ascending order, so the result is the stable order
-bit for bit whatever algorithm numpy's default sort uses.
+gives.  They need only the times in that order and each event's step, so
+they sort packed (time bits, step) uint64 keys with numpy's default sort
+and read both back off the keys; no index is sorted or gathered.  Rows
+whose times are tied, or not all in [0, 2), are sorted again stably.  A
+row of distinct times has exactly one ascending order, so the result is
+the stable order bit for bit whatever algorithm numpy's default sort
+uses: its SIMD integer sort gives the speed, not the correctness.
 """
 
 from __future__ import annotations
@@ -174,23 +176,47 @@ def _step_summary(values: np.ndarray, step_idx: Optional[np.ndarray]):
     return values, maxv, argmax, values[:, (n + 1) // 2].copy(), samples
 
 
-def _time_order(keys: np.ndarray):
-    """Per row of `keys`: the order `argsort(kind="stable")` gives, and the
-    keys in that order.
+# A time-sort key is a float64 time's bits shifted up past a 2-bit code.  For
+# non-negative doubles below 2.0 the bits increase with the value and stay
+# under 2^62, so the keys of distinct times sort exactly as the times do.
+_CODE_BITS = np.uint64(2)
+_CODE_MASK = np.uint64(3)
+_TIME_BITS_LIMIT = np.float64(2.0).view(np.uint64)  # 2^62
 
-    A row whose keys are all distinct has one ascending order, so any sort
-    finds it: numpy's default sort orders every row, and only rows whose
-    sorted keys are not strictly increasing (a tie, or a NaN) are sorted
-    again stably.
+
+def _time_path(times: np.ndarray, steps: np.ndarray):
+    """Per row of `times`: the times in the order `argsort(kind="stable")`
+    gives, and the path from 0 that adds steps[k] (-1, 0 or 1, broadcast to
+    the shape of `times`) as time k passes.
+
+    Rows of distinct times in [0, 2) sort packed (time, step + 1) keys,
+    which carry each step with its time, so no index is sorted or gathered.
+    Such a row has one ascending order, so any sort finds it.  Rows with a
+    tie, a NaN, a set sign bit (-0.0 too), an infinity or a time >= 2 are
+    sorted again with a stable argsort.
     """
-    rows, m = keys.shape
-    order = np.argsort(keys, axis=1)
-    ranked = keys.reshape(-1)[order + m * np.arange(rows)[:, None]]
-    redo = ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    rows, m = times.shape
+    bits = times.view(np.uint64)
+    # In place where it can be: a fresh block-sized array costs page faults.
+    codes = np.empty(times.shape, dtype=np.uint8)
+    np.add(steps, 1, out=codes, casting="unsafe")
+    keys = bits << _CODE_BITS
+    keys |= codes
+    keys.sort(axis=1)
+    np.bitwise_and(keys, _CODE_MASK, out=codes, casting="unsafe")
+    keys >>= _CODE_BITS
+    ranked = keys.view(np.float64)
+    redo = (bits >= _TIME_BITS_LIMIT).any(axis=1) | ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
     if redo.any():
-        order[redo] = np.argsort(keys[redo], axis=1, kind="stable")
-        ranked[redo] = np.take_along_axis(keys[redo], order[redo], axis=1)
-    return order, ranked
+        order = np.argsort(times[redo], axis=1, kind="stable")
+        ranked[redo] = np.take_along_axis(times[redo], order, axis=1)
+        redo_steps = np.broadcast_to(steps, times.shape)[redo]
+        codes[redo] = np.take_along_axis(redo_steps, order, axis=1) + 1
+    path = np.empty((rows, m + 1), dtype=np.int64)
+    path[:, 0] = 0
+    np.cumsum(codes, axis=1, dtype=np.int64, out=path[:, 1:])
+    path[:, 1:] -= np.arange(1, m + 1)  # each code is its step + 1
+    return ranked, path
 
 
 def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
@@ -231,24 +257,30 @@ def _trajectory(
 # -- runs kernel -------------------------------------------------------------
 
 
+def _runs_steps(e: np.ndarray, cyclic: bool) -> np.ndarray:
+    """Each cell's run-count increment, from the int8 block e[k] = [cell k
+    fills before cell k+1] (k+1 mod n when cyclic; k < n-1 when linear)."""
+    # Filling cell k adds 1 - [left neighbor present] - [right neighbor
+    # present].  The left neighbor is present iff e[k-1] and the right one
+    # iff not e[k], so the increment is e[k] - e[k-1] (cyclic: indices mod
+    # n); a linear row's last cell has no right neighbor and gets 1 - e[n-2].
+    if cyclic:
+        return e - np.roll(e, 1, axis=1)
+    delta = np.zeros((e.shape[0], e.shape[1] + 1), dtype=np.int8)
+    delta[:, :-1] += e
+    delta[:, 1:] -= e
+    delta[:, -1] += 1
+    return delta
+
+
 def _runs_values(orders: np.ndarray, cyclic: bool) -> np.ndarray:
     """Run counts after 0..n insertions, one row per (flat) insertion order."""
     filled_at = _filled_at(orders)
-    # Filling cell k adds 1 - [left neighbor present] - [right neighbor
-    # present].  With e[k] = [k fills before k+1], the left neighbor is
-    # present iff e[k-1] and the right one iff not e[k], so the increment
-    # is e[k] - e[k-1] (cyclic: indices mod n); a linear row's last cell
-    # has no right neighbor and gets 1 - e[n-2].
     if cyclic:
         e = (filled_at < np.roll(filled_at, -1, axis=1)).view(np.int8)
-        delta = e - np.roll(e, 1, axis=1)
     else:
         e = (filled_at[:, :-1] < filled_at[:, 1:]).view(np.int8)
-        delta = np.zeros(filled_at.shape, dtype=np.int8)
-        delta[:, :-1] += e
-        delta[:, 1:] -= e
-        delta[:, -1] += 1
-    return _accumulate(delta, orders, np.int64)
+    return _accumulate(_runs_steps(e, cyclic), orders, np.int64)
 
 
 def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
@@ -258,11 +290,12 @@ def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
     first attaining arrival time, value at t = 1/2, and the values at the
     fill fractions `pts` (None without them).
     """
-    rows = np.arange(times.shape[0])
-    orders, sorted_times = _time_order(times)
-    orders += times.shape[1] * rows[:, None]  # flat insertion orders
-    values = _runs_values(orders, cyclic=False)
+    # Cell k fills before k+1 in stable time order when its time is earlier
+    # or tied (index order), or when k+1's is a NaN, which sorts last.
+    e = ((times[:, :-1] <= times[:, 1:]) | np.isnan(times[:, 1:])).view(np.int8)
+    sorted_times, values = _time_path(times, _runs_steps(e, cyclic=False))
     maxv, argmax_step = _first_max(values)
+    rows = np.arange(times.shape[0])
     argmax_t = np.where(argmax_step == 0, 0.0, sorted_times[rows, argmax_step - 1])
     at = values[rows[:, None], _count_at_most(sorted_times, (0.5, *(pts or ())))]
     return values, maxv, argmax_t, at[:, 0], (at[:, 1:] if pts is not None else None)
@@ -318,24 +351,31 @@ def _pattern_values(
     """Windowed sums after 0..n insertions, one row per (flat) insertion order."""
     rows, n = orders.shape
     filled_at = _filled_at(orders)
+    # The masks are window values, so 8 bits hold them up to 8 cells and 16
+    # bits up to MAX_WINDOW_LEN: an eighth or a quarter of int64's traffic.
+    dtype = np.uint8 if ell <= 8 else np.uint16
     earlier = {}
     for d in range(-(ell - 1), ell):
         if d:
             # cell k+d (mod n) occupied before cell k's own insertion
-            earlier[d] = (np.roll(filled_at, -d, axis=1) < filled_at).astype(np.int64)
+            earlier[d] = (np.roll(filled_at, -d, axis=1) < filled_at).astype(dtype)
+    windows = np.arange(table.size)
     delta = np.zeros((rows, n), dtype=np.float64)
     for o in range(ell):
         inserted_bit = 1 << (ell - 1 - o)
-        mask = np.zeros((rows, n), dtype=np.int64)
+        # the jump of every window value when cell o fills: the float
+        # subtraction the loop makes per cell, made once per value
+        jump = table[windows | inserted_bit] - table[windows]
+        mask = np.zeros((rows, n), dtype=dtype)
         for i in range(ell):
             if i != o:
-                mask |= earlier[i - o] << (ell - 1 - i)
-        contrib = table[mask | inserted_bit] - table[mask]
+                mask |= earlier[i - o] << dtype(ell - 1 - i)
         if cyclic:
-            delta += contrib
+            delta += jump[mask]
         else:
             # window start k-o must stay within 0..n-ell
-            delta[:, o : n - ell + o + 1] += contrib[:, o : n - ell + o + 1]
+            cells = slice(o, n - ell + o + 1)
+            delta[:, cells] += jump[mask[:, cells]]
     values = _accumulate(delta, orders, np.float64)
     values += table[0] * (n if cyclic else n - ell + 1)
     return values
@@ -400,9 +440,8 @@ def _queue_summary(arrive: np.ndarray, depart: np.ndarray, pts: Optional[Sequenc
     """
     rows, n = arrive.shape
     times = np.concatenate([arrive, depart], axis=1)
-    event_order, event_times = _time_order(times)
-    values = np.zeros((rows, 2 * n + 1), dtype=np.int64)
-    np.cumsum(np.where(event_order < n, 1, -1), axis=1, out=values[:, 1:])
+    steps = np.repeat(np.array([1, -1], dtype=np.int8), n)  # arrivals, then departures
+    event_times, values = _time_path(times, steps)
     maxv, argmax = _first_max(values)
     samples = None
     if pts is not None:

@@ -355,17 +355,22 @@ def _window_mean_direct(values: Sequence[Fraction], ell: int, t: Fraction) -> Fr
 
 
 def _pair_expectation(
-    values: Sequence[Fraction], ell: int, lag: int, tl: Fraction, tr: Fraction
+    ints: Sequence[int], ell: int, lag: int, tl: Fraction, tr: Fraction
 ) -> Fraction:
-    """E[left window value at fill tl  *  value lag cells right at fill tr].
+    """E[left window value at fill tl  *  value lag cells right at fill tr],
+    for the integer window values `ints`.
 
     Cells fill at independent uniform times, so a cell seen at two fill
     fractions is (1,1) with probability min, (0,0) with 1 - max, and only
     the earlier look can be 0 when the later is 1.
 
-    Each of the ell + min(lag, ell) cells contributes one factor, so the
-    sum runs on integer numerators: the values over their common
-    denominator, the probabilities over tl's and tr's common denominator m.
+    Each window's own cells are summed out first, leaving a vector over the
+    shared cells, indexed by their bits; the joint law is then applied one
+    shared cell at a time (a butterfly).  The cost is (shared cells) times
+    the vector's support -- at most ell * 2^ell, and the number of nonzero
+    values when tl == tr, where the law is diagonal -- rather than one term
+    per pair of window values.  The probabilities run on integer numerators
+    over tl's and tr's common denominator m.
     """
     m = math.lcm(tl.denominator, tr.denominator)
     nl = tl.numerator * (m // tl.denominator)
@@ -374,29 +379,31 @@ def _pair_expectation(
         (m - max(nl, nr), max(0, nr - nl)),  # left bit 0: right 0 / 1
         (max(0, nl - nr), min(nl, nr)),      # left bit 1: right 0 / 1
     )
-    vden, ints = _cleared(values)
-    nonzero = [(w, v) for w, v in enumerate(ints) if v]
-    total = 0
-    for w1, v1 in nonzero:
-        for w2, v2 in nonzero:
-            prob = 1
-            # overlap: cells lag..ell-1 of the left window
-            for c in range(lag, ell):
-                a = (w1 >> (ell - 1 - c)) & 1
-                b = (w2 >> (ell - 1 - (c - lag))) & 1
-                prob *= joint[a][b]
-                if prob == 0:
-                    break
-            if prob == 0:
-                continue
-            for c in range(0, min(lag, ell)):  # cells only in the left window
-                a = (w1 >> (ell - 1 - c)) & 1
-                prob *= nl if a else m - nl
-            for c in range(max(ell - lag, 0), ell):  # cells only in the right window
-                b = (w2 >> (ell - 1 - c)) & 1
-                prob *= nr if b else m - nr
-            total += v1 * v2 * prob
-    return Fraction(total, vden * vden * m ** (ell + min(lag, ell)))
+    own = min(lag, ell)  # cells in one window only
+    shared = ell - own   # the left window's last cells, the right one's first
+    left_weight = [nl**k * (m - nl) ** (own - k) for k in range(own + 1)]
+    right_weight = [nr**k * (m - nr) ** (own - k) for k in range(own + 1)]
+    left: Dict[int, int] = {}
+    right: Dict[int, int] = {}
+    for w, v in enumerate(ints):
+        if v:
+            # the left window's own cells lead its bits, the right's trail
+            a = w & ((1 << shared) - 1)
+            left[a] = left.get(a, 0) + v * left_weight[bin(w >> shared).count("1")]
+            b = w >> own
+            right[b] = right.get(b, 0) + v * right_weight[bin(w & ((1 << own) - 1)).count("1")]
+    for cell in range(shared):  # bit `cell` of both indices is one cell
+        bit = 1 << cell
+        moved: Dict[int, int] = {}
+        for a, v in left.items():
+            x = (a & bit) >> cell
+            for y in (0, 1):
+                if joint[x][y]:
+                    c = a ^ ((x ^ y) << cell)
+                    moved[c] = moved.get(c, 0) + v * joint[x][y]
+        left = moved
+    total = sum(v * right.get(b, 0) for b, v in left.items())
+    return Fraction(total, m ** (ell + own))
 
 
 def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) -> Fraction:
@@ -412,14 +419,14 @@ def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) 
     ell = pattern.length
     values = pattern.values
     mu = _window_mean_direct(values, ell, sf) * _window_mean_direct(values, ell, tf)
-    total = Fraction(0)
+    den, ints = _cleared(values)
+    pairs = Fraction(0)
     for j in range(-(ell - 1), ell):
         if j >= 0:
-            e = _pair_expectation(values, ell, j, sf, tf)
+            pairs += _pair_expectation(ints, ell, j, sf, tf)
         else:
-            e = _pair_expectation(values, ell, -j, tf, sf)
-        total += e - mu
-    return total
+            pairs += _pair_expectation(ints, ell, -j, tf, sf)
+    return pairs / (den * den) - (2 * ell - 1) * mu
 
 
 def fluctuation_covariance(

@@ -10,7 +10,9 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from runslab.cli import COLUMNS, main
@@ -142,6 +144,14 @@ GOLDEN_STDOUT = {
         "252cdd6cd505b78156454db08668cb100ad7cca0031e9c60bef2e0a5c1de26e9",
     "pattern --run-length 6 --report":
         "1c1e42908af69919af87726587b7c9e17f70c7ba31fc5c02657d31d8b16eac11",
+    # A dense 9-cell window ({dense9}: every value nonzero, none dyadic),
+    # recorded while the pattern kernel built its masks in int64 and looked
+    # the table up twice per offset: the 16-bit masks and per-offset jump
+    # tables must give the same rows.
+    "simulate --model pattern --psi-file {dense9} --n 40 --reps 300 --seed 8 --grid 0.25,0.5,0.75":
+        "4f955b6a89dd5b665f1af48f1093054498fc0df4c0e821c1e163890b31e5554f",
+    "simulate --model pattern --psi-file {dense9} --n 40 --reps 300 --seed 8 --grid 0.25,0.5,0.75 --linear":
+        "5d8ac49c92496dfaba2bd1437056408a61b6195ef923e610a2507e24b51c2275",
 }
 
 # Rows that report wall time, the one kind of cell that changes from run to
@@ -155,7 +165,11 @@ def test_simulate_stdout_matches_golden_digest(capsys, tmp_path, command):
     values = [0] * 8
     values[0b010], values[0b110] = 1, 2  # mean rate t - t^3
     save_pattern(PatternFunctional(3, tuple(values)), psi)
-    code, out, _ = run_cli(capsys, command.format(psi=psi).split())
+    dense9 = tmp_path / "dense9.psi"
+    rng = np.random.default_rng(9)
+    dense = [Fraction(int(k), 997) for k in rng.integers(-1000, 1000, 1 << 9)]
+    save_pattern(PatternFunctional(9, tuple(dense)), dense9)
+    code, out, _ = run_cli(capsys, command.format(psi=psi, dense9=dense9).split())
     assert code == 0
     kept = [
         line for line in out.splitlines(keepends=True)

@@ -23,7 +23,7 @@ from runslab.evolve import (
     _queue_summary,
     _runs_time_summary,
     _runs_values,
-    _time_order,
+    _time_path,
     pattern_from_order,
     run_sweep,
     runs_from_order,
@@ -67,10 +67,11 @@ def runs_values_loop(order, cyclic):
 
 
 def pattern_values_loop(table, ell, order, cyclic):
+    # Increments are summed from 0 and the empty row's value added after, so
+    # float tables with table[0] != 0 round as the kernel does.
     n = len(order)
-    values = np.empty(n + 1, dtype=np.float64)
-    running = table[0] * (n if cyclic else n - ell + 1)
-    values[0] = running
+    values = np.zeros(n + 1, dtype=np.float64)
+    running = 0.0
     occupied = 0
     for m, c in enumerate(order, 1):
         delta = 0.0
@@ -88,7 +89,7 @@ def pattern_values_loop(table, ell, order, cyclic):
         running += delta
         values[m] = running
         occupied |= 1 << int(c)
-    return values
+    return values + table[0] * (n if cyclic else n - ell + 1)
 
 
 def random_block(rng, rows, n):
@@ -227,8 +228,9 @@ def test_time_model_argmax_at_zero_start():
 
 # -- time order --------------------------------------------------------------
 #
-# The time-ordered kernels sort with numpy's default (unstable) argsort and
-# re-sort only rows with ties; the oracle is a stable argsort of the block.
+# The time-ordered kernels sort packed (time, step) keys with numpy's default
+# sort and re-sort stably only rows whose times are tied or out of the packed
+# range; the oracle is a stable argsort of the block.
 
 
 def tie_blocks():
@@ -237,6 +239,11 @@ def tie_blocks():
     one_tied[3, 17] = one_tied[3, 150]
     many_nans = rng.random((2, 600))
     many_nans[:, ::3] = np.nan
+    mixed = rng.random((8, 100))
+    mixed[1, 5] = mixed[1, 60]       # tie
+    mixed[3, 7] = np.nan
+    mixed[4, 9] = 2.5                # past the packed range
+    mixed[6, 11] = -0.0              # sign bit
     return {
         "all-equal": np.full((3, 50), 0.5),
         "all-equal-one-row": np.full((1, 9), 0.25),
@@ -250,23 +257,45 @@ def tie_blocks():
         "signed-zeros": np.array([[0.0, -0.0, 0.0, -0.0, -1.0]]),
         "nans": np.array([[np.nan, 0.3, np.nan, 0.1], [0.4, 0.2, 0.9, 0.6]]),
         "many-nans": many_nans,
+        "infinities": np.array([[np.inf, 0.3, 0.1], [0.2, -np.inf, 0.6], [0.4, 0.5, 0.6]]),
+        "one-two-and-above": np.array([
+            [1.0, 0.5, np.nextafter(2.0, 0.0), 0.25],
+            [2.0, 0.5, 0.75, 0.1],
+            [np.nextafter(2.0, 3.0), 1.0, 0.5, 0.0],
+            [3.0, 1e300, 0.5, 1.5],
+        ]),
+        "subnormals": np.array([
+            [5e-324, 0.0, 1e-310, 2.2250738585072014e-308, 1e-320],
+            [1e-320, 5e-324, 1e-310, 0.5, 1e-300],
+        ]),
+        "fast-and-fallback-rows": mixed,
     }
 
 
-def assert_stable_time_order(keys):
-    order, ranked = _time_order(keys)
-    stable = np.argsort(keys, axis=1, kind="stable")
-    np.testing.assert_array_equal(order, stable)
-    expected = np.take_along_axis(keys, stable, axis=1)
-    np.testing.assert_array_equal(ranked.view(np.uint64), expected.view(np.uint64))
+def assert_stable_time_path(times):
+    # random steps, one per time or one row broadcast to every row
+    rng = np.random.default_rng(times.size)
+    stable = np.argsort(times, axis=1, kind="stable")
+    expected = np.take_along_axis(times, stable, axis=1)
+    for steps in (
+        rng.integers(-1, 2, size=times.shape).astype(np.int8),
+        rng.integers(-1, 2, size=times.shape[1]).astype(np.int8),
+    ):
+        ranked, path = _time_path(times, steps)
+        np.testing.assert_array_equal(ranked.view(np.uint64), expected.view(np.uint64))
+        full = np.broadcast_to(steps, times.shape)
+        np.testing.assert_array_equal(path[:, 0], 0)
+        np.testing.assert_array_equal(
+            path[:, 1:], np.cumsum(np.take_along_axis(full, stable, axis=1), axis=1)
+        )
 
 
 @pytest.mark.parametrize("name", sorted(tie_blocks()))
 def test_time_order_equals_stable_argsort(name):
-    assert_stable_time_order(tie_blocks()[name])
+    assert_stable_time_path(tie_blocks()[name])
 
 
-tie_prone = st.sampled_from([0.0, -0.0, 0.125, 0.5, 0.875, 1.0])
+tie_prone = st.sampled_from([0.0, -0.0, 5e-324, 0.125, 0.5, 0.875, 1.0, 2.0, np.inf, np.nan])
 
 
 @given(
@@ -278,11 +307,22 @@ tie_prone = st.sampled_from([0.0, -0.0, 0.125, 0.5, 0.875, 1.0])
 )
 @settings(max_examples=200, deadline=None)
 def test_time_order_equals_stable_argsort_on_random_ties(columns):
-    assert_stable_time_order(np.array(columns).T.copy())
+    assert_stable_time_path(np.array(columns).T.copy())
 
 
 def test_runs_time_summary_follows_stable_order_on_ties():
-    times = np.array([[0.5, 0.5, 0.2, 0.5, 0.9, 0.2], [0.6, 0.1, 0.4, 0.3, 0.8, 0.7]])
+    # Ties, NaNs, a signed zero, an infinity and a time past 2, each in its
+    # own row of one block with rows the packed-key sort orders.
+    times = np.array([
+        [0.5, 0.5, 0.2, 0.5, 0.9, 0.2],
+        [0.6, 0.1, 0.4, 0.3, 0.8, 0.7],
+        [np.nan, 0.1, np.nan, np.nan, 0.8, 0.2],
+        [0.3, 0.1, 0.4, 0.2, 0.8, np.nan],
+        [0.0, 0.6, -0.0, 0.1, 0.0, 0.9],
+        [0.35, 0.1, np.inf, 0.3, 0.8, 0.7],
+        [2.5, 0.1, 0.4, 1.0, 0.8, 0.7],
+        [0.15, 0.95, 0.4, 0.55, 0.05, 0.75],
+    ])
     pts = (0.2, 0.5)
     values, maxv, argmax_t, mid, samples = _runs_time_summary(times, pts)
     for r, row in enumerate(times):
@@ -291,7 +331,7 @@ def test_runs_time_summary_follows_stable_order_on_ties():
         np.testing.assert_array_equal(values[r], path)
         assert maxv[r] == path.max()
         first = int(np.argmax(path))
-        assert argmax_t[r] == (row[order[first - 1]] if first else 0.0)
+        np.testing.assert_array_equal(argmax_t[r], row[order[first - 1]] if first else 0.0)
         assert mid[r] == path[np.sum(row <= 0.5)]
         assert list(samples[r]) == [path[np.sum(row <= t)] for t in pts]
 
@@ -347,19 +387,25 @@ def test_pattern_needs_room_for_windows():
 
 
 def test_pattern_float_tables_loop_equals_vectorized():
-    pat = run_length_pattern(1)
-    table = pat.table_float()
     rng = np.random.default_rng(8)
-    for n in (6, 127, 128, 200):
-        for rows in (1, 3):
-            orders, flat = random_block(rng, rows, n)
-            for cyclic in (True, False):
-                block = _pattern_values(table, pat.length, flat, cyclic)
-                for order, values in zip(orders, block):
-                    np.testing.assert_array_equal(
-                        pattern_values_loop(table, pat.length, order.tolist(), cyclic),
-                        values,
-                    )
+    # run-length 1, then dense random tables on both sides of the 8/16-bit
+    # mask boundary and at the window cap
+    cases = [(run_length_pattern(1).table_float(), (6, 127, 128, 200))]
+    cases += [(None, (2 * ell, 61)) for ell in (8, 9, 16)]
+    for table, sizes in cases:
+        if table is None:
+            table = rng.standard_normal(1 << (sizes[0] // 2))
+        ell = table.size.bit_length() - 1
+        for n in sizes:
+            for rows in (1, 3):
+                orders, flat = random_block(rng, rows, n)
+                for cyclic in (True, False):
+                    block = _pattern_values(table, ell, flat, cyclic)
+                    for order, values in zip(orders, block):
+                        np.testing.assert_array_equal(
+                            pattern_values_loop(table, ell, order.tolist(), cyclic),
+                            values,
+                        )
 
 
 # -- queue models ------------------------------------------------------------

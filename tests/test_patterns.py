@@ -1,6 +1,7 @@
 """Window functionals: decomposition, peak finding, the two variance routes."""
 
 import hashlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -30,7 +31,7 @@ from runslab.patterns import (
     summarize,
     window_lag_covariance,
 )
-from runslab.polys import Polynomial
+from runslab.polys import Polynomial, _cleared
 from runslab.verify import _random_pattern
 
 
@@ -411,9 +412,62 @@ def test_pair_expectation_matches_fraction_oracle(data, ell, tl, tr, same_time):
     lag = data.draw(st.integers(0, ell + 1))
     if same_time:
         tr = tl
-    got = patterns._pair_expectation(values, ell, lag, tl, tr)
+    den, ints = _cleared(values)
+    got = patterns._pair_expectation(ints, ell, lag, tl, tr)
     assert type(got) is Fraction
-    assert got == pair_expectation_oracle(values, ell, lag, tl, tr)
+    assert got / (den * den) == pair_expectation_oracle(values, ell, lag, tl, tr)
+
+
+def pair_expectation_loop(ints, ell, lag, tl, tr):
+    """The double loop over pairs of nonzero window values that
+    _pair_expectation's fold-and-butterfly replaced, on the same integers."""
+    m = math.lcm(tl.denominator, tr.denominator)
+    nl = tl.numerator * (m // tl.denominator)
+    nr = tr.numerator * (m // tr.denominator)
+    joint = (
+        (m - max(nl, nr), max(0, nr - nl)),
+        (max(0, nl - nr), min(nl, nr)),
+    )
+    nonzero = [(w, v) for w, v in enumerate(ints) if v]
+    total = 0
+    for w1, v1 in nonzero:
+        for w2, v2 in nonzero:
+            prob = 1
+            for c in range(lag, ell):  # overlap: cells lag..ell-1 of the left window
+                prob *= joint[(w1 >> (ell - 1 - c)) & 1][(w2 >> (ell - 1 - (c - lag))) & 1]
+                if prob == 0:
+                    break
+            if prob == 0:
+                continue
+            for c in range(0, min(lag, ell)):  # cells only in the left window
+                prob *= nl if (w1 >> (ell - 1 - c)) & 1 else m - nl
+            for c in range(max(ell - lag, 0), ell):  # cells only in the right window
+                prob *= nr if (w2 >> (ell - 1 - c)) & 1 else m - nr
+            total += v1 * v2 * prob
+    return Fraction(total, m ** (ell + min(lag, ell)))
+
+
+@pytest.mark.parametrize("ell", range(2, 9))
+def test_pair_expectation_matches_pair_loop(ell):
+    # Sparse run-length windows (the runs window at ell = 2) and a dense
+    # random window, every lag and both orders of three fill pairs: apart,
+    # equal, and with 2^80 denominators.  The loop is quadratic in the
+    # window's values, so dense windows past 6 cells take the first pair.
+    rng = np.random.default_rng(ell)
+    sparse = runs_pattern() if ell == 2 else run_length_pattern(ell - 2)
+    dense = [int(k) for k in rng.integers(-50, 51, 1 << ell)]
+    fills = [
+        (Fraction(1, 3), Fraction(2, 5)),
+        (Fraction(3, 7), Fraction(3, 7)),
+        (Fraction(2**79 + 12345, 2**80), Fraction(2**78 - 999, 2**80)),
+    ]
+    for ints in (_cleared(sparse.values)[1], dense):
+        for s, t in fills if ints is not dense or ell <= 6 else fills[:1]:
+            for tl, tr in ((s, t), (t, s)):
+                for lag in range(ell + 1):
+                    assert patterns._pair_expectation(ints, ell, lag, tl, tr) == (
+                        pair_expectation_loop(ints, ell, lag, tl, tr)
+                    )
 
 
 def test_covariance_symmetric_and_diagonal():

@@ -203,6 +203,29 @@ def test_runs_time_grid_matches_golden_digest():
     )
 
 
+@pytest.mark.parametrize(
+    "model,cov_digest,se_digest",
+    [
+        (
+            "priority-queue",
+            "e266827fa6d3a877626774c0df73bf2879ada04287cf83367dd158454497bba8",
+            "1e6be8233f0cc58014f11e8fb976ec9c410f881e8d3fc7488148f895b410a44f",
+        ),
+        (
+            "lazy-hash",
+            "27c0fdcdc60f25e210e63176634b54892c72802bf8f1bf56c850d4da47b61fb7",
+            "e2b94f462ceb67ba83628e143afc4f3331f17bbaea7438d656fbc1723980a77f",
+        ),
+    ],
+)
+def test_queue_grids_match_golden_digest(model, cov_digest, se_digest):
+    # Recorded while the queue kernel ordered its events by argsort and a
+    # gather, before it sorted packed (time, event kind) keys.
+    result = empirical_covariance_grid(model, 1000, 300, (0.2, 0.4, 0.6, 0.8), seed=17)
+    assert hashlib.sha256(result.covariance.tobytes()).hexdigest() == cov_digest
+    assert hashlib.sha256(result.se.tobytes()).hexdigest() == se_digest
+
+
 # -- Kolmogorov-Smirnov ------------------------------------------------------
 
 
