@@ -15,8 +15,11 @@ Three ingredients:
 from __future__ import annotations
 
 import math
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,13 +51,15 @@ class VSamplerConfig:
     The negative quadratic drift confines the argmax; with horizon >= 3 the
     mass beyond the truncation is negligible next to the +-0.02 use case,
     and the step bound keeps the discretization bias O(sqrt(step)) small.
-    Both limits are validated, not silently accepted.
+    Both limits are validated, not silently accepted.  `jobs` worker
+    processes share the paths; the estimate does not depend on it.
     """
 
     step: float = 1e-3
     horizon: float = 4.0
     paths: int = 100_000
     base_seed: int = 0
+    jobs: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.step <= 0.01:
@@ -63,6 +68,8 @@ class VSamplerConfig:
             raise ValueError(f"horizon must be >= 3, got {self.horizon}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.paths}")
+        if self.jobs < 1:
+            raise ValueError(f"need jobs >= 1, got {self.jobs}")
 
     @property
     def steps(self) -> int:
@@ -97,19 +104,38 @@ def parabola_path_max(rng: np.random.Generator, steps: int, step: float) -> floa
 
 
 # Path keys are derived this many at a time, so memory stays flat in the
-# number of paths.
+# number of paths; a block is also the unit of work a worker process takes.
 _KEY_BLOCK = 1 << 12
 
 
-def sample_parabola_max(config: VSamplerConfig) -> VEstimate:
-    """Monte Carlo estimate of the parabola-max mean, one stream per path."""
+def _path_maxima(config: VSamplerConfig, lo: int, count: int) -> List[float]:
+    """The maxima of paths lo..lo+count-1, each on its own stream."""
     pool = StreamPool(config.base_seed)
-    steps = config.steps
+    return [
+        parabola_path_max(pool.rekey(key), config.steps, config.step)
+        for key in mix_keys(config.base_seed, lo, count).tolist()
+    ]
+
+
+def sample_parabola_max(config: VSamplerConfig) -> VEstimate:
+    """Monte Carlo estimate of the parabola-max mean, one stream per path.
+
+    Blocks of paths may run in worker processes, but their maxima enter the
+    accumulator one at a time in path order, so the estimate is bit-identical
+    for every `jobs`.
+    """
+    starts = range(0, config.paths, _KEY_BLOCK)
+    args = (repeat(config), starts, [min(_KEY_BLOCK, config.paths - lo) for lo in starts])
+    if config.jobs > 1 and len(starts) > 1:
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=spawn) as pool:
+            blocks = list(pool.map(_path_maxima, *args))
+    else:
+        blocks = map(_path_maxima, *args)
     acc = MomentAccumulator()
-    for lo in range(0, config.paths, _KEY_BLOCK):
-        count = min(_KEY_BLOCK, config.paths - lo)
-        for key in mix_keys(config.base_seed, lo, count).tolist():
-            acc.add(parabola_path_max(pool.rekey(key), steps, config.step))
+    for block in blocks:
+        for value in block:
+            acc.add(value)
     return VEstimate(
         mean=acc.mean,
         sd=acc.sd(),

@@ -422,7 +422,7 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
 
 def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
     """Discretized drifted-path max mean, plus the half-step self-check."""
-    config = VSamplerConfig(base_seed=ctx.base_seed)
+    config = VSamplerConfig(base_seed=ctx.base_seed, jobs=ctx.jobs)
     est = sample_parabola_max(config)
     check = discretization_self_check(config, coarse=est)
     return [

@@ -73,8 +73,21 @@ def test_sampler_config_validation():
         VSamplerConfig(horizon=2.0)
     with pytest.raises(ValueError):
         VSamplerConfig(paths=1)
+    with pytest.raises(ValueError):
+        VSamplerConfig(jobs=0)
     assert VSamplerConfig(step=1e-3, horizon=4.0).steps == 4000
     assert SMALL.steps == 300
+
+
+def test_sampler_bit_identical_across_jobs():
+    # Three key blocks, so two workers really split the paths.  The pinned
+    # mean and sd are what the serial per-path loop gave before the blocks
+    # could run in worker processes.
+    config = VSamplerConfig(step=0.01, horizon=3.0, paths=9000, base_seed=7)
+    serial = sample_parabola_max(config)
+    assert (serial.mean, serial.sd) == (0.9411636593014734, 0.5812356775771468)
+    assert sample_parabola_max(replace(config, jobs=2)) == serial
+    assert discretization_self_check(replace(config, jobs=2)) == discretization_self_check(config)
 
 
 def test_discretization_check_structure_and_reuse():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -614,6 +615,21 @@ def test_sweep_jobs_bit_identical():
     assert a.max_stats.mean == b.max_stats.mean
     assert a.max_stats.m2 == b.max_stats.m2
     np.testing.assert_array_equal(a.max_samples, b.max_samples)
+
+
+def test_sweep_jobs_bit_identical_at_desk_scale():
+    # The acceptance gate's criterion-4 shape, which it runs with two
+    # workers: n = 10^6 puts 4 reps in a chunk, so 12 reps make 3 chunks.
+    config = SimConfig(
+        model="runs-linear", n=10**6, reps=12, base_seed=0, grid=(0.25, 0.5),
+        keep_max_samples=True, keep_grid_samples=True,
+    )
+    a = run_sweep(config)
+    b = run_sweep(replace(config, jobs=2))
+    np.testing.assert_array_equal(a.max_samples, b.max_samples)
+    np.testing.assert_array_equal(a.grid_samples, b.grid_samples)
+    for name in ("max_stats", "argmax_stats", "mid_stats"):
+        assert getattr(a, name) == getattr(b, name)
 
 
 def test_sweep_seed_changes_results():
