@@ -69,7 +69,6 @@ from .stats import (
 __all__ = [
     "REFERENCES",
     "VerificationResult",
-    "check_names",
     "run_checks",
 ]
 
@@ -607,10 +606,6 @@ CHECKS: Tuple[Tuple[str, str, _Check], ...] = (
     ("queues", "full", _check_queues),
     ("pattern-max-mc", "full", _check_pattern_max_mc),
 )
-
-
-def check_names(scale: str = "full") -> List[str]:
-    return [name for name, tier, _ in CHECKS if scale == "full" or tier == "quick"]
 
 
 def run_checks(

@@ -152,6 +152,23 @@ GOLDEN_STDOUT = {
         "4f955b6a89dd5b665f1af48f1093054498fc0df4c0e821c1e163890b31e5554f",
     "simulate --model pattern --psi-file {dense9} --n 40 --reps 300 --seed 8 --grid 0.25,0.5,0.75 --linear":
         "5d8ac49c92496dfaba2bd1437056408a61b6195ef923e610a2507e24b51c2275",
+    # Small-n insertion orders, recorded while every row was drawn by its
+    # own re-keyed shuffle: the batch pass over a block's rows (n <= 31)
+    # must give the same rows.  n = 2 takes three blocks; n = 9 with 7300
+    # reps two full blocks and a 20-row one; n = 31 and 32 sit on either
+    # side of the batch pass's size limit.
+    "simulate --model runs --n 2 --reps 40000":
+        "535b2ae3437fef6deafe0e61e0a12f4cee827b0ff9b35e016466839183fad334",
+    "simulate --model runs-cyclic --n 3 --reps 5000 --seed 11":
+        "cda4994aefda858e8a984e72c7310704d7a1e97af36837ea51442f4a56bc0ed3",
+    "simulate --model runs --n 9 --reps 7300 --seed -4":
+        "22efd1635bae36a37fe96dd6f9d9cf26dc97a85b2e6c04b6e5a94a61446c9b09",
+    "simulate --model runs --n 31 --reps 2000 --seed 13":
+        "48aaedbd9edf3ea579206b5d81c0af51d52ea5003ac30d49b0a066889f9f9da8",
+    "simulate --model runs --n 32 --reps 2000 --seed 13":
+        "31760d8776e846f5e7b30a84b624f463dc3327ac7da05d61f1da1c03bc4cf9ad",
+    "simulate --model pattern --run-length 1 --n 12 --reps 5000":
+        "822a395db7498265ae3f75f3c34212bb478de618becea918e59a3d4dd89d85cd",
 }
 
 # Rows that report wall time, the one kind of cell that changes from run to

@@ -16,7 +16,7 @@ from runslab.combinatorics import (
     mean_runs_discrete,
 )
 from runslab import evolve
-from runslab._rng import stream
+from runslab._rng import StreamPool, mix_keys, stream
 from runslab.evolve import (
     MODELS,
     SimConfig,
@@ -528,6 +528,56 @@ def single_trajectories(case, n, seed, reps, grid):
             continue
         out.append((traj.max_value, traj.argmax, traj.mid_value, traj.samples))
     return out
+
+
+# -- insertion-order draws ---------------------------------------------------
+
+
+def per_row_orders(keys, n):
+    """The oracle: re-key one Philox per row and shuffle that row."""
+    pool = StreamPool(0)
+    orders = np.arange(len(keys) * n, dtype=np.int64).reshape(len(keys), n)
+    for row, key in zip(orders, keys.tolist()):
+        pool.rekey(key).shuffle(row)
+    return orders
+
+
+BATCH_MAX_N = evolve._BATCH_ORDER_MAX_N
+
+
+@pytest.mark.parametrize("n", range(1, BATCH_MAX_N + 2))
+def test_batch_orders_equal_per_row_shuffle(n):
+    for rows in (1, 2, evolve._BLOCK_CELL_BUDGET // n):
+        keys = mix_keys(n, 3 * rows, rows)
+        orders = evolve._draw_orders(StreamPool(0), keys, n)
+        np.testing.assert_array_equal(orders, per_row_orders(keys, n))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 9, 13, 17, BATCH_MAX_N])
+def test_batch_orders_equal_per_row_shuffle_on_one_block_budget(monkeypatch, n):
+    # One Philox block is 8 draws.  At n = 9 a row is covered only when all
+    # 8 steps accept their first draw (about 1 row in 6), and above it no
+    # row is: those rows are redrawn row by row.
+    monkeypatch.setattr(evolve, "_shuffle_draw_blocks", lambda n: 1)
+    rows = evolve._BLOCK_CELL_BUDGET // n
+    keys = mix_keys(-n, 0, rows)
+    _, covered = evolve._batch_orders(keys, n, 1)
+    if n == 9:
+        assert 0 < covered.sum() < rows // 4
+    elif n > 9:
+        assert not covered.any()
+    orders = evolve._draw_orders(StreamPool(0), keys, n)
+    np.testing.assert_array_equal(orders, per_row_orders(keys, n))
+
+
+@pytest.mark.parametrize("n", [2, 9, 13, BATCH_MAX_N, 52, 100])
+def test_batch_orders_cover_most_rows_on_default_budget(n):
+    # Also past the crossover, where sweeps do not take the batch pass.
+    rows = evolve._BLOCK_CELL_BUDGET // n
+    keys = mix_keys(5, 0, rows)
+    orders, covered = evolve._batch_orders(keys, n, evolve._shuffle_draw_blocks(n))
+    assert covered.mean() > 0.99
+    np.testing.assert_array_equal(orders[covered], per_row_orders(keys, n)[covered])
 
 
 @pytest.mark.parametrize("block_cells", [256, evolve._BLOCK_CELL_BUDGET])

@@ -1,10 +1,12 @@
-"""Stream derivation: reference vectors, independence, pool reuse."""
+"""Stream derivation: reference vectors, independence, pool reuse, and the
+batch Philox words against numpy's own Philox."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from runslab._rng import StreamPool, mix_key, mix_keys, splitmix64, stream
+from runslab import _rng
+from runslab._rng import StreamPool, mix_key, mix_keys, philox_words, splitmix64, stream
 
 
 def test_splitmix64_reference_vectors():
@@ -95,3 +97,38 @@ def test_integer_draws_match_pool(index):
     a = pool.get(index).integers(0, 1 << 62, size=5)
     b = stream(123, index).integers(0, 1 << 62, size=5)
     np.testing.assert_array_equal(a, b)
+
+
+def numpy_philox_words(keys, blocks):
+    return np.array([np.random.Philox(key=int(k)).random_raw(4 * blocks) for k in keys])
+
+
+EDGE_KEYS = [0, 1, 2**32 - 1, 2**63, 2**64 - 1]
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 4, 5])
+def test_philox_words_match_numpy_on_edge_keys(blocks):
+    words = philox_words(EDGE_KEYS, blocks)
+    assert words.dtype == np.uint64 and words.shape == (5, 4 * blocks)
+    np.testing.assert_array_equal(words, numpy_philox_words(EDGE_KEYS, blocks))
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=8), st.integers(1, 5))
+def test_philox_words_match_numpy(keys, blocks):
+    np.testing.assert_array_equal(
+        philox_words(np.array(keys, dtype=np.uint64), blocks), numpy_philox_words(keys, blocks)
+    )
+
+
+def test_philox_words_match_numpy_across_chunks():
+    # 3 blocks a row: the chunk boundaries fall inside rows.
+    rows = _rng._PHILOX_CHUNK // 3 + 5
+    keys = mix_keys(11, 0, rows)
+    np.testing.assert_array_equal(philox_words(keys, 3), numpy_philox_words(keys, 3))
+
+
+def test_philox_words_match_numpy_with_small_chunks(monkeypatch):
+    # Many chunks, and a last one shorter than the rest.
+    monkeypatch.setattr(_rng, "_PHILOX_CHUNK", 7)
+    keys = mix_keys(12, 0, 10)
+    np.testing.assert_array_equal(philox_words(keys, 4), numpy_philox_words(keys, 4))

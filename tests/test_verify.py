@@ -13,7 +13,7 @@ import pytest
 from runslab import cli, patterns, verify
 from runslab.evolve import run_sweep
 from runslab.patterns import run_length_pattern
-from runslab.verify import REFERENCES, check_names, run_checks
+from runslab.verify import REFERENCES, run_checks
 
 QUICK_NAMES = [
     "exact-moments",
@@ -25,8 +25,8 @@ QUICK_NAMES = [
 
 
 def test_check_registry_names():
-    assert check_names("quick") == QUICK_NAMES
-    full = check_names("full")
+    full = [name for name, _, _ in verify.CHECKS]
+    assert [name for name, tier, _ in verify.CHECKS if tier == "quick"] == QUICK_NAMES
     assert full[: len(QUICK_NAMES)] == QUICK_NAMES
     assert set(full) - set(QUICK_NAMES) == {
         "small-max-mc",
