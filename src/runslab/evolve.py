@@ -20,9 +20,10 @@ times, or event times).  The single-trajectory functions pass a one-row
 block.  A sweep derives the keys of a chunk's repetitions in one vectorized
 pass (``mix_keys``) and fills the block with exactly the draws
 ``stream(base_seed, rep)`` would give: for insertion orders of up to
-``_BATCH_ORDER_MAX_N`` cells, from every row's Philox words at once
-(``philox_words``) run through numpy's shuffle algorithm for all rows
-together; otherwise by re-keying one Philox instance per row.  It then
+``_BATCH_ORDER_MAX_N`` cells in blocks of at least ``_BATCH_ORDER_MIN_ROWS``
+rows, from every row's Philox words at once (``philox_words``) run through
+numpy's shuffle algorithm for all rows together; otherwise by re-keying one
+Philox instance per row.  It then
 runs the kernel once over the block and reads max, argmax, mid value and
 grid samples off the block of paths.  Blocks hold at most
 ``_BLOCK_CELL_BUDGET`` cells, so small-n sweeps amortize numpy's per-call
@@ -557,14 +558,20 @@ def _grid_step_indices(grid: Tuple[float, ...], n: int) -> np.ndarray:
     return np.asarray([int(round(t * n)) for t in grid], dtype=np.int64)
 
 
-# Up to this many cells, a block's insertion orders come from one
-# vectorized pass over its rows (`_batch_orders`); above it, numpy shuffles
+# A block's insertion orders come from one vectorized pass over its rows
+# (`_batch_orders`) when rows have at most _BATCH_ORDER_MAX_N cells and the
+# block has at least _BATCH_ORDER_MIN_ROWS rows; otherwise numpy shuffles
 # row by row.  The pass's cost per row grows with the draws a row makes,
 # while the per-row shuffle's is mostly call overhead, about 2 us.  On full
 # 2^15-cell blocks (2-core Xeon, numpy 2.4) the pass drew the orders 3.0x
 # as fast as the per-row shuffle at n = 9, 2.1x at n = 13, 1.1x at n = 31,
-# 0.96-1.06x at n = 32 and 0.66x at n = 52.
+# 0.96-1.06x at n = 32 and 0.66x at n = 52.  The pass also has a fixed cost
+# of about 0.4-0.6 ms a block, so it broke even at about 190 rows for
+# n = 2, 255 for n = 9, 320 for n = 13, 480 for n = 20 and 740 for n = 31;
+# smaller blocks (a chunk's last block, or a sweep of few reps) keep the
+# per-row shuffle.
 _BATCH_ORDER_MAX_N = 31
+_BATCH_ORDER_MIN_ROWS = 768
 
 
 def _shuffle_draw_blocks(n: int) -> int:
@@ -630,22 +637,25 @@ def _batch_orders(keys: np.ndarray, n: int, blocks: int):
     return orders, covered
 
 
+def _shuffle_rows(pool: StreamPool, orders: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Shuffle row r of `orders` in place on the stream keyed keys[r]."""
+    for row, key in zip(orders, keys.tolist()):  # Python ints re-key fastest
+        pool.rekey(key).shuffle(row)
+    return orders
+
+
 def _draw_orders(pool: StreamPool, keys: np.ndarray, n: int) -> np.ndarray:
     """Flat insertion orders; row r is r*n + the order the rep keyed keys[r]
     draws by `permutation(n)`, which is a shuffle of arange (the shuffle's
     draws do not depend on the values it moves).  Rows the batch pass does
     not cover are shuffled one by one, so no row depends on its budget."""
     rows = keys.size
-    if n <= _BATCH_ORDER_MAX_N:
-        orders, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n))
-        redo = np.flatnonzero(~covered)
-        orders[redo] = redo[:, None] * n + np.arange(n)
-    else:
+    if n > _BATCH_ORDER_MAX_N or rows < _BATCH_ORDER_MIN_ROWS:
         orders = np.arange(rows * n, dtype=np.int64).reshape(rows, n)
-        redo = range(rows)
-    keys = keys.tolist()  # Python ints re-key fastest
-    for r in redo:
-        pool.rekey(keys[r]).shuffle(orders[r])
+        return _shuffle_rows(pool, orders, keys)
+    orders, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n))
+    redo = np.flatnonzero(~covered)
+    orders[redo] = _shuffle_rows(pool, redo[:, None] * n + np.arange(n), keys[redo])
     return orders
 
 

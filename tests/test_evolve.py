@@ -547,10 +547,26 @@ BATCH_MAX_N = evolve._BATCH_ORDER_MAX_N
 
 @pytest.mark.parametrize("n", range(1, BATCH_MAX_N + 2))
 def test_batch_orders_equal_per_row_shuffle(n):
+    # Blocks of 1 and 2 rows take the per-row shuffle in sweeps; the pass
+    # itself is checked on them directly.
     for rows in (1, 2, evolve._BLOCK_CELL_BUDGET // n):
         keys = mix_keys(n, 3 * rows, rows)
-        orders = evolve._draw_orders(StreamPool(0), keys, n)
-        np.testing.assert_array_equal(orders, per_row_orders(keys, n))
+        expected = per_row_orders(keys, n)
+        orders, covered = evolve._batch_orders(keys, n, evolve._shuffle_draw_blocks(n))
+        np.testing.assert_array_equal(orders[covered], expected[covered])
+        np.testing.assert_array_equal(evolve._draw_orders(StreamPool(0), keys, n), expected)
+
+
+def test_batch_orders_only_on_blocks_of_min_rows(monkeypatch):
+    taken = []
+    batch = evolve._batch_orders
+    monkeypatch.setattr(evolve, "_batch_orders", lambda *a: taken.append(a) or batch(*a))
+    min_rows = evolve._BATCH_ORDER_MIN_ROWS
+    for rows in (min_rows - 1, min_rows):
+        keys = mix_keys(9, 0, rows)
+        orders = evolve._draw_orders(StreamPool(0), keys, 9)
+        np.testing.assert_array_equal(orders, per_row_orders(keys, 9))
+    assert [a[0].size for a in taken] == [min_rows]
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 9, 13, 17, BATCH_MAX_N])

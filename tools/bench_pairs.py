@@ -1,10 +1,11 @@
 """Benchmark two checkouts in alternating pairs and write BENCH_<label>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \
-        --seeds 811-820 --label pr8_sweep-small [--seconds 20] [--out-dir .]
+        --seeds 811-820 --label pr8_sweep-small [--out-dir .]
 
-For each seed, runs ``python3 perfbench/run.py --workload NAME --seed SEED
---seconds S --trace 0`` once in each checkout, one after the other; the
+For each seed of --seeds LO-HI, runs ``python3 perfbench/run.py --workload NAME
+--seed SEED --seconds S --trace 0`` once in each checkout, one after the
+other, where S is ``run_seconds`` of the change's BENCHMARK.json; the
 parent goes first on even pairs and the change on odd ones, so that drift
 of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
@@ -23,12 +24,9 @@ from pathlib import Path
 
 
 def parse_seeds(text: str):
-    """'811-820' or '811,813,815' (or a mix) -> list of ints."""
-    seeds = []
-    for part in text.split(","):
-        lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
-    return seeds
+    """'811-820' -> [811, ..., 820]."""
+    lo, hi = map(int, text.split("-"))
+    return list(range(lo, hi + 1))
 
 
 def describe(checkout: Path):
@@ -86,19 +84,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out-dir", type=Path, default=Path("."))
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("need at least two seeds for quartiles")
-    declared = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(checkouts[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
         pairs.append(pair)
         walls = {s: json.loads(pair[s][1])["metrics"]["wall_s"]["value"] for s in order}
         print(f"seed {seed}: wall_s parent {walls['parent']:.4g} s, change {walls['change']:.4g} s",
@@ -106,11 +104,11 @@ def main(argv=None) -> int:
     record = {
         "workload": args.workload,
         "command": (f"python3 perfbench/run.py --workload {args.workload}"
-                    f" --seconds {args.seconds:g} --trace 0 --seed SEED"),
+                    f" --seconds {seconds:g} --trace 0 --seed SEED"),
         "parent_commit": describe(checkouts["parent"]),
         "change_commit": describe(checkouts["change"]),
         "seeds": args.seeds,
-        "summary": summarize(pairs, declared),
+        "summary": summarize(pairs, benchmark["end_to_end"]),
         "pairs": pairs,
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
