@@ -22,9 +22,17 @@ word for word.  The sweeps build small-n insertion orders from those words
 by replaying what numpy's ``Generator.permutation`` draws (see
 ``evolve._batch_orders``); that replay rests on the installed numpy's
 shuffle algorithm, and tests pin it against the per-row shuffle.
+
+Because each piece of work draws only from the streams of its own keys,
+``ordered_map`` can run the pieces in worker processes and still return
+exactly what a serial loop returns: the sweeps' chunks and the parabola
+sampler's blocks of paths both go through it.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -111,6 +119,24 @@ class StreamPool:
 
     def get(self, index: int) -> np.random.Generator:
         return self.rekey(mix_key(self.base_seed, index))
+
+
+def ordered_map(func, args, jobs: int):
+    """``func(*a)`` for each tuple ``a`` of ``args``, in order: in ``jobs``
+    worker processes when there is more than one tuple, else serially and
+    lazily.  ``func`` must be a module-level function.
+    """
+    args = list(args)
+    if jobs > 1 and len(args) > 1:
+        # Spawned, not forked: a fork copies a parent that may run threads
+        # (numpy's BLAS pool, a caller's own) and can deadlock on a lock one
+        # of them held.  Spawning cost about 0.4 s a pool on a 2-core box (a
+        # 3-chunk jobs = 2 sweep at n = 10^6: 0.73-0.83 s forked, 1.13-1.26 s
+        # spawned); the results are the same either way.
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
+            return list(pool.map(func, *zip(*args)))
+    return (func(*a) for a in args)
 
 
 # Philox4x64-10 round multipliers and key (Weyl) increments, as in numpy's

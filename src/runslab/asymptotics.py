@@ -15,15 +15,12 @@ Three ingredients:
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import StreamPool, mix_key, mix_keys
+from ._rng import StreamPool, mix_key, mix_keys, ordered_map
 from .patterns import AsymptoticSummary
 from .stats import MomentAccumulator
 
@@ -85,8 +82,9 @@ class VEstimate:
     step: float
     horizon: float
 
-    def ci(self, multiple: float = 3.0) -> Tuple[float, float]:
-        return self.mean - multiple * self.se, self.mean + multiple * self.se
+    def ci(self) -> Tuple[float, float]:
+        """The mean plus and minus 3 SE."""
+        return self.mean - 3.0 * self.se, self.mean + 3.0 * self.se
 
 
 def parabola_path_max(rng: np.random.Generator, steps: int, step: float) -> float:
@@ -125,15 +123,9 @@ def sample_parabola_max(config: VSamplerConfig) -> VEstimate:
     for every `jobs`.
     """
     starts = range(0, config.paths, _KEY_BLOCK)
-    args = (repeat(config), starts, [min(_KEY_BLOCK, config.paths - lo) for lo in starts])
-    if config.jobs > 1 and len(starts) > 1:
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=config.jobs, mp_context=spawn) as pool:
-            blocks = list(pool.map(_path_maxima, *args))
-    else:
-        blocks = map(_path_maxima, *args)
+    args = [(config, lo, min(_KEY_BLOCK, config.paths - lo)) for lo in starts]
     acc = MomentAccumulator()
-    for block in blocks:
+    for block in ordered_map(_path_maxima, args, config.jobs):
         for value in block:
             acc.add(value)
     return VEstimate(
@@ -154,27 +146,17 @@ class DiscretizationCheck:
     fine: VEstimate
     band: float
 
-    @property
-    def consistent(self) -> bool:
-        return abs(self.coarse.mean - self.fine.mean) <= self.band
 
-
-def discretization_self_check(
-    config: VSamplerConfig, multiple: float = 3.0,
-    coarse: Optional[VEstimate] = None,
-) -> DiscretizationCheck:
-    """Run the sampler at step and step/2 on distinct stream families.
-
-    Pass a previously computed `coarse` estimate (from this exact config) to
-    pay for only the fine run.
+def discretization_self_check(config: VSamplerConfig, coarse: VEstimate) -> DiscretizationCheck:
+    """Run the sampler at step/2 on a distinct stream family and set it
+    against `coarse`, the estimate from this exact config; the band is
+    3 times the summed SEs.
     """
-    if coarse is None:
-        coarse = sample_parabola_max(config)
     fine_config = replace(
         config, step=config.step / 2.0, base_seed=mix_key(config.base_seed, 1)
     )
     fine = sample_parabola_max(fine_config)
-    band = multiple * (coarse.se + fine.se)
+    band = 3.0 * (coarse.se + fine.se)
     return DiscretizationCheck(coarse=coarse, fine=fine, band=band)
 
 

@@ -46,7 +46,6 @@ from .combinatorics import (
     var_runs_discrete,
 )
 from .patterns import (
-    MAX_ANALYSIS_WINDOW,
     NoInteriorPeakError,
     PatternFunctional,
     load_pattern,
@@ -283,15 +282,13 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
 
 def cmd_pattern(args, manifest: RunManifest) -> int:
     pattern = _load_cli_pattern(args)
-    if pattern.length > MAX_ANALYSIS_WINDOW:
-        raise UsageError(
-            f"exact analysis capped at window length {MAX_ANALYSIS_WINDOW}, got {pattern.length}"
-        )
     try:
         summary = summarize(pattern)
     except NoInteriorPeakError as exc:
         print(f"no admissible t0: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a window past the exact-analysis cap
+        raise UsageError(str(exc))
     rows = [
         _row("peak-time", summary.peak_time),
         _row("peak-mean", summary.peak_mean),
@@ -356,10 +353,13 @@ def cmd_verify(args, manifest: RunManifest) -> int:
         status = "pass" if all(r.passed for r in reports) else "FAIL"
         print(f"[{status}] {name} ({len(reports)} rows)", file=sys.stderr)
 
-    result = run_checks(
-        args.scale, base_seed=seed, jobs=args.jobs, overrides=overrides,
-        progress=progress,
-    )
+    try:
+        result = run_checks(
+            args.scale, base_seed=seed, jobs=args.jobs, overrides=overrides,
+            progress=progress,
+        )
+    except ValueError as exc:  # refused before any check ran
+        raise UsageError(str(exc))
     rows = [
         _row(
             r.quantity,

@@ -44,13 +44,12 @@ uses: its SIMD integer sort gives the speed, not the correctness.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import StreamPool, mix_keys, philox_words, stream
+from ._rng import StreamPool, mix_keys, ordered_map, philox_words, stream
 from .patterns import PatternFunctional
 from .stats import CoMomentAccumulator, MomentAccumulator
 
@@ -82,8 +81,8 @@ MODELS = (
 DEFAULT_TIME_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
 # Reps per chunk are chosen from (n, reps) alone -- never from the worker
-# count -- so chunk boundaries, and therefore merged floating-point results,
-# do not depend on parallelism.
+# count -- so chunk boundaries, and therefore accumulated floating-point
+# results, do not depend on parallelism.
 _CHUNK_CELL_BUDGET = 1 << 22
 
 # Cells per kernel block (at least one row).  Per-rep results do not depend
@@ -419,18 +418,14 @@ def simulate_pattern(
 # -- queue kernel ------------------------------------------------------------
 
 
-def _queue_events_minmax(rng: np.random.Generator, n: int):
-    first = rng.random(n)
-    second = rng.random(n)
-    return np.minimum(first, second), np.maximum(first, second)
+def _queue_events_minmax(u: np.ndarray, v: np.ndarray):
+    return np.minimum(u, v), np.maximum(u, v)
 
 
-def _queue_events_inverse(rng: np.random.Generator, n: int):
+def _queue_events_inverse(u: np.ndarray, v: np.ndarray):
     # Arrival is the min of two uniforms drawn by inverse CDF; departure is
     # then uniform on (arrival, 1).  Same joint law as the min/max pairing,
     # by an independent construction.
-    u = rng.random(n)
-    v = rng.random(n)
     arrive = 1.0 - np.sqrt(1.0 - u)
     depart = arrive + (1.0 - arrive) * v
     return arrive, depart
@@ -474,7 +469,7 @@ def simulate_priority_queue(
     (no discretization); the path starts and ends at 0.
     """
     _require_positive(n)
-    arrive, depart = _queue_events_minmax(stream(seed), n)
+    arrive, depart = _queue_events_minmax(*stream(seed).random((2, n)))
     return _queue_trajectory("priority-queue", arrive, depart, grid, keep_values)
 
 
@@ -488,7 +483,7 @@ def simulate_lazy_hash(
     equivalence stays a testable claim rather than shared code.
     """
     _require_positive(n)
-    arrive, depart = _queue_events_inverse(stream(seed), n)
+    arrive, depart = _queue_events_inverse(*stream(seed).random((2, n)))
     return _queue_trajectory("lazy-hash", arrive, depart, grid, keep_values)
 
 
@@ -667,14 +662,16 @@ def _draw_uniforms(pool: StreamPool, keys: np.ndarray, n: int) -> np.ndarray:
     return times
 
 
-def _block_summary(config: SimConfig, pool: StreamPool, keys: np.ndarray):
+def _block_summary(
+    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray]
+):
     """The block of paths of the reps keyed `keys`, then their per-rep max,
-    argmax, mid value and grid samples (None without a grid)."""
+    argmax, mid value and grid samples (None without a grid).  `table` is
+    the pattern's float table (None for the other models)."""
     model, n, grid = config.model, config.n, config.grid
     if model in ("runs-linear", "runs-cyclic", "pattern"):
         orders = _draw_orders(pool, keys, n)
         if model == "pattern":
-            table = config.pattern.table_float()
             values = _pattern_values(table, config.pattern.length, orders, config.cyclic)
         else:
             values = _runs_values(orders, model == "runs-cyclic")
@@ -683,16 +680,15 @@ def _block_summary(config: SimConfig, pool: StreamPool, keys: np.ndarray):
     if model == "runs-time":
         return _runs_time_summary(_draw_uniforms(pool, keys, n), grid)
     draw = _queue_events_minmax if model == "priority-queue" else _queue_events_inverse
-    arrive = np.empty((keys.size, n), dtype=np.float64)
-    depart = np.empty((keys.size, n), dtype=np.float64)
-    for r, key in enumerate(keys.tolist()):
-        arrive[r], depart[r] = draw(pool.rekey(key), n)
-    return _queue_summary(arrive, depart, grid)
+    u = _draw_uniforms(pool, keys, 2 * n)  # a rep's n draws of u, then its n of v
+    return _queue_summary(*draw(u[:, :n], u[:, n:]), grid)
 
 
 def _sweep_chunk(config: SimConfig, start: int, count: int):
     """Run reps start..start+count-1 and return their per-rep summaries."""
     pool = StreamPool(config.base_seed)
+    # A 16-cell window's table takes tens of ms to build: once a chunk.
+    table = config.pattern.table_float() if config.pattern is not None else None
     rows = max(1, _BLOCK_CELL_BUDGET // config.n)
     stop = start + count
     blocks = []
@@ -703,7 +699,7 @@ def _sweep_chunk(config: SimConfig, start: int, count: int):
         # glibc from trimming the heap top and faulting it back in every
         # block: 5x fewer page faults, and a third less time, for the
         # run-length-1 pattern sweep at n = 10^5.
-        paths, *summary = _block_summary(config, pool, keys)
+        paths, *summary = _block_summary(config, pool, keys, table)
         blocks.append(summary)
     maxes, argmaxes, mids, grid_rows = (
         None if parts[0] is None else np.concatenate(parts).astype(np.float64)
@@ -712,21 +708,12 @@ def _sweep_chunk(config: SimConfig, start: int, count: int):
     return maxes, argmaxes, mids, grid_rows
 
 
-def _chunk_args(config: SimConfig):
-    size = _chunk_size(config.n, config.reps)
-    start = 0
-    while start < config.reps:
-        count = min(size, config.reps - start)
-        yield start, count
-        start += count
-
-
 def run_sweep(config: SimConfig) -> SweepResult:
     """Execute the sweep; deterministic for fixed config regardless of jobs.
 
     Work is split into chunks whose boundaries depend only on (n, reps);
-    chunk outputs are merged in chunk order, so the result is bit-identical
-    whether chunks run serially or across a process pool.
+    chunk outputs are accumulated in chunk order, so the result is
+    bit-identical whether chunks run serially or across a process pool.
     """
     result = SweepResult(
         config=config,
@@ -740,16 +727,9 @@ def run_sweep(config: SimConfig) -> SweepResult:
     kept_max = [] if config.keep_max_samples else None
     kept_grid = [] if config.keep_grid_samples and config.grid else None
 
-    args = list(_chunk_args(config))
-    if config.jobs > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            outputs = list(
-                pool.map(_sweep_chunk, *zip(*((config, s, c) for s, c in args)))
-            )
-    else:
-        outputs = [_sweep_chunk(config, s, c) for s, c in args]
-
-    for maxes, argmaxes, mids, grid_rows in outputs:
+    size = _chunk_size(config.n, config.reps)
+    args = [(config, lo, min(size, config.reps - lo)) for lo in range(0, config.reps, size)]
+    for maxes, argmaxes, mids, grid_rows in ordered_map(_sweep_chunk, args, config.jobs):
         result.max_stats.add_batch(maxes)
         result.argmax_stats.add_batch(argmaxes)
         result.mid_stats.add_batch(mids)

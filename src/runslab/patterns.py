@@ -99,19 +99,8 @@ class PatternFunctional:
             )
         object.__setattr__(self, "values", tuple(_to_fraction(v) for v in self.values))
 
-    def value_at(self, window: Sequence[int]) -> Fraction:
-        w = 0
-        for bit in window:
-            w = (w << 1) | (1 if bit else 0)
-        return self.values[w]
-
     def table_float(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=np.float64)
-
-    def shifted(self, c: Rational) -> "PatternFunctional":
-        """The same functional with a constant added to every window value."""
-        cf = _to_fraction(c)
-        return PatternFunctional(self.length, tuple(v + cf for v in self.values))
 
 
 def runs_pattern() -> PatternFunctional:

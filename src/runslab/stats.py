@@ -1,10 +1,11 @@
 """Streaming moments, covariance grids, and empirical-vs-reference reports.
 
 Accumulators here are the aggregation side of the simulation sweeps: single
-writer, merged after the fact, stable Welford-style updates so that merging
-partial sweeps agrees with one long accumulation to near machine precision.
-Comparison reports are the common currency between the verification harness
-and the command-line output.
+writer, fed one batch at a time in a fixed order (a sweep's chunks, in chunk
+order), with stable Welford-style updates so that batched feeding agrees
+with one long accumulation to near machine precision.  Comparison reports
+are the common currency between the verification harness and the
+command-line output.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ __all__ = [
 
 @dataclass
 class MomentAccumulator:
-    """Mergeable running count, mean, and sum of squared deviations."""
+    """Running count, mean, and sum of squared deviations."""
 
     count: int = 0
     mean: float = 0.0
@@ -47,38 +48,26 @@ class MomentAccumulator:
         values = np.asarray(values, dtype=np.float64)
         if values.size == 0:
             return
+        count = values.size
         bmean = float(values.mean())
         bm2 = float(((values - bmean) ** 2).sum())
-        self._merge_parts(values.size, bmean, bm2)
-
-    def merge(self, other: "MomentAccumulator") -> None:
-        self._merge_parts(other.count, other.mean, other.m2)
-
-    def _merge_parts(self, count: int, mean: float, m2: float) -> None:
-        if count == 0:
-            return
         total = self.count + count
-        delta = mean - self.mean
+        delta = bmean - self.mean
         self.mean += delta * count / total
-        self.m2 += m2 + delta * delta * self.count * count / total
+        self.m2 += bm2 + delta * delta * self.count * count / total
         self.count = total
 
-    def variance(self, ddof: int = 1) -> float:
-        if self.count <= ddof:
+    def variance(self) -> float:
+        """Sample variance (divisor count - 1); nan below two values."""
+        if self.count <= 1:
             return float("nan")
-        return self.m2 / (self.count - ddof)
+        return self.m2 / (self.count - 1)
 
     def sd(self) -> float:
         return math.sqrt(max(self.variance(), 0.0))
 
     def se(self) -> float:
         return self.sd() / math.sqrt(self.count)
-
-    @classmethod
-    def from_values(cls, values: Sequence[float]) -> "MomentAccumulator":
-        acc = cls()
-        acc.add_batch(np.asarray(values, dtype=np.float64))
-        return acc
 
 
 @dataclass
@@ -96,9 +85,6 @@ class CoMomentAccumulator:
         if self.comoment is None:
             self.comoment = np.zeros((self.dim, self.dim), dtype=np.float64)
 
-    def add(self, vector: np.ndarray) -> None:
-        self.add_batch(np.asarray(vector, dtype=np.float64)[None, :])
-
     def add_batch(self, rows: np.ndarray) -> None:
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
@@ -109,28 +95,19 @@ class CoMomentAccumulator:
         bmean = rows.mean(axis=0)
         centered = rows - bmean
         bcm = centered.T @ centered
-        self._merge_parts(k, bmean, bcm)
-
-    def merge(self, other: "CoMomentAccumulator") -> None:
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
-        self._merge_parts(other.count, other.mean, other.comoment)
-
-    def _merge_parts(self, count: int, mean: np.ndarray, comoment: np.ndarray) -> None:
-        if count == 0:
-            return
-        total = self.count + count
-        delta = mean - self.mean
-        self.mean = self.mean + delta * (count / total)
+        total = self.count + k
+        delta = bmean - self.mean
+        self.mean = self.mean + delta * (k / total)
         self.comoment = (
-            self.comoment + comoment + np.outer(delta, delta) * (self.count * count / total)
+            self.comoment + bcm + np.outer(delta, delta) * (self.count * k / total)
         )
         self.count = total
 
-    def covariance(self, ddof: int = 1) -> np.ndarray:
-        if self.count <= ddof:
-            raise ValueError(f"need more than {ddof} samples, have {self.count}")
-        return self.comoment / (self.count - ddof)
+    def covariance(self) -> np.ndarray:
+        """Sample covariance matrix (divisor count - 1)."""
+        if self.count <= 1:
+            raise ValueError(f"need at least 2 samples, have {self.count}")
+        return self.comoment / (self.count - 1)
 
 
 def jackknife_covariance(samples: np.ndarray, scale: float = 1.0):
@@ -178,7 +155,6 @@ def empirical_covariance_grid(
     seed: int,
     *,
     jobs: int = 1,
-    pattern=None,
 ) -> CovarianceGridResult:
     """Sweep the model and estimate n^-1 Cov of its values on the grid.
 
@@ -193,7 +169,6 @@ def empirical_covariance_grid(
         reps=reps,
         base_seed=seed,
         grid=tuple(float(t) for t in grid),
-        pattern=pattern,
         jobs=jobs,
         keep_grid_samples=True,
     )
@@ -225,17 +200,16 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def ks_critical_value(n1: int, n2: int, alpha: float = 0.01) -> float:
-    """Asymptotic two-sample KS critical value (conservative for ties)."""
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    c = math.sqrt(-0.5 * math.log(alpha / 2.0))
+def ks_critical_value(n1: int, n2: int) -> float:
+    """Asymptotic two-sample KS critical value at level 0.01 (conservative
+    for ties)."""
+    c = math.sqrt(-0.5 * math.log(0.01 / 2.0))
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def se_band(se: float, multiple: float = 3.0, floor: float = 0.01) -> float:
-    """Comparison band: a multiple of the SE with an absolute floor."""
-    return max(multiple * se, floor)
+def se_band(se: float) -> float:
+    """Comparison band: 3 SE with an absolute floor of 0.01."""
+    return max(3.0 * se, 0.01)
 
 
 @dataclass(frozen=True)

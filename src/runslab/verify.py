@@ -560,7 +560,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
             "queue-implementations-ks",
             ks_statistic(pq.max_samples, lazy.max_samples),
             0.0,
-            ks_critical_value(ks_reps, ks_reps, alpha=0.01),
+            ks_critical_value(ks_reps, ks_reps),
             **meta,
         )
     )
@@ -616,9 +616,14 @@ def run_checks(
     overrides: Optional[Mapping[str, float]] = None,
     progress: Optional[Callable[[str, Sequence[ComparisonReport]], None]] = None,
 ) -> VerificationResult:
-    """Run the named checks at the given scale and collect their reports."""
+    """Run the named checks at the given scale and collect their reports.
+
+    Bad arguments raise ValueError before any check runs.
+    """
     if scale not in ("quick", "full"):
         raise ValueError(f"scale must be 'quick' or 'full', got {scale!r}")
+    if jobs < 1:
+        raise ValueError(f"need jobs >= 1, got {jobs}")
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(REFERENCES))
     if unknown:

@@ -145,7 +145,10 @@ def test_criterion_7_queue_moments_and_matching_implementations():
     assert var_row.reference == pytest.approx(n / 4)
     assert var_row.band == pytest.approx(0.05 * n / 4)
     ks_row = rows["queue-implementations-ks"]
-    assert ks_row.band == pytest.approx(ks_critical_value(100_000, 100_000, 0.01))
+    # alpha = 0.01: c(alpha) = sqrt(-ln(alpha / 2) / 2)
+    c = math.sqrt(-0.5 * math.log(0.01 / 2))
+    assert ks_row.band == ks_critical_value(100_000, 100_000)
+    assert ks_row.band == pytest.approx(c * math.sqrt(2 / 100_000), rel=1e-12)
     assert (ks_row.n, ks_row.reps) == (100, 100_000)
     _gate("queue max moments at n=10^4; the two constructions agree by KS", reports)
 

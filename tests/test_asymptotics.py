@@ -60,8 +60,7 @@ def test_small_sample_lands_near_reference():
     lo, hi = est.ci()
     assert lo == pytest.approx(est.mean - 3 * est.se)
     assert hi == pytest.approx(est.mean + 3 * est.se)
-    lo1, hi1 = est.ci(multiple=1.0)
-    assert hi1 - lo1 == pytest.approx(2 * est.se)
+    assert hi - lo == pytest.approx(6 * est.se)
 
 
 def test_sampler_config_validation():
@@ -86,8 +85,9 @@ def test_sampler_bit_identical_across_jobs():
     config = VSamplerConfig(step=0.01, horizon=3.0, paths=9000, base_seed=7)
     serial = sample_parabola_max(config)
     assert (serial.mean, serial.sd) == (0.9411636593014734, 0.5812356775771468)
-    assert sample_parabola_max(replace(config, jobs=2)) == serial
-    assert discretization_self_check(replace(config, jobs=2)) == discretization_self_check(config)
+    parallel = replace(config, jobs=2)
+    assert sample_parabola_max(parallel) == serial
+    assert discretization_self_check(parallel, serial) == discretization_self_check(config, serial)
 
 
 def test_discretization_check_structure_and_reuse():
@@ -96,7 +96,6 @@ def test_discretization_check_structure_and_reuse():
     assert check.coarse is coarse
     assert check.fine.step == pytest.approx(SMALL.step / 2)
     assert check.band == pytest.approx(3.0 * (check.coarse.se + check.fine.se))
-    assert check.consistent == (abs(check.coarse.mean - check.fine.mean) <= check.band)
     # the fine run must come from the documented sibling stream family
     sibling = replace(SMALL, step=SMALL.step / 2, base_seed=mix_key(SMALL.base_seed, 1))
     assert check.fine == sample_parabola_max(sibling)

@@ -330,8 +330,7 @@ def test_window_past_analysis_cap_is_a_usage_error(capsys, tmp_path, source):
     code, out, err = run_cli(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ")
-    assert "window length" in err
+    assert err == "error: exact analysis capped at window length 10, got 11\n"
 
 
 def test_simulate_pattern_via_psi_file(capsys, tmp_path):
@@ -383,6 +382,15 @@ def test_verify_override_fails_loudly(capsys):
     rows = parse_csv(out)
     assert rows["runs-variance-rate"]["pass"] == "false"
     assert "FAIL" in err
+
+
+@pytest.mark.parametrize("scale", ["quick", "full"])
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_verify_jobs_below_one_is_a_usage_error(capsys, scale, jobs):
+    code, out, err = run_cli(capsys, ["verify", "--scale", scale, "--jobs", jobs])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: need jobs >= 1, got {jobs}\n"  # no check ran
 
 
 # -- exit codes and usage errors ---------------------------------------------

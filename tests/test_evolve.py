@@ -34,7 +34,7 @@ from runslab.evolve import (
     simulate_runs,
     simulate_runs_randomized_time,
 )
-from runslab.patterns import run_length_pattern, runs_pattern
+from runslab.patterns import PatternFunctional, run_length_pattern, runs_pattern
 from runslab.stats import MomentAccumulator
 
 
@@ -522,7 +522,10 @@ def single_trajectories(case, n, seed, reps, grid):
             if case == "runs-time":
                 summary = _runs_time_summary(rng.random(n)[None, :], grid)
             else:
-                arrive, depart = draws[case](rng, n)
+                # The per-row protocol: all n draws of u, then all n of v.
+                u = rng.random(n)
+                v = rng.random(n)
+                arrive, depart = draws[case](u, v)
                 summary = _queue_summary(arrive[None, :], depart[None, :], grid)
             out.append(tuple(part[0] for part in summary[1:]))
             continue
@@ -634,8 +637,26 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
     np.testing.assert_array_equal(chunk_argmaxes, argmaxes)
     np.testing.assert_array_equal(chunk_mids, mids)
     for stats, field in ((result.argmax_stats, argmaxes), (result.mid_stats, mids)):
-        expected = MomentAccumulator.from_values(field)
+        expected = MomentAccumulator()
+        expected.add_batch(np.asarray(field, dtype=np.float64))
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
+
+
+def test_pattern_table_built_once_per_chunk(monkeypatch):
+    # 2 chunks of 20 reps, each 5 blocks of 4 rows at n = 52.
+    monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 4 * 52)
+    calls = []
+    table_float = PatternFunctional.table_float
+
+    def counted(pattern):
+        calls.append(pattern)
+        return table_float(pattern)
+
+    monkeypatch.setattr(PatternFunctional, "table_float", counted)
+    config = SimConfig(model="pattern", n=52, reps=40, base_seed=3, pattern=run_length_pattern(1))
+    run_sweep(config)
+    assert len(calls) == 2
 
 
 def test_trajectory_scalars_are_python_numbers():

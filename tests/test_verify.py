@@ -76,6 +76,15 @@ def test_unknown_override_and_scale_rejected():
         run_checks("medium")
 
 
+@pytest.mark.parametrize("scale", ["quick", "full"])
+@pytest.mark.parametrize("jobs", [0, -2])
+def test_run_checks_refuses_jobs_below_one_before_any_check(scale, jobs):
+    seen = []
+    with pytest.raises(ValueError, match=f"need jobs >= 1, got {jobs}"):
+        run_checks(scale, jobs=jobs, progress=lambda name, reports: seen.append(name))
+    assert seen == []
+
+
 def test_references_table_spot_values():
     assert REFERENCES["brownian-parabola-mean"] == pytest.approx(0.996193)
     assert REFERENCES["runs-variance-rate"] == pytest.approx(1 / 16)
