@@ -260,8 +260,6 @@ def correction_scale_from_drift(diffusion: float, curvature_coefficient: float) 
 class CovarianceModel:
     """A closed-form bivariate covariance on [0,1]^2, symmetric by design."""
 
-    name: str
-    note: str
     func: Callable[[float, float], float]
 
     def __call__(self, s: float, t: float) -> float:
@@ -278,45 +276,25 @@ class CovarianceModel:
         return float(np.linalg.eigvalsh(self.grid_matrix(grid)).min())
 
 
-COVARIANCE_MODELS: Dict[str, CovarianceModel] = {}
-
-
-def _register(name: str, note: str):
-    def wrap(func):
-        COVARIANCE_MODELS[name] = CovarianceModel(name=name, note=note, func=func)
-        return func
-
-    return wrap
-
-
-@_register("centered-products-1", "centered occupancy sum (bridge-like)")
-def _cov_products_1(s: float, t: float) -> float:
-    return s * (1.0 - t)
-
-
-@_register("runs-discrete", "step-indexed run counts sampled at steps round(t*n)")
-def _cov_runs_discrete(s: float, t: float) -> float:
-    return (s * (1.0 - t)) ** 2
-
-
-@_register("centered-products-3", "third-order centered product sum")
-def _cov_products_3(s: float, t: float) -> float:
-    return (s * (1.0 - t)) ** 3
-
-
-@_register("runs-time", "run counts under independent uniform arrival times")
-def _cov_runs_time(s: float, t: float) -> float:
-    return s * (1.0 - t) * (1.0 - s - 2.0 * t + 3.0 * s * t)
-
-
-@_register("queue-discrete", "queue occupancy sampled at steps round(t*2n)")
-def _cov_queue_discrete(s: float, t: float) -> float:
-    return 4.0 * (s * (1.0 - t)) ** 2
-
-
-@_register("queue-time", "queue occupancy at fixed times")
-def _cov_queue_time(s: float, t: float) -> float:
-    return 2.0 * s * (1.0 - t) - 4.0 * s * (1.0 - s) * t * (1.0 - t)
+# Arguments arrive ordered, s <= t (CovarianceModel.__call__ sorts them).
+COVARIANCE_MODELS: Dict[str, CovarianceModel] = {
+    # centered occupancy sum (bridge-like)
+    "centered-products-1": CovarianceModel(lambda s, t: s * (1.0 - t)),
+    # step-indexed run counts sampled at steps round(t*n)
+    "runs-discrete": CovarianceModel(lambda s, t: (s * (1.0 - t)) ** 2),
+    # third-order centered product sum
+    "centered-products-3": CovarianceModel(lambda s, t: (s * (1.0 - t)) ** 3),
+    # run counts under independent uniform arrival times
+    "runs-time": CovarianceModel(
+        lambda s, t: s * (1.0 - t) * (1.0 - s - 2.0 * t + 3.0 * s * t)
+    ),
+    # queue occupancy sampled at steps round(t*2n)
+    "queue-discrete": CovarianceModel(lambda s, t: 4.0 * (s * (1.0 - t)) ** 2),
+    # queue occupancy at fixed times
+    "queue-time": CovarianceModel(
+        lambda s, t: 2.0 * s * (1.0 - t) - 4.0 * s * (1.0 - s) * t * (1.0 - t)
+    ),
+}
 
 
 def limit_covariance(name: str) -> CovarianceModel:

@@ -236,10 +236,12 @@ def cmd_exact(args, manifest: RunManifest) -> int:
 
 def cmd_simulate(args, manifest: RunManifest) -> int:
     model = _resolve_model(args.model)
-    seed = _base_seed(args)
+    seed = manifest.base_seed
     pattern = _load_cli_pattern(args) if model == "pattern" else None
     if model != "pattern" and (args.psi_file or args.run_length):
         raise UsageError("--psi-file/--run-length only apply to --model pattern")
+    if model != "pattern" and args.linear:
+        raise UsageError("--linear only applies to --model pattern (use runs or runs-cyclic)")
     grid = _parse_grid(args.grid)
     try:
         config = SimConfig(
@@ -309,7 +311,7 @@ def cmd_pattern(args, manifest: RunManifest) -> int:
 
 
 def cmd_vconst(args, manifest: RunManifest) -> int:
-    seed = _base_seed(args)
+    seed = manifest.base_seed
     try:
         config = VSamplerConfig(
             step=args.step, horizon=args.horizon, paths=args.paths, base_seed=seed
@@ -346,7 +348,6 @@ def _parse_overrides(pairs: Sequence[str]) -> Dict[str, float]:
 
 
 def cmd_verify(args, manifest: RunManifest) -> int:
-    seed = _base_seed(args)
     overrides = _parse_overrides(args.override_constant)
 
     def progress(name, reports):
@@ -355,7 +356,7 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 
     try:
         result = run_checks(
-            args.scale, base_seed=seed, jobs=args.jobs, overrides=overrides,
+            args.scale, base_seed=manifest.base_seed, jobs=args.jobs, overrides=overrides,
             progress=progress,
         )
     except ValueError as exc:  # refused before any check ran

@@ -29,7 +29,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polys import Polynomial, _cleared, real_roots_in_interval
+from .polys import Polynomial, _as_fraction, _cleared, real_roots_in_interval
 
 __all__ = [
     "MAX_WINDOW_LEN",
@@ -70,14 +70,6 @@ class NoInteriorPeakError(ValueError):
     """The mean rate has no admissible strict interior maximum."""
 
 
-def _to_fraction(x: Rational) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, float)):
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {type(x).__name__} as a number")
-
-
 @dataclass(frozen=True)
 class PatternFunctional:
     """A real-valued function on 0/1 windows of a fixed length.
@@ -97,7 +89,7 @@ class PatternFunctional:
             raise ValueError(
                 f"need {1 << self.length} window values for length {self.length}, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(_to_fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
 
     def table_float(self) -> np.ndarray:
         return np.array([float(v) for v in self.values], dtype=np.float64)
@@ -280,7 +272,7 @@ def _sums_by_ones(values: Sequence[Fraction], ell: int) -> Tuple[int, list]:
 
 def centered_product_sum(row: Sequence[int], alpha: str, t: Rational) -> Fraction:
     """S_a(row, t): cyclic sum of products of (cell - t) over a's 1-cells."""
-    tf = _to_fraction(t)
+    tf = _as_fraction(t)
     n = len(row)
     offsets = [j for j, ch in enumerate(alpha) if ch == "1"]
     total = Fraction(0)
@@ -403,8 +395,8 @@ def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) 
     rows of length at least twice the window this is exactly n^-1 times the
     covariance of the two windowed sums in the randomized-time model.
     """
-    sf = _to_fraction(s)
-    tf = _to_fraction(t)
+    sf = _as_fraction(s)
+    tf = _as_fraction(t)
     ell = pattern.length
     values = pattern.values
     mu = _window_mean_direct(values, ell, sf) * _window_mean_direct(values, ell, tf)
@@ -428,8 +420,8 @@ def fluctuation_covariance(
     deliberate cross-check.
     """
     dec = source if isinstance(source, FluctuationDecomposition) else decompose_fluctuations(source)
-    sf = _to_fraction(s)
-    tf = _to_fraction(t)
+    sf = _as_fraction(s)
+    tf = _as_fraction(t)
     base = min(sf, tf) * (1 - max(sf, tf))
     total = Fraction(0)
     for alpha, poly in dec.terms.items():

@@ -30,7 +30,7 @@ def _as_fraction(x) -> Fraction:
         return Fraction(x)
     if isinstance(x, float):
         return Fraction(x)  # exact dyadic value of the float
-    raise TypeError(f"cannot use {type(x).__name__} as a coefficient")
+    raise TypeError(f"cannot use {type(x).__name__} as a number")
 
 
 def _cleared(coeffs: Sequence[Fraction]) -> tuple[int, list[int]]:

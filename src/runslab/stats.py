@@ -25,7 +25,6 @@ __all__ = [
     "ks_statistic",
     "ks_critical_value",
     "ComparisonReport",
-    "compare",
     "se_band",
 ]
 
@@ -227,6 +226,12 @@ class ComparisonReport:
     reps: Optional[int] = None
     seed: Optional[int] = None
 
+    def __post_init__(self):
+        for name in ("value", "reference", "band"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if self.se is not None:
+            object.__setattr__(self, "se", float(self.se))
+
     @property
     def passed(self) -> bool:
         return abs(self.value - self.reference) <= self.band
@@ -243,31 +248,3 @@ class ComparisonReport:
             f"[{status}] {self.quantity}: {self.value:.6g} vs {self.reference:.6g}"
             f" (band {self.band:.3g})"
         )
-
-
-def compare(
-    quantity: str,
-    value: float,
-    reference: float,
-    band: float,
-    *,
-    se: Optional[float] = None,
-    source: str = "exact",
-    model: Optional[str] = None,
-    n: Optional[int] = None,
-    reps: Optional[int] = None,
-    seed: Optional[int] = None,
-) -> ComparisonReport:
-    """Package a comparison; the pass flag is derived, never stored."""
-    return ComparisonReport(
-        quantity=quantity,
-        value=float(value),
-        reference=float(reference),
-        band=float(band),
-        se=None if se is None else float(se),
-        source=source,
-        model=model,
-        n=n,
-        reps=reps,
-        seed=seed,
-    )

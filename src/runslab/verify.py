@@ -59,7 +59,6 @@ from .asymptotics import (
 from .evolve import SimConfig, run_sweep
 from .stats import (
     ComparisonReport,
-    compare,
     empirical_covariance_grid,
     ks_critical_value,
     ks_statistic,
@@ -132,9 +131,7 @@ class VerifyContext:
 @dataclass
 class VerificationResult:
     scale: str
-    base_seed: int
     reports: List[ComparisonReport]
-    elapsed: float
 
     @property
     def passed(self) -> bool:
@@ -175,11 +172,11 @@ def _check_exact_moments(ctx: VerifyContext) -> List[ComparisonReport]:
                 bad_mix += 1
     elapsed = time.perf_counter() - t0
     return [
-        compare("exact-pmf-enumeration-failures", bad_pmf, 0, 0, n=8),
-        compare("exact-mean-identity-failures", bad_mean, 0, 0, n=8),
-        compare("exact-variance-identity-failures", bad_var, 0, 0, n=8),
-        compare("time-mixture-identity-failures", bad_mix, 0, 0, n=8),
-        compare("exact-moments-runtime-seconds", elapsed, 0.0, 10.0),
+        ComparisonReport("exact-pmf-enumeration-failures", bad_pmf, 0, 0, n=8),
+        ComparisonReport("exact-mean-identity-failures", bad_mean, 0, 0, n=8),
+        ComparisonReport("exact-variance-identity-failures", bad_var, 0, 0, n=8),
+        ComparisonReport("time-mixture-identity-failures", bad_mix, 0, 0, n=8),
+        ComparisonReport("exact-moments-runtime-seconds", elapsed, 0.0, 10.0),
     ]
 
 
@@ -194,8 +191,8 @@ def _check_small_max_exact(ctx: VerifyContext) -> List[ComparisonReport]:
         if n == 3:
             mean3 = sum(k * p for k, p in brute.items())
     return [
-        compare("small-max-enumeration-vs-dp-failures", bad, 0, 0, n=9),
-        compare("small-max-mean-3", float(mean3), float(Fraction(4, 3)), 0.0, n=3),
+        ComparisonReport("small-max-enumeration-vs-dp-failures", bad, 0, 0, n=9),
+        ComparisonReport("small-max-mean-3", float(mean3), float(Fraction(4, 3)), 0.0, n=3),
     ]
 
 
@@ -203,28 +200,24 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
     """Window-functional constants against their closed forms."""
     out: List[ComparisonReport] = []
     runs = summarize(runs_pattern())
-    for quantity, value, ref_name in (
-        ("runs-peak-mean", runs.peak_mean, "runs-peak-mean"),
-        ("runs-variance-rate", runs.variance_rate, "runs-variance-rate"),
-        ("runs-jump-variance", runs.jump_variance, "runs-jump-variance"),
-        ("runs-correction-scale", runs.correction_scale, "runs-correction-scale"),
+    for name, value in (
+        ("runs-peak-mean", runs.peak_mean),
+        ("runs-variance-rate", runs.variance_rate),
+        ("runs-jump-variance", runs.jump_variance),
+        ("runs-correction-scale", runs.correction_scale),
     ):
         out.append(
-            compare(quantity, value, ctx.reference(ref_name), 1e-12, model="runs-linear")
+            ComparisonReport(name, value, ctx.reference(name), 1e-12, model="runs-linear")
         )
-    out.append(compare("runs-peak-time", runs.peak_time, 0.5, 0.0, model="runs-linear"))
+    out.append(ComparisonReport("runs-peak-time", runs.peak_time, 0.5, 0.0, model="runs-linear"))
 
     rl1 = ctx.run_length_1
-    for quantity, value, ref_name in (
-        ("run-length-1-variance-rate", rl1.variance_rate, "run-length-1-variance-rate"),
-        ("run-length-1-jump-variance", rl1.jump_variance, "run-length-1-jump-variance"),
-        (
-            "run-length-1-correction-scale",
-            rl1.correction_scale,
-            "run-length-1-correction-scale",
-        ),
+    for name, value in (
+        ("run-length-1-variance-rate", rl1.variance_rate),
+        ("run-length-1-jump-variance", rl1.jump_variance),
+        ("run-length-1-correction-scale", rl1.correction_scale),
     ):
-        out.append(compare(quantity, value, ctx.reference(ref_name), 1e-12, model="pattern"))
+        out.append(ComparisonReport(name, value, ctx.reference(name), 1e-12, model="pattern"))
 
     # General d: both computation routes (summarize cross-checks them
     # internally) against the closed-form constants.
@@ -248,8 +241,8 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
             worst,
             abs(summary.correction_scale**3 - float(refs["correction_scale_cubed"])),
         )
-    out.append(compare("run-length-route-failures", route_failures, 0, 0, n=6))
-    out.append(compare("run-length-closed-form-max-gap", worst, 0.0, 1e-10, n=6))
+    out.append(ComparisonReport("run-length-route-failures", route_failures, 0, 0, n=6))
+    out.append(ComparisonReport("run-length-closed-form-max-gap", worst, 0.0, 1e-10, n=6))
     return out
 
 
@@ -288,9 +281,11 @@ def _check_random_routes(ctx: VerifyContext) -> List[ComparisonReport]:
         elif g1 != deriv:
             derivative_failures += 1
     return [
-        compare("random-window-count", admissible, 100, 0, seed=ctx.seed("random-windows")),
-        compare("random-window-route-failures", route_failures, 0, 0),
-        compare("random-window-derivative-failures", derivative_failures, 0, 0),
+        ComparisonReport(
+            "random-window-count", admissible, 100, 0, seed=ctx.seed("random-windows")
+        ),
+        ComparisonReport("random-window-route-failures", route_failures, 0, 0),
+        ComparisonReport("random-window-derivative-failures", derivative_failures, 0, 0),
     ]
 
 
@@ -307,12 +302,12 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
             s, t = Fraction(i, 10), Fraction(j, 10)
             exact = float(fluctuation_covariance(dec, s, t))
             worst = max(worst, abs(exact - model(float(s), float(t))))
-    out.append(compare("runs-time-covariance-identity-gap", worst, 0.0, 1e-12))
+    out.append(ComparisonReport("runs-time-covariance-identity-gap", worst, 0.0, 1e-12))
 
     deficit = 0.0
     for cov in COVARIANCE_MODELS.values():
         deficit = max(deficit, max(0.0, -cov.min_grid_eigenvalue(grid)))
-    out.append(compare("limit-covariance-psd-deficit", deficit, 0.0, 1e-9))
+    out.append(ComparisonReport("limit-covariance-psd-deficit", deficit, 0.0, 1e-9))
 
     for label, model_name, summary, ref_name in (
         ("runs-drift-correction-scale", "runs", None, "runs-correction-scale"),
@@ -326,7 +321,7 @@ def _check_limit_models(ctx: VerifyContext) -> List[ComparisonReport]:
     ):
         sigma, curvature = local_drift_model(model_name, summary=summary)
         value = correction_scale_from_drift(sigma, curvature)
-        out.append(compare(label, value, ctx.reference(ref_name), 1e-12))
+        out.append(ComparisonReport(label, value, ctx.reference(ref_name), 1e-12))
     return out
 
 
@@ -353,7 +348,7 @@ def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
         se = res.max_stats.se()
         out.append(
-            compare(
+            ComparisonReport(
                 f"small-max-mc-mean-{n}",
                 res.max_stats.mean,
                 exact,
@@ -374,7 +369,7 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
     for n, ref_name, band in ((13, "runs-max-13-mean", 0.03), (52, "runs-max-52-mean", 0.08)):
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
         out.append(
-            compare(
+            ComparisonReport(
                 f"reference-max-mean-{n}",
                 res.max_stats.mean,
                 ctx.reference(ref_name),
@@ -385,7 +380,7 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
             )
         )
     out.append(
-        compare("reference-max-runtime-seconds", time.perf_counter() - t0, 0.0, 300.0)
+        ComparisonReport("reference-max-runtime-seconds", time.perf_counter() - t0, 0.0, 300.0)
     )
     return out
 
@@ -398,7 +393,7 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
     correction = _correction(ctx, "runs-correction-scale", n)
     var_ref = ctx.reference("runs-variance-rate") * n
     return [
-        compare(
+        ComparisonReport(
             "desk-scale-max-mean",
             res.max_stats.mean,
             n / 4 + correction,
@@ -407,7 +402,7 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
             source="limit",
             **meta,
         ),
-        compare(
+        ComparisonReport(
             "desk-scale-max-variance",
             res.max_stats.variance(),
             var_ref,
@@ -415,7 +410,7 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
             source="limit",
             **meta,
         ),
-        compare("desk-scale-runtime-seconds", time.perf_counter() - t0, 0.0, 1800.0),
+        ComparisonReport("desk-scale-runtime-seconds", time.perf_counter() - t0, 0.0, 1800.0),
     ]
 
 
@@ -425,7 +420,7 @@ def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
     est = sample_parabola_max(config)
     check = discretization_self_check(config, coarse=est)
     return [
-        compare(
+        ComparisonReport(
             "parabola-max-mean",
             est.mean,
             ctx.reference("brownian-parabola-mean"),
@@ -435,7 +430,7 @@ def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
             reps=config.paths,
             seed=config.base_seed,
         ),
-        compare(
+        ComparisonReport(
             "parabola-step-drift",
             abs(check.coarse.mean - check.fine.mean),
             0.0,
@@ -491,7 +486,7 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
         res = results[label]
         violations, worst = _grid_violations(res.covariance, res.se, references[label])
         out.append(
-            compare(
+            ComparisonReport(
                 f"{label}-violations",
                 violations,
                 0,
@@ -504,7 +499,7 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
             )
         )
         out.append(
-            compare(f"{label}-worst-band-ratio", worst, 0.0, 1.0, model=res.model, n=n)
+            ComparisonReport(f"{label}-worst-band-ratio", worst, 0.0, 1.0, model=res.model, n=n)
         )
 
     swap_detected = True
@@ -517,7 +512,7 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
         if violations == 0:
             swap_detected = False
     out.append(
-        compare("cov-swap-sensitivity-detected", 1.0 if swap_detected else 0.0, 1.0, 0.0)
+        ComparisonReport("cov-swap-sensitivity-detected", 1.0 if swap_detected else 0.0, 1.0, 0.0)
     )
     return out
 
@@ -529,7 +524,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
     correction = _correction(ctx, "queue-correction-scale", n)
     var_ref = n / 4
     out = [
-        compare(
+        ComparisonReport(
             "queue-max-mean",
             res.max_stats.mean,
             n / 2 + correction,
@@ -538,7 +533,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
             source="limit",
             **meta,
         ),
-        compare(
+        ComparisonReport(
             "queue-max-variance",
             res.max_stats.variance(),
             var_ref,
@@ -556,7 +551,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
         ctx, "lazy-hash", ks_n, ks_reps, ctx.seed("queue-ks-lazy"), keep_max_samples=True
     )
     out.append(
-        compare(
+        ComparisonReport(
             "queue-implementations-ks",
             ks_statistic(pq.max_samples, lazy.max_samples),
             0.0,
@@ -575,7 +570,7 @@ def _check_pattern_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     )
     correction = _correction(ctx, "run-length-1-correction-scale", n)
     return [
-        compare(
+        ComparisonReport(
             "pattern-max-mean",
             res.max_stats.mean,
             4 * n / 27 + correction,
@@ -630,7 +625,6 @@ def run_checks(
         raise ValueError(f"unknown reference constant(s): {', '.join(unknown)}")
     ctx = VerifyContext(base_seed=base_seed, jobs=jobs, overrides=overrides)
     reports: List[ComparisonReport] = []
-    t0 = time.perf_counter()
     for name, tier, func in CHECKS:
         if scale == "quick" and tier != "quick":
             continue
@@ -638,9 +632,4 @@ def run_checks(
         reports.extend(rows)
         if progress is not None:
             progress(name, rows)
-    return VerificationResult(
-        scale=scale,
-        base_seed=base_seed,
-        reports=reports,
-        elapsed=time.perf_counter() - t0,
-    )
+    return VerificationResult(scale=scale, reports=reports)

@@ -420,6 +420,15 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize("model", ["runs", "runs-cyclic", "pq", "runs-time"])
+def test_linear_outside_pattern_model_is_a_usage_error(capsys, model):
+    argv = ["simulate", "--model", model, "--n", "20", "--reps", "5", "--seed", "1", "--linear"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --linear only applies to --model pattern (use runs or runs-cyclic)\n"
+
+
 def test_max_pmf_cap_message_follows_the_dp_cap(capsys):
     code, _, err = run_cli(capsys, ["exact", "--n", str(MAX_DP_CELLS + 1), "--max-pmf"])
     assert code == 2

@@ -43,8 +43,6 @@ def test_quick_scale_passes():
     result = run_checks("quick")
     assert result.passed, [r.describe() for r in result.failures]
     assert result.scale == "quick"
-    assert result.base_seed == 0
-    assert result.elapsed > 0
     assert {r.quantity for r in result.reports} >= {
         "exact-pmf-enumeration-failures",
         "small-max-enumeration-vs-dp-failures",
