@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .combinatorics import (
     MAX_DP_CELLS,
-    max_pmf_subset_dp,
+    max_pmf_gap_dp,
     mean_runs_discrete,
     run_count_pmf,
     var_runs_discrete,
@@ -210,7 +210,7 @@ def cmd_exact(args, manifest: RunManifest) -> int:
     if args.max_pmf:
         if n > MAX_DP_CELLS:
             raise UsageError(f"--max-pmf supports n <= {MAX_DP_CELLS}")
-        pmf = max_pmf_subset_dp(n)
+        pmf = max_pmf_gap_dp(n)
         for k in sorted(pmf):
             rows.append(_row(f"max-pmf-{k}", pmf[k], n=n))
         mean = sum(k * p for k, p in pmf.items())

@@ -25,6 +25,7 @@ __all__ = [
     "MAX_DP_CELLS",
     "MAX_ORDER_CELLS",
     "MAX_SUBSET_CELLS",
+    "MAX_SUBSET_DP_CELLS",
     "RunCountPmf",
     "ExactMoments",
     "run_count_pmf",
@@ -36,6 +37,7 @@ __all__ = [
     "count_runs",
     "brute_force_max_pmf",
     "max_pmf_subset_dp",
+    "max_pmf_gap_dp",
     "brute_force_pattern_moments",
 ]
 
@@ -45,10 +47,13 @@ __all__ = [
 MAX_ORDER_CELLS = 10
 MAX_SUBSET_CELLS = 22
 
-# The subset-lattice DP updates a running-max histogram once per (subset,
-# empty cell): at 16 cells, 2^16 subsets and 16 * 2^15 row updates, in
-# numpy.  Its int64 order counts stay exact because 16! < 2^63.
-MAX_DP_CELLS = 16
+# The max-run DPs count insertion orders in int64, and every count is at most
+# n!, so both stay exact while n! < 2^63, that is for n <= 20.  The gap DP
+# reaches that limit (746 states at most at 20 cells); the subset-lattice DP
+# updates a histogram row per (subset, empty cell), 16 * 2^15 of them at 16
+# cells, and stops there.
+MAX_DP_CELLS = 20
+MAX_SUBSET_DP_CELLS = 16
 assert math.factorial(MAX_DP_CELLS) < 2**63
 
 # brute_force_max_pmf walks the orders in blocks of this many trailing cells.
@@ -234,7 +239,8 @@ def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
     Counts insertion orders by walking the subset lattice instead of the n!
     orders: the run count depends only on the occupied set, so orders that
     reach the same (occupied set, running max) state are interchangeable.
-    Independent of `brute_force_max_pmf` and feasible to n = 16.
+    Independent of `brute_force_max_pmf` and of `max_pmf_gap_dp`, and
+    feasible to n = 16; kept as their oracle.
 
     The lattice is walked one popcount layer at a time, and only two layers
     are held: row i of a layer's int64 histogram counts the insertion orders
@@ -242,8 +248,8 @@ def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    if n > MAX_DP_CELLS:
-        raise ValueError(f"subset DP capped at n <= {MAX_DP_CELLS}, got {n}")
+    if n > MAX_SUBSET_DP_CELLS:
+        raise ValueError(f"subset DP capped at n <= {MAX_SUBSET_DP_CELLS}, got {n}")
 
     subsets = np.arange(1 << n, dtype=np.int32)
     size = _popcount(subsets, n)
@@ -268,6 +274,85 @@ def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
             np.copyto(moved, at_most, where=heights == r)
             nxt[rank[dest]] += moved
         layer, hist = nxt_layer, nxt
+    total = math.factorial(n)
+    assert hist.sum() == total
+    return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}
+
+
+def _gap_moves(interior: tuple, a: int, b: int) -> list:
+    """Every way to fill one empty cell of a gap state, as (state, weight).
+
+    A state is the sorted tuple of interior gap lengths and the sorted pair
+    (a, b) of boundary gaps.  The weight counts the cells that lead to the
+    same state; the same state may appear more than once.
+    """
+    moves = []
+    prev = 0
+    for i, g in enumerate(interior):
+        if g == prev:
+            continue
+        prev = g
+        c = interior.count(g)
+        rest = interior[:i] + interior[i + 1 :]
+        if g == 1:  # two runs merge
+            moves.append(((rest, a, b), c))
+            continue
+        # either end cell shrinks the gap; an inner cell splits it (one more run)
+        moves.append(((tuple(sorted(rest + (g - 1,))), a, b), 2 * c))
+        for left in range(1, (g + 1) // 2):
+            right = g - 1 - left
+            moves.append(((tuple(sorted(rest + (left, right))), a, b),
+                          c if left == right else 2 * c))
+    for side, other in ((a, b), (b, a)):
+        if side:
+            # the cell next to the run shrinks the gap; cell p < side - 1
+            # leaves a boundary gap p and a new interior gap (one more run)
+            moves.append(((interior, *sorted((side - 1, other))), 1))
+            for p in range(side - 1):
+                moves.append(((tuple(sorted(interior + (side - 1 - p,))),
+                               *sorted((p, other))), 1))
+    return moves
+
+
+def max_pmf_gap_dp(n: int) -> Dict[int, Fraction]:
+    """Exact max-run-count distribution by dynamic programming over gap multisets.
+
+    The run count and its whole future depend on the occupied set only
+    through the multiset of interior gap lengths and the unordered pair of
+    boundary gaps, and runs = interior gaps + 1 on a non-empty row.  So the
+    walk is over those states, far fewer than subsets (257 at most at
+    n = 16, 746 at n = 20), one insertion layer at a time.  Row i of a
+    layer's int64 histogram counts the insertion orders that reach its i-th
+    state by running max, as in `max_pmf_subset_dp`, which it equals for
+    every n both accept.  Nothing is kept between calls.
+    """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if n > MAX_DP_CELLS:
+        raise ValueError(f"gap DP capped at n <= {MAX_DP_CELLS}, got {n}")
+
+    heights = np.arange((n + 1) // 2 + 1)
+    # the first cell i leaves boundary gaps i - 1 and n - i and one run
+    layer = [((), *sorted((i - 1, n - i))) for i in range(1, n + 1)]
+    hist = np.zeros((n, heights.size), dtype=np.int64)
+    hist[:, 1] = 1
+    for _ in range(1, n):
+        index: Dict[tuple, int] = {}
+        src, dst, weight = [], [], []
+        for s, state in enumerate(layer):
+            for key, w in _gap_moves(*state):
+                src.append(s)
+                dst.append(index.setdefault(key, len(index)))
+                weight.append(w)
+        r = np.array([len(key[0]) + 1 for key in index])[dst][:, None]
+        # mass at a running max h <= r moves to r; above r it stays
+        moved = hist[src] * np.array(weight, dtype=np.int64)[:, None]
+        at_most = np.cumsum(moved, axis=1)
+        moved[heights < r] = 0
+        np.copyto(moved, at_most, where=heights == r)
+        hist = np.zeros((len(index), heights.size), dtype=np.int64)
+        np.add.at(hist, dst, moved)
+        layer = list(index)
     total = math.factorial(n)
     assert hist.sum() == total
     return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}

@@ -418,28 +418,42 @@ def simulate_pattern(
 # -- queue kernel ------------------------------------------------------------
 
 
-def _queue_events_minmax(u: np.ndarray, v: np.ndarray):
-    return np.minimum(u, v), np.maximum(u, v)
+def _queue_events_minmax(uv: np.ndarray) -> np.ndarray:
+    """Turn a (rows, 2n) block of u | v draws into arrive | depart times, in place."""
+    n = uv.shape[1] // 2
+    u, v = uv[:, :n], uv[:, n:]
+    arrive = np.minimum(u, v)
+    np.maximum(u, v, out=v)
+    u[...] = arrive
+    return uv
 
 
-def _queue_events_inverse(u: np.ndarray, v: np.ndarray):
-    # Arrival is the min of two uniforms drawn by inverse CDF; departure is
-    # then uniform on (arrival, 1).  Same joint law as the min/max pairing,
-    # by an independent construction.
-    arrive = 1.0 - np.sqrt(1.0 - u)
-    depart = arrive + (1.0 - arrive) * v
-    return arrive, depart
+def _queue_events_inverse(uv: np.ndarray) -> np.ndarray:
+    """Turn a (rows, 2n) block of u | v draws into arrive | depart times, in place.
+
+    Arrival is the min of two uniforms drawn by inverse CDF; departure is
+    then uniform on (arrival, 1).  Same joint law as the min/max pairing,
+    by an independent construction.
+    """
+    n = uv.shape[1] // 2
+    arrive, v = uv[:, :n], uv[:, n:]
+    np.subtract(1.0, arrive, out=arrive)
+    np.sqrt(arrive, out=arrive)
+    np.subtract(1.0, arrive, out=arrive)  # 1 - sqrt(1 - u)
+    v *= 1.0 - arrive
+    v += arrive  # arrive + (1 - arrive) * v
+    return uv
 
 
-def _queue_summary(arrive: np.ndarray, depart: np.ndarray, pts: Optional[Sequence[float]]):
+def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
     """Occupancy paths over the 2n events in time order, one row per rep.
 
+    `times` holds each rep's n arrival times, then its n departure times.
     Returns the paths and, per row: max, first attaining event index, value
     after the n-th event, and the occupancy at times `pts` (None without
     them).  The occupancy at t is the path after the events up to t.
     """
-    rows, n = arrive.shape
-    times = np.concatenate([arrive, depart], axis=1)
+    rows, n = times.shape[0], times.shape[1] // 2
     steps = np.repeat(np.array([1, -1], dtype=np.int8), n)  # arrivals, then departures
     event_times, values = _time_path(times, steps)
     maxv, argmax = _first_max(values)
@@ -451,12 +465,11 @@ def _queue_summary(arrive: np.ndarray, depart: np.ndarray, pts: Optional[Sequenc
 
 
 def _queue_trajectory(
-    model: str, arrive: np.ndarray, depart: np.ndarray,
-    grid: Optional[Sequence[float]], keep_values: bool,
+    model: str, times: np.ndarray, grid: Optional[Sequence[float]], keep_values: bool,
 ) -> Trajectory:
     grid_t = tuple(float(t) for t in grid) if grid is not None else None
-    summary = _queue_summary(arrive[None, :], depart[None, :], grid_t)
-    return _trajectory(model, arrive.size, summary, grid_t, keep_values)
+    summary = _queue_summary(times, grid_t)
+    return _trajectory(model, times.shape[1] // 2, summary, grid_t, keep_values)
 
 
 def simulate_priority_queue(
@@ -469,8 +482,9 @@ def simulate_priority_queue(
     (no discretization); the path starts and ends at 0.
     """
     _require_positive(n)
-    arrive, depart = _queue_events_minmax(*stream(seed).random((2, n)))
-    return _queue_trajectory("priority-queue", arrive, depart, grid, keep_values)
+    # random((2, n)) is u then v, so as one (1, 2n) row it is a sweep block's row
+    times = _queue_events_minmax(stream(seed).random((2, n)).reshape(1, -1))
+    return _queue_trajectory("priority-queue", times, grid, keep_values)
 
 
 def simulate_lazy_hash(
@@ -483,8 +497,8 @@ def simulate_lazy_hash(
     equivalence stays a testable claim rather than shared code.
     """
     _require_positive(n)
-    arrive, depart = _queue_events_inverse(*stream(seed).random((2, n)))
-    return _queue_trajectory("lazy-hash", arrive, depart, grid, keep_values)
+    times = _queue_events_inverse(stream(seed).random((2, n)).reshape(1, -1))
+    return _queue_trajectory("lazy-hash", times, grid, keep_values)
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -680,8 +694,8 @@ def _block_summary(
     if model == "runs-time":
         return _runs_time_summary(_draw_uniforms(pool, keys, n), grid)
     draw = _queue_events_minmax if model == "priority-queue" else _queue_events_inverse
-    u = _draw_uniforms(pool, keys, 2 * n)  # a rep's n draws of u, then its n of v
-    return _queue_summary(*draw(u[:, :n], u[:, n:]), grid)
+    uv = _draw_uniforms(pool, keys, 2 * n)  # a rep's n draws of u, then its n of v
+    return _queue_summary(draw(uv), grid)
 
 
 def _sweep_chunk(config: SimConfig, start: int, count: int):

@@ -206,9 +206,9 @@ def ks_critical_value(n1: int, n2: int) -> float:
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-def se_band(se: float) -> float:
-    """Comparison band: 3 SE with an absolute floor of 0.01."""
-    return max(3.0 * se, 0.01)
+def se_band(se):
+    """Comparison band: 3 SE with an absolute floor of 0.01, elementwise."""
+    return np.maximum(3.0 * se, 0.01)
 
 
 @dataclass(frozen=True)

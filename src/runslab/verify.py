@@ -26,7 +26,9 @@ import numpy as np
 
 from ._rng import mix_key
 from .combinatorics import (
+    MAX_DP_CELLS,
     brute_force_max_pmf,
+    max_pmf_gap_dp,
     max_pmf_subset_dp,
     mean_runs_discrete,
     mean_runs_time,
@@ -181,12 +183,12 @@ def _check_exact_moments(ctx: VerifyContext) -> List[ComparisonReport]:
 
 
 def _check_small_max_exact(ctx: VerifyContext) -> List[ComparisonReport]:
-    """Exhaustive max-distribution enumeration vs the subset-DP oracle."""
+    """Exhaustive max-distribution enumeration vs the subset and gap DPs."""
     bad = 0
     mean3 = None
     for n in range(1, 10):
         brute = brute_force_max_pmf(n)
-        if brute != max_pmf_subset_dp(n):
+        if not brute == max_pmf_subset_dp(n) == max_pmf_gap_dp(n):
             bad += 1
         if n == 3:
             mean3 = sum(k * p for k, p in brute.items())
@@ -339,12 +341,16 @@ def _correction(ctx: VerifyContext, scale: str, n: int) -> float:
     return ctx.reference(scale) * ctx.reference("brownian-parabola-mean") * n ** (1.0 / 3.0)
 
 
+def _exact_max_mean(n: int) -> Fraction:
+    return sum(k * p for k, p in max_pmf_gap_dp(n).items())
+
+
 def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     """Mean of the trajectory max at n = 3..9 vs the exact value, 4 SE."""
     out: List[ComparisonReport] = []
     base = ctx.seed("small-max-mc")
     for n in range(3, 10):
-        exact = float(sum(k * p for k, p in max_pmf_subset_dp(n).items()))
+        exact = float(_exact_max_mean(n))
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
         se = res.max_stats.se()
         out.append(
@@ -362,23 +368,40 @@ def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
 
 
 def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
-    """Published mean-of-max values at n = 13 and n = 52."""
+    """Published mean-of-max values at n = 13 and n = 52.
+
+    The n = 13 sweep is also held to the exact mean within 4 SE.  The quoted
+    4.22 lies about 25 SE below that mean, inside its own 0.03 band.
+    """
     t0 = time.perf_counter()
     out: List[ComparisonReport] = []
     base = ctx.seed("reference-maxima")
     for n, ref_name, band in ((13, "runs-max-13-mean", 0.03), (52, "runs-max-52-mean", 0.08)):
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
+        se = res.max_stats.se()
         out.append(
             ComparisonReport(
                 f"reference-max-mean-{n}",
                 res.max_stats.mean,
                 ctx.reference(ref_name),
                 band,
-                se=res.max_stats.se(),
+                se=se,
                 source="quoted-constant",
                 **meta,
             )
         )
+        if n <= MAX_DP_CELLS:
+            out.append(
+                ComparisonReport(
+                    f"reference-max-mc-vs-exact-{n}",
+                    res.max_stats.mean,
+                    float(_exact_max_mean(n)),
+                    4.0 * se,
+                    se=se,
+                    source="exact",
+                    **meta,
+                )
+            )
     out.append(
         ComparisonReport("reference-max-runtime-seconds", time.perf_counter() - t0, 0.0, 300.0)
     )
@@ -444,17 +467,12 @@ def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
 def _grid_violations(
     empirical: np.ndarray, se: np.ndarray, reference: np.ndarray
 ) -> Tuple[int, float]:
-    """(count outside band, worst |gap|/band) with the 3 SE / 0.01 floor."""
-    violations = 0
-    worst = 0.0
-    for i in range(empirical.shape[0]):
-        for j in range(empirical.shape[1]):
-            band = se_band(se[i, j])
-            ratio = abs(empirical[i, j] - reference[i, j]) / band
-            worst = max(worst, ratio)
-            if ratio > 1.0:
-                violations += 1
-    return violations, worst
+    """(count outside band, worst |gap|/band) with the 3 SE / 0.01 floor.
+
+    A NaN ratio is neither counted nor the worst (`fmax` skips it).
+    """
+    ratio = np.abs(empirical - reference) / se_band(se)
+    return int(np.count_nonzero(ratio > 1.0)), float(np.fmax.reduce(ratio, axis=None, initial=0.0))
 
 
 def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:

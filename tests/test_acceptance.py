@@ -87,8 +87,12 @@ def test_criterion_3_published_means_at_13_and_52_under_5min():
     assert (r13.reference, r13.band, r13.reps) == (4.22, 0.03, 1_000_000)
     r52 = rows["reference-max-mean-52"]
     assert (r52.reference, r52.band, r52.reps) == (14.66, 0.08, 1_000_000)
+    exact13 = rows["reference-max-mc-vs-exact-13"]
+    assert exact13.reference == 82491109 / 19459440  # the gap DP's exact mean
+    assert exact13.band == pytest.approx(4 * exact13.se) and exact13.reps == 1_000_000
     assert rows["reference-max-runtime-seconds"].band == 300.0
-    _gate("published maxima means: 4.22 +- 0.03 (n=13), 14.66 +- 0.08 (n=52)", reports)
+    _gate("published maxima means: 4.22 +- 0.03 (n=13), 14.66 +- 0.08 (n=52);"
+          " n=13 within 4 SE of the exact mean", reports)
 
 
 def test_criterion_4_cube_root_correction_at_n_one_million():

@@ -401,7 +401,7 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, scale, jobs):
     [
         ["simulate", "--model", "no-such-model", "--n", "10", "--reps", "5"],
         ["exact", "--n", "4"],  # neither --m nor --max-pmf
-        ["exact", "--n", "20", "--max-pmf"],  # beyond the exact-table cap
+        ["exact", "--n", "21", "--max-pmf"],  # beyond the exact-table cap
         ["exact", "--n", "4", "--m", "9"],
         ["simulate", "--model", "runs", "--n", "10", "--reps", "5", "--grid", "a,b"],
         ["simulate", "--model", "runs", "--n", "10", "--reps", "5", "--run-length", "1"],
@@ -432,7 +432,7 @@ def test_linear_outside_pattern_model_is_a_usage_error(capsys, model):
 def test_max_pmf_cap_message_follows_the_dp_cap(capsys):
     code, _, err = run_cli(capsys, ["exact", "--n", str(MAX_DP_CELLS + 1), "--max-pmf"])
     assert code == 2
-    assert err == f"error: --max-pmf supports n <= {MAX_DP_CELLS}\n" == "error: --max-pmf supports n <= 16\n"
+    assert err == f"error: --max-pmf supports n <= {MAX_DP_CELLS}\n" == "error: --max-pmf supports n <= 20\n"
 
 
 def test_argparse_exits_are_propagated(capsys):

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from runslab.combinatorics import (
     MAX_DP_CELLS,
     MAX_ORDER_CELLS,
+    MAX_SUBSET_DP_CELLS,
     brute_force_max_pmf,
     brute_force_pattern_moments,
     count_runs,
+    max_pmf_gap_dp,
     max_pmf_subset_dp,
     mean_runs_discrete,
     mean_runs_time,
@@ -22,6 +24,7 @@ from runslab.combinatorics import (
     var_runs_discrete,
     var_runs_time,
 )
+from runslab.evolve import SimConfig, run_sweep
 from runslab.patterns import run_length_pattern, runs_pattern
 
 
@@ -198,7 +201,12 @@ def test_brute_force_matches_loop_oracle(n):
 
 @pytest.mark.parametrize(
     "func,n",
-    [(max_pmf_subset_dp, MAX_DP_CELLS), (brute_force_max_pmf, 9), (brute_force_max_pmf, 10)],
+    [
+        (max_pmf_subset_dp, MAX_SUBSET_DP_CELLS),
+        (brute_force_max_pmf, 9),
+        (brute_force_max_pmf, 10),
+        (max_pmf_gap_dp, MAX_DP_CELLS),
+    ],
 )
 def test_exact_max_tables_stay_in_memory_budget(func, n):
     # two DP layers at a time; one block of 7! orders at a time
@@ -239,8 +247,9 @@ def test_max_pmf_is_a_distribution():
 
 def test_max_mean_thirteen_frozen():
     # enumeration result pinned; the published simulation value is 4.22
-    pmf = max_pmf_subset_dp(13)
-    assert sum(k * p for k, p in pmf.items()) == Fraction(82491109, 19459440)
+    for dp in (max_pmf_subset_dp, max_pmf_gap_dp):
+        pmf = dp(13)
+        assert sum(k * p for k, p in pmf.items()) == Fraction(82491109, 19459440)
 
 
 def test_max_dominates_final_count():
@@ -253,7 +262,40 @@ def test_subset_dp_budget_enforced():
     with pytest.raises(ValueError):
         max_pmf_subset_dp(40)
     with pytest.raises(ValueError, match="capped"):
-        max_pmf_subset_dp(MAX_DP_CELLS + 1)
+        max_pmf_subset_dp(MAX_SUBSET_DP_CELLS + 1)
+
+
+@pytest.mark.parametrize("n", range(1, MAX_SUBSET_DP_CELLS + 1))
+def test_gap_dp_matches_subset_dp(n):
+    # every n the oracle takes; keys in order too
+    got = max_pmf_gap_dp(n)
+    want = max_pmf_subset_dp(n)
+    assert got == want and list(got) == list(want)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_gap_dp_matches_brute_force(n):
+    assert max_pmf_gap_dp(n) == brute_force_max_pmf(n)
+
+
+@pytest.mark.parametrize("n", range(MAX_SUBSET_DP_CELLS + 1, MAX_DP_CELLS + 1))
+def test_gap_dp_past_the_oracle_matches_a_sweep(n):
+    # No exact oracle reaches these n: the pmf must be a distribution on
+    # 1..ceil(n/2), and its mean must agree with a seeded sweep, whose
+    # 200,000 reps take the batch insertion-order draw.
+    pmf = max_pmf_gap_dp(n)
+    assert sum(pmf.values()) == 1
+    assert set(pmf) <= set(range(1, (n + 1) // 2 + 1))
+    exact = float(sum(k * p for k, p in pmf.items()))
+    res = run_sweep(SimConfig(model="runs-linear", n=n, reps=200_000, base_seed=n))
+    assert abs(res.max_stats.mean - exact) < 4 * res.max_stats.se()
+
+
+def test_gap_dp_budget_enforced():
+    with pytest.raises(ValueError):
+        max_pmf_gap_dp(0)
+    with pytest.raises(ValueError, match="capped"):
+        max_pmf_gap_dp(MAX_DP_CELLS + 1)
 
 
 # -- exhaustive pattern moments ----------------------------------------------

@@ -454,7 +454,8 @@ def queue_reference(arrive, depart, pts):
 
 
 def assert_queue_rows_match_reference(arrive, depart, pts):
-    values, maxv, argmax, mid, samples = _queue_summary(arrive, depart, pts)
+    values, maxv, argmax, mid, samples = _queue_summary(
+        np.concatenate([arrive, depart], axis=1), pts)
     for r in range(arrive.shape[0]):
         path, pmax, pargmax, pmid, psamples = queue_reference(arrive[r], depart[r], pts)
         np.testing.assert_array_equal(values[r], path)
@@ -468,7 +469,7 @@ def test_queue_summary_on_tied_event_times():
     arrive = np.array([[0.2, 0.5, 0.5, 0.1], [0.15, 0.6, 0.35, 0.05]])
     depart = np.array([[0.5, 0.5, 0.9, 0.3], [0.7, 0.65, 0.4, 0.95]])
     pts = (0.05, 0.3, 0.5, 0.95)
-    values = _queue_summary(arrive, depart, pts)[0]
+    values = _queue_summary(np.concatenate([arrive, depart], axis=1), pts)[0]
     np.testing.assert_array_equal(values[0], [0, 1, 2, 1, 2, 3, 2, 1, 0])
     assert_queue_rows_match_reference(arrive, depart, pts)
 
@@ -479,6 +480,22 @@ def test_queue_summary_on_many_tied_event_times():
     rng = np.random.default_rng(4)
     pairs = rng.integers(0, 17, size=(2, 3, 400)) / 16
     assert_queue_rows_match_reference(pairs.min(axis=0), pairs.max(axis=0), (0.25, 0.5, 0.75))
+
+
+def test_queue_events_in_place_match_the_out_of_place_formulas():
+    # The draws overwrite the u | v block; each element must get the bits
+    # the out-of-place expressions give.
+    uv = np.random.default_rng(5).random((4, 2 * 300))
+    u, v = uv[:, :300], uv[:, 300:]
+    arrive = 1.0 - np.sqrt(1.0 - u)
+    want = {
+        evolve._queue_events_minmax: np.concatenate([np.minimum(u, v), np.maximum(u, v)], axis=1),
+        evolve._queue_events_inverse: np.concatenate([arrive, arrive + (1.0 - arrive) * v], axis=1),
+    }
+    for draw, expected in want.items():
+        block = uv.copy()
+        assert draw(block) is block
+        np.testing.assert_array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -525,8 +542,7 @@ def single_trajectories(case, n, seed, reps, grid):
                 # The per-row protocol: all n draws of u, then all n of v.
                 u = rng.random(n)
                 v = rng.random(n)
-                arrive, depart = draws[case](u, v)
-                summary = _queue_summary(arrive[None, :], depart[None, :], grid)
+                summary = _queue_summary(draws[case](np.concatenate([u, v])[None, :]), grid)
             out.append(tuple(part[0] for part in summary[1:]))
             continue
         out.append((traj.max_value, traj.argmax, traj.mid_value, traj.samples))

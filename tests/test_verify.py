@@ -8,6 +8,7 @@ registry stable.
 import hashlib
 from dataclasses import astuple, replace
 
+import numpy as np
 import pytest
 
 from runslab import cli, patterns, verify
@@ -117,15 +118,24 @@ def _shrunk_sweep(config):
 def test_monte_carlo_rows_match_golden_digest(monkeypatch):
     monkeypatch.setattr(verify, "run_sweep", _shrunk_sweep)
     ctx = verify.VerifyContext(base_seed=0)
-    rows = [
-        repr(astuple(report))
+    reports = [
+        report
         for check in MC_CHECKS
         for report in check(ctx)
         if not report.quantity.endswith("-runtime-seconds")
     ]
+    # The MC-vs-exact row came after the digest; it is pinned on its own.
+    added = {r.quantity: r for r in reports if r.quantity == "reference-max-mc-vs-exact-13"}
+    rows = [repr(astuple(r)) for r in reports if r.quantity not in added]
     assert len(rows) == 15
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == MC_ROWS_DIGEST
+    (exact_row,) = added.values()
+    (quoted_row,) = [r for r in reports if r.quantity == "reference-max-mean-13"]
+    assert exact_row.reference == 82491109 / 19459440
+    assert (exact_row.value, exact_row.se) == (quoted_row.value, quoted_row.se)
+    assert exact_row.band == 4 * exact_row.se
+    assert (exact_row.source, exact_row.n, exact_row.reps) == ("exact", 13, 1_000_000)
 
 
 def _count_calls(monkeypatch, name):
@@ -169,3 +179,29 @@ def test_quick_scale_summarizes_run_length_1_once(monkeypatch):
     summaries = _count_calls(monkeypatch, "summarize")
     assert run_checks("quick").passed
     assert summaries.count(run_length_pattern(1)) == 1
+
+
+def grid_violations_loop(empirical, se, reference):
+    """The cell-by-cell form of `_grid_violations`, with Python's max."""
+    violations = 0
+    worst = 0.0
+    for i in range(empirical.shape[0]):
+        for j in range(empirical.shape[1]):
+            ratio = abs(empirical[i, j] - reference[i, j]) / max(3.0 * se[i, j], 0.01)
+            worst = max(worst, ratio)
+            if ratio > 1.0:
+                violations += 1
+    return violations, worst
+
+
+def test_grid_violations_match_the_loop_form():
+    rng = np.random.default_rng(3)
+    empirical = rng.normal(size=(7, 7))
+    reference = empirical + rng.normal(scale=0.03, size=(7, 7))
+    se = rng.uniform(0.0, 0.02, size=(7, 7))
+    se[0, 0] = se[3, 4] = np.nan  # a NaN ratio, first and inside the grid
+    se[1, 1] = 0.0  # the 0.01 floor
+    got = verify._grid_violations(empirical, se, reference)
+    assert got == grid_violations_loop(empirical, se, reference)
+    assert 0 < got[0] < 47 and got[1] > 1.0
+    assert verify._grid_violations(empirical, np.full((7, 7), np.nan), reference) == (0, 0.0)
