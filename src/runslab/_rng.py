@@ -31,9 +31,6 @@ sampler's blocks of paths both go through it.
 
 from __future__ import annotations
 
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-
 import numpy as np
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -132,7 +129,11 @@ def ordered_map(func, args, jobs: int):
         # (numpy's BLAS pool, a caller's own) and can deadlock on a lock one
         # of them held.  Spawning cost about 0.4 s a pool on a 2-core box (a
         # 3-chunk jobs = 2 sweep at n = 10^6: 0.73-0.83 s forked, 1.13-1.26 s
-        # spawned); the results are the same either way.
+        # spawned); the results are the same either way.  The pool modules
+        # are imported here, so that a serial run does not pay for them.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         spawn = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=spawn) as pool:
             return list(pool.map(func, *zip(*args)))

@@ -425,8 +425,9 @@ def fluctuation_covariance(
     base = min(sf, tf) * (1 - max(sf, tf))
     total = Fraction(0)
     for alpha, poly in dec.terms.items():
-        nu = alpha.count("1")
-        total += poly(sf) * poly(tf) * base**nu
+        at_s = poly(sf)
+        at_t = at_s if sf == tf else poly(tf)
+        total += at_s * at_t * base ** alpha.count("1")
     return total
 
 
@@ -497,9 +498,11 @@ def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
     enumerate, from plain neighbor enumeration.  Routes that disagree
     beyond 1e-10 raise ArithmeticError.
     """
-    dec = decompose_fluctuations(pattern)
-    g = dec.mean_rate
+    # The peak comes first, so that a window without one is never decomposed;
+    # mean_rate equals the decomposition's mean rate exactly.
+    g = mean_rate(pattern)
     t0 = _peak_point(g)
+    dec = decompose_fluctuations(pattern)
     curv = g.derivative().derivative()(t0)
 
     vr_a = fluctuation_covariance(dec, t0, t0)

@@ -6,12 +6,13 @@ isolation uses a Sturm chain on the squarefree part plus exact bisection --
 enough machinery to certify that a polynomial has exactly one critical point
 of interest inside (0, 1) and to pin it to any requested width.
 
-Exact evaluation and bisection run on Python integers underneath: the
-coefficients are cleared to a common denominator L, a rational point N/M is
-kept as its two integers, and Horner's rule works on L * M^d * p(N/M); a
-single Fraction is built from the result.  Exact arithmetic does not depend
-on the order of operations, so every value equals the one that Fraction
-arithmetic step by step would give.
+Exact evaluation runs on Python integers underneath: the coefficients are
+cleared once to a common denominator L, a rational point N/M is kept as its
+two integers, and Horner's rule works on L * M^d * p(N/M); a single Fraction
+is built from the result.  Exact arithmetic does not depend on the order of
+operations, so every value equals the one that Fraction arithmetic step by
+step would give.  Root isolation needs only signs, so it works on integer
+coefficient lists from start to finish and builds no Fraction to count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["Polynomial", "real_roots_in_interval", "refine_root", "squarefree_part"]
+__all__ = ["Polynomial", "real_roots_in_interval", "refine_root"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -52,13 +53,20 @@ def _horner_int(ints: Sequence[int], num: int, den: int) -> int:
 class Polynomial:
     """A polynomial sum(c[i] * x**i), coefficients exact rationals."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_ints")
 
     def __init__(self, coeffs: Iterable = ()):  # ascending degree order
         cs = [_as_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._ints = None  # _cleared(coeffs), on the first exact use
+
+    def _int_form(self) -> tuple[int, list[int]]:
+        """(L, L * coeffs), L the lcm of the denominators; coeffs never change."""
+        if self._ints is None:
+            self._ints = _cleared(self.coeffs)
+        return self._ints
 
     # -- construction helpers ------------------------------------------------
 
@@ -168,7 +176,7 @@ class Polynomial:
     def __call__(self, x):
         """Horner evaluation; exact when x is a Fraction or int."""
         if self.coeffs and isinstance(x, (int, Fraction)):
-            den, ints = _cleared(self.coeffs)
+            den, ints = self._int_form()
             num, xden = x.numerator, x.denominator
             return Fraction(_horner_int(ints, num, xden), den * xden ** self.degree)
         acc = 0 * x  # keeps the caller's numeric type
@@ -178,66 +186,108 @@ class Polynomial:
 
 
 # -- root machinery ---------------------------------------------------------
+#
+# Root isolation clears p to a primitive integer coefficient list once and
+# stays on integers: every polynomial below is a list of ints in ascending
+# degree, with no trailing zero.  Each step keeps a positive multiple of the
+# polynomial that Fraction arithmetic would give -- the squarefree part, the
+# deflated polynomial and each Sturm chain element -- so every sign, and with
+# it every root count, split point and bracket, is the same.
 
 
-def _divmod_poly(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if b.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
-    rem = list(a.coeffs)
-    db = b.degree
-    lead = b.coeffs[-1]
+def _primitive(ints: list[int]) -> list[int]:
+    """ints divided by their positive content."""
+    g = math.gcd(*ints)
+    return [c // g for c in ints] if g > 1 else ints
+
+
+def _int_derivative(ints: Sequence[int]) -> list[int]:
+    return [i * c for i, c in enumerate(ints) if i]
+
+
+def _pseudo_rem(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """A positive multiple of the remainder of a by b.
+
+    Each elimination step scales the partial remainder by |lc(b)| before it
+    cancels the leading term, so no division is needed.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    scale = abs(lead)
     for i in range(len(rem) - 1, db - 1, -1):
+        c = rem.pop()
+        if c:
+            f = c if lead > 0 else -c  # scale * c - f * lead == 0
+            if scale != 1:
+                rem = [scale * r for r in rem]
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return rem
+
+
+def _exact_quotient(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """a / b, for a primitive b that divides a.
+
+    By Gauss's lemma the quotient has integer coefficients, so each step's
+    division by lc(b) is exact.
+    """
+    rem = list(a)
+    db = len(b) - 1
+    lead = b[-1]
+    q = [0] * (len(a) - db)
+    for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
-        if c == 0:
-            continue
-        f = c / lead
-        q[i - db] = f
-        for j, bc in enumerate(b.coeffs):
-            rem[i - db + j] -= f * bc
-    return Polynomial(q), Polynomial(rem)
+        if c:
+            f = c // lead
+            q[i - db] = f
+            for j in range(db):
+                rem[i - db + j] -= f * b[j]
+    return q
 
 
-def _gcd_poly(a: Polynomial, b: Polynomial) -> Polynomial:
-    while not b.is_zero():
-        a, b = b, _divmod_poly(a, b)[1]
-    if a.is_zero():
-        return a
-    return a * (1 / a.coeffs[-1])  # monic
-
-
-def squarefree_part(p: Polynomial) -> Polynomial:
-    """p divided by gcd(p, p'); same roots, all simple."""
-    if p.degree <= 1:
+def _squarefree(p: list[int]) -> list[int]:
+    """p divided by gcd(p, p'): same roots, all simple (p primitive)."""
+    if len(p) <= 2:
         return p
-    g = _gcd_poly(p, p.derivative())
-    if g.degree <= 0:
+    a, b = p, _primitive(_int_derivative(p))
+    while b:  # primitive remainder sequence
+        a, b = b, _primitive(_pseudo_rem(a, b))
+    if len(a) == 1:
         return p
-    return _divmod_poly(p, g)[0]
+    if a[-1] < 0:  # a positive multiple of the monic gcd
+        a = [-c for c in a]
+    return _primitive(_exact_quotient(p, a))
 
 
-def _sturm_chain(p: Polynomial) -> list[Polynomial]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        rem = _divmod_poly(chain[-2], chain[-1])[1]
-        if rem.is_zero():
+def _sturm_chain(p: list[int]) -> list[list[int]]:
+    """p, p', then negated pseudo-remainders, each over its positive content."""
+    chain = [p, _primitive(_int_derivative(p))]
+    while len(chain[-1]) > 1:
+        rem = _pseudo_rem(chain[-2], chain[-1])
+        if not rem:
             break
-        chain.append(-rem)
-    return [q for q in chain if not q.is_zero()]
+        chain.append(_primitive([-c for c in rem]))
+    return chain
 
 
-def _sign_variations(chain: Sequence[Polynomial], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        v = q(x)
-        if v > 0:
-            signs.append(1)
-        elif v < 0:
-            signs.append(-1)
+def _sign_at(ints: Sequence[int], x: Fraction) -> int:
+    """The sign of the polynomial at x: -1, 0 or 1."""
+    v = _horner_int(ints, x.numerator, x.denominator)
+    return (v > 0) - (v < 0)
+
+
+def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
     changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
+    last = 0
+    for q in chain:
+        sign = _sign_at(q, x)
+        if sign:
+            if sign == -last:
+                changes += 1
+            last = sign
     return changes
 
 
@@ -246,7 +296,7 @@ def _count_roots_halfopen(chain, a: Fraction, b: Fraction) -> int:
     return _sign_variations(chain, a) - _sign_variations(chain, b)
 
 
-def _split_point(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
+def _split_point(p: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
     """A point strictly inside (a, b) where p does not vanish.
 
     Tries the midpoint first, then nudges by shrinking powers of two; p has
@@ -255,12 +305,12 @@ def _split_point(p: Polynomial, a: Fraction, b: Fraction) -> Fraction:
     half = Fraction(1, 2)
     gap = b - a
     candidates = [half]
-    for j in range(6, 6 + max(p.degree, 0) + 2):
+    for j in range(6, 6 + len(p) + 1):  # degree + 2 nudges each way
         candidates.append(half + Fraction(1, 2**j))
         candidates.append(half - Fraction(1, 2**j))
     for q in candidates:
         point = a + gap * q
-        if p(point) != 0:
+        if _sign_at(p, point):
             return point
     raise AssertionError("no admissible split point found")  # pragma: no cover
 
@@ -279,17 +329,17 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
         raise ValueError("need lo < hi")
     if p.is_zero():
         raise ValueError("zero polynomial has no isolated roots")
-    p = squarefree_part(p)
-    if p.degree <= 0:
+    ints = _squarefree(_primitive(p._int_form()[1]))
+    if len(ints) <= 1:
         return []
     # Deflate roots sitting exactly on the boundary so Sturm counting can
     # anchor there; they are excluded from the open interval anyway.
     for point in (lo, hi):
-        if p(point) == 0:
-            p = _divmod_poly(p, Polynomial((-point, 1)))[0]
-    if p.degree <= 0:
+        if not _sign_at(ints, point):
+            ints = _exact_quotient(ints, [-point.numerator, point.denominator])
+    if len(ints) <= 1:
         return []
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(ints)
 
     brackets: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, _count_roots_halfopen(chain, lo, hi))]
@@ -297,15 +347,15 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
         a, b, count = stack.pop()
         if count == 0:
             continue
-        if count == 1 and p(a) * p(b) < 0:
+        if count == 1 and _sign_at(ints, a) * _sign_at(ints, b) < 0:
             brackets.append((a, b))
             continue
-        mid = _split_point(p, a, b)
+        mid = _split_point(ints, a, b)
         left = _count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
 
-    out = [refine_root(p, a, b, width) for a, b in brackets]
+    out = [_bisect(ints, a, b, _as_fraction(width)) for a, b in brackets]
     out.sort()
     return out
 
@@ -314,21 +364,24 @@ def refine_root(p: Polynomial, a, b, width=Fraction(1, 10**18)) -> tuple[Fractio
     """Shrink a bracketing interval (p(a)p(b) < 0) below `width` by bisection.
 
     Exact rational roots hit by a bisection point are returned as (r, r).
+    """
+    return _bisect(p._int_form()[1], _as_fraction(a), _as_fraction(b), _as_fraction(width))
+
+
+def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """`refine_root` for the polynomial with integer coefficients `ints`.
+
     The bracket is kept as integer numerators lo, hi over one denominator q,
     which doubles with each halving, and only the sign of p is tested.
     """
-    a = _as_fraction(a)
-    b = _as_fraction(b)
     if a == b:
         return a, b
-    fa = p(a)
-    if fa == 0:
+    sa = _sign_at(ints, a)
+    if sa == 0:
         return a, a
-    if fa * p(b) >= 0:
+    if sa * _sign_at(ints, b) >= 0:
         raise ValueError("interval does not bracket a sign change")
-    width = _as_fraction(width)
-    _, ints = _cleared(p.coeffs)
-    rising = fa < 0  # p(lo) keeps the sign of p(a): p rises through the root
+    rising = sa < 0  # p(lo) keeps the sign of p(a): p rises through the root
     q = math.lcm(a.denominator, b.denominator)
     lo = a.numerator * (q // a.denominator)
     hi = b.numerator * (q // b.denominator)

@@ -53,3 +53,12 @@ def test_covariance_grid_from_stats_alone():
         "r = s.empirical_covariance_grid('runs-linear', n=20, reps=50, grid=[0.5], seed=1)\n"
         "assert r.covariance.shape == (1, 1)\n"
     )
+
+
+def test_cli_import_leaves_out_the_pool_modules():
+    # ordered_map imports them only when it starts worker processes
+    _fresh_python(
+        "import sys, runslab.cli\n"
+        "loaded = {'multiprocessing', 'concurrent.futures'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )

@@ -195,6 +195,60 @@ def test_simulate_stdout_matches_golden_digest(capsys, tmp_path, command):
     assert hashlib.sha256("".join(kept).encode()).hexdigest() == GOLDEN_STDOUT[command]
 
 
+def random_psi_windows(seed):
+    """Seeded windows of 2-4 cells, values k/d with |k| <= 9, 1 <= d <= 12."""
+    rng = np.random.default_rng(seed)
+    while True:
+        size = 1 << int(rng.integers(2, 5))
+        nums = rng.integers(-9, 10, size)
+        dens = rng.integers(1, 13, size)
+        yield PatternFunctional(size.bit_length() - 1, tuple(
+            Fraction(int(k), int(d)) for k, d in zip(nums, dens)
+        ))
+
+
+# SHA-256 of `pattern --psi-file F --report` stdout for the first twelve
+# windows of `random_psi_windows(13)` with an admissible peak, and of the
+# stderr of the draws before them that have none.  Recorded while roots
+# were isolated on Fraction Sturm chains and every window was decomposed
+# before its peak was tested.
+RANDOM_WINDOW_REPORTS = (
+    "8d0b35e3cff8eacb853788ff8301d6ab9a4a9f876fb124e65087d53e11738e93",
+    "8b94b748962b66e1c490c9e36ae1a895fb06797a6f671d0362cd0fdb4ab48912",
+    "fe2ef2068192e11a33e09aebcd6afe5dfd4a5293df55079abe110afa9a10350f",
+    "04cddb9952d085f9e7b1c40e8f07f7227cd340edd76d476e091b74cb40493399",
+    "f9fb6824c48ce44690239e249e89c48096c81d24aa5e615f501664c31e99ae46",
+    "48235dd14fadd3e60170def89abe74a02672a1d3cf43aca77048cb7cba4f211d",
+    "63e62a80fedb207c2be4f5232e90ebceae9caa19fb645824ea74f21850184b23",
+    "a5b287f218cb6363f3881fedca0af92603b8f4e3776c2ab972b0d780ee35b11e",
+    "f4dcc6c2dbb6dac7238ee692514bf0603f1e99cba9686c7a87c5322b392657bd",
+    "9a7933bcd3cb141cd1a390543d9919b474b1b4c585fe3377ca6c2f9684f6d8f6",
+    "7893f250783b62a3cde6a07797bbb6ce36f44932f94fa453f10bfd00e0f85762",
+    "e5a9a903381713fb2647ac21c21a2e4f3c8ae5892b41a1d0aa4ce0225338d23a",
+)
+RANDOM_WINDOW_REJECTIONS = (
+    "702d9e8bf703ff13af714a5f3a7c50992887cd98ba7dbc8cb3faf4230c1cbc21"
+)
+
+
+def test_random_window_reports_match_golden_digests(capsys, tmp_path):
+    reports, rejections = [], hashlib.sha256()
+    for i, pattern in enumerate(random_psi_windows(13)):
+        psi = tmp_path / f"w{i}.psi"
+        save_pattern(pattern, psi)
+        code, out, err = run_cli(capsys, ["pattern", "--psi-file", str(psi), "--report"])
+        if code == 1:
+            assert err.startswith("no admissible t0: ")
+            rejections.update(err.encode())
+            continue
+        assert code == 0
+        reports.append(hashlib.sha256(out.encode()).hexdigest())
+        if len(reports) == 12:
+            break
+    assert tuple(reports) == RANDOM_WINDOW_REPORTS
+    assert rejections.hexdigest() == RANDOM_WINDOW_REJECTIONS
+
+
 def test_simulate_rows_are_byte_deterministic(capsys):
     argv = [
         "simulate", "--model", "runs", "--n", "50", "--reps", "40",

@@ -266,6 +266,44 @@ def test_degenerate_flat_peak_rejected():
         summarize(pat)
 
 
+# The five ways to have no admissible peak, with the messages they raised
+# while every window was decomposed before its peak was tested.
+INADMISSIBLE = {
+    "constant": ("mean rate is constant; no interior peak", lambda: constant_pattern(Fraction(3, 4), length=2)),
+    "monotone": ("mean rate has no interior critical point", lambda: PatternFunctional(2, (0, 0, 1, 1))),
+    "boundary": (
+        "mean rate is maximized at the boundary, not inside (0, 1)",
+        lambda: PatternFunctional(2, (1, 1, 0, 1)),
+    ),
+    "twin": (
+        "mean rate has multiple near-maximal critical values; peak not unique",
+        lambda: _pattern_with_bernstein([0, 1, -1, 1, 0]),
+    ),
+    "flat": ("degenerate curvature at the mean-rate peak", lambda: _pattern_with_bernstein([0, 1, 0, 1, 0])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INADMISSIBLE))
+def test_inadmissible_window_is_rejected_before_decomposition(monkeypatch, case):
+    message, build = INADMISSIBLE[case]
+
+    def never(pattern):
+        raise AssertionError("decomposed a window with no admissible peak")
+
+    monkeypatch.setattr(patterns, "decompose_fluctuations", never)
+    with pytest.raises(NoInteriorPeakError) as info:
+        summarize(build())
+    assert str(info.value) == message
+
+
+def test_mean_rate_is_the_decomposition_mean_rate():
+    # summarize tests the peak of mean_rate before it decomposes
+    rng = np.random.default_rng(31)
+    for _ in range(3000):
+        pattern = _random_pattern(rng)
+        assert mean_rate(pattern) == decompose_fluctuations(pattern).mean_rate
+
+
 def _pattern_with_bernstein(weights):
     """A window functional whose mean rate is the given Bernstein polynomial.
 

@@ -1,15 +1,19 @@
 """Rational polynomial arithmetic and Sturm-chain root isolation."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from runslab.polys import (
     Polynomial,
+    _primitive,
+    _squarefree,
+    _sturm_chain,
     real_roots_in_interval,
     refine_root,
-    squarefree_part,
 )
 
 X = Polynomial.identity()
@@ -60,6 +64,119 @@ def test_evaluation_matches_horner_by_hand(a, x):
     for c in reversed(p.coeffs):
         acc = acc * x + c
     assert p(x) == acc
+
+
+# -- Fraction oracles ----------------------------------------------------------
+#
+# Root isolation runs on integer coefficient lists.  These are the Fraction
+# loops it replaced -- division, the monic gcd, the squarefree part, the
+# Sturm chain and the whole isolation pipeline -- kept as the oracle whose
+# brackets it must reproduce.
+
+
+def _divmod_poly(a, b):
+    if b.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [Fraction(0)] * max(0, a.degree - b.degree + 1)
+    rem = list(a.coeffs)
+    db = b.degree
+    lead = b.coeffs[-1]
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c == 0:
+            continue
+        f = c / lead
+        q[i - db] = f
+        for j, bc in enumerate(b.coeffs):
+            rem[i - db + j] -= f * bc
+    return Polynomial(q), Polynomial(rem)
+
+
+def _gcd_poly(a, b):
+    while not b.is_zero():
+        a, b = b, _divmod_poly(a, b)[1]
+    if a.is_zero():
+        return a
+    return a * (1 / a.coeffs[-1])  # monic
+
+
+def squarefree_part(p):
+    """p divided by gcd(p, p'); same roots, all simple."""
+    if p.degree <= 1:
+        return p
+    g = _gcd_poly(p, p.derivative())
+    if g.degree <= 0:
+        return p
+    return _divmod_poly(p, g)[0]
+
+
+def sturm_chain_oracle(p):
+    chain = [p, p.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        rem = _divmod_poly(chain[-2], chain[-1])[1]
+        if rem.is_zero():
+            break
+        chain.append(-rem)
+    return [q for q in chain if not q.is_zero()]
+
+
+def sign_variations_oracle(chain, x):
+    signs = [1 if v > 0 else -1 for v in (q(x) for q in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def split_point_oracle(p, a, b):
+    half = Fraction(1, 2)
+    candidates = [half]
+    for j in range(6, 6 + max(p.degree, 0) + 2):
+        candidates += [half + Fraction(1, 2**j), half - Fraction(1, 2**j)]
+    return next(a + (b - a) * q for q in candidates if p(a + (b - a) * q) != 0)
+
+
+def real_roots_oracle(p, lo, hi, width=Fraction(1, 10**18)):
+    lo, hi = Fraction(lo), Fraction(hi)
+    p = squarefree_part(p)
+    if p.degree <= 0:
+        return []
+    for point in (lo, hi):
+        if p(point) == 0:
+            p = _divmod_poly(p, Polynomial((-point, 1)))[0]
+    if p.degree <= 0:
+        return []
+    chain = sturm_chain_oracle(p)
+
+    def count(a, b):
+        return sign_variations_oracle(chain, a) - sign_variations_oracle(chain, b)
+
+    brackets = []
+    stack = [(lo, hi, count(lo, hi))]
+    while stack:
+        a, b, n = stack.pop()
+        if n == 0:
+            continue
+        if n == 1 and p(a) * p(b) < 0:
+            brackets.append((a, b))
+            continue
+        mid = split_point_oracle(p, a, b)
+        left = count(a, mid)
+        stack += [(a, mid, left), (mid, b, n - left)]
+    return sorted(refine_root_oracle(p, a, b, width) for a, b in brackets)
+
+
+def int_form(p):
+    """p's coefficients cleared to a primitive integer list."""
+    den = 1
+    for c in p.coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    return _primitive([int(c * den) for c in p.coeffs])
+
+
+def is_positive_multiple(ints, p):
+    """ints == c * p's coefficients for some rational c > 0."""
+    if len(ints) != len(p.coeffs):
+        return False
+    c = Fraction(ints[-1]) / p.coeffs[-1]
+    return c > 0 and all(Fraction(i) == c * pc for i, pc in zip(ints, p.coeffs))
 
 
 def test_squarefree_part_drops_multiplicity():
@@ -226,3 +343,67 @@ def test_refine_root_lands_on_dyadic_root(k, j):
     got = refine_root(p, 0, 1)
     assert got == refine_root_oracle(p, 0, 1)
     assert got == (root, root)
+
+
+# -- integer root isolation against the Fraction pipeline ----------------------
+
+
+# roots p/q for the factors (q x - p): small denominators, dyadic ones that
+# a bisection midpoint can hit, and the interval ends 0 and 1
+factor_roots = st.one_of(
+    st.fractions(min_value=-1, max_value=2, max_denominator=12),
+    st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-2**6, 2**7), st.integers(0, 7)),
+    st.sampled_from([Fraction(0), Fraction(1)]),
+)
+isolation_widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**24)])
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(st.tuples(factor_roots, st.integers(1, 3)), min_size=1, max_size=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.sampled_from([None, X**2 + 1, X**2 - 2, 3 * X**2 - X + 1]),
+    st.sampled_from([(0, 1), (Fraction(-1, 2), Fraction(3, 2)), (Fraction(1, 4), 1)]),
+    isolation_widths,
+)
+def test_roots_match_fraction_pipeline(factors, lead, extra, bounds, width):
+    p = Polynomial.constant(lead)
+    for r, mult in factors:  # repeated roots come from mult > 1 and repeats
+        p = p * (r.denominator * X - r.numerator) ** mult
+    if extra is not None:
+        p = p * extra
+    lo, hi = bounds
+    assert real_roots_in_interval(p, lo, hi, width) == real_roots_oracle(p, lo, hi, width)
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    st.lists(st.tuples(factor_roots, st.integers(1, 3)), min_size=1, max_size=4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
+    st.sampled_from([Polynomial.constant(1), X**2 + 1, X**2 - 2, 3 * X**2 - X + 1]),
+)
+def test_integer_chain_is_a_positive_multiple_of_the_fraction_chain(factors, lead, extra):
+    p = extra * lead
+    for r, mult in factors:
+        p = p * (r.denominator * X - r.numerator) ** mult
+    sf = _squarefree(int_form(p))
+    assert is_positive_multiple(sf, squarefree_part(p))
+    if len(sf) > 1:
+        chain = _sturm_chain(sf)
+        oracle = sturm_chain_oracle(squarefree_part(p))
+        assert len(chain) == len(oracle)
+        assert all(is_positive_multiple(c, q) for c, q in zip(chain, oracle))
+
+
+def test_mean_rate_derivatives_match_fraction_pipeline():
+    # the polynomials the peak search really sees: g' of seeded random windows
+    from runslab.patterns import mean_rate
+    from runslab.verify import _random_pattern
+
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        d1 = mean_rate(_random_pattern(rng)).derivative()
+        if d1.is_zero():
+            continue
+        width = Fraction(1, 10**24)
+        assert real_roots_in_interval(d1, 0, 1, width) == real_roots_oracle(d1, 0, 1, width)

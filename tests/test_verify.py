@@ -139,13 +139,14 @@ def test_monte_carlo_rows_match_golden_digest(monkeypatch):
 
 
 def _count_calls(monkeypatch, name):
-    """Count every call of patterns.<name>, under each name it has."""
+    """Count every call of patterns.<name> that returns, under each name it has."""
     calls = []
     exact = getattr(patterns, name)
 
     def counted(pattern):
+        result = exact(pattern)
         calls.append(pattern)
-        return exact(pattern)
+        return result
 
     for module in (patterns, cli, verify):
         if hasattr(module, name):
@@ -164,13 +165,29 @@ def test_pattern_report_decomposes_once(monkeypatch, capsys):
     "check,extra", [(verify._check_random_routes, 0), (verify._check_limit_models, 1)]
 )
 def test_checks_decompose_once_per_summary(monkeypatch, check, extra):
-    # random routes: one decomposition per summarize call (admissible or
-    # not); limit models: those, plus one for the runs covariance points.
+    # one decomposition per admissible summary: a window with no interior
+    # peak is rejected before it is decomposed.  Limit models: those, plus
+    # one for the runs covariance points.
     decompositions = _count_calls(monkeypatch, "decompose_fluctuations")
     summaries = _count_calls(monkeypatch, "summarize")
     check(verify.VerifyContext(base_seed=0))
     assert summaries
     assert len(decompositions) == len(summaries) + extra
+
+
+def test_random_routes_decompose_only_admissible_windows(monkeypatch):
+    # 446 windows drawn, 100 admissible, at seed 0
+    attempts = []
+    exact = verify.summarize
+
+    def counted(pattern):
+        attempts.append(pattern)
+        return exact(pattern)
+
+    monkeypatch.setattr(verify, "summarize", counted)
+    decompositions = _count_calls(monkeypatch, "decompose_fluctuations")
+    verify._check_random_routes(verify.VerifyContext(base_seed=0))
+    assert (len(attempts), len(decompositions)) == (446, 100)
 
 
 def test_quick_scale_summarizes_run_length_1_once(monkeypatch):
