@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from runslab.patterns import mean_rate
 from runslab.polys import (
     Polynomial,
     _primitive,
@@ -15,6 +16,7 @@ from runslab.polys import (
     real_roots_in_interval,
     refine_root,
 )
+from runslab.verify import _random_pattern
 
 X = Polynomial.identity()
 
@@ -165,9 +167,7 @@ def real_roots_oracle(p, lo, hi, width=Fraction(1, 10**18)):
 
 def int_form(p):
     """p's coefficients cleared to a primitive integer list."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
+    den = math.lcm(*(c.denominator for c in p.coeffs))
     return _primitive([int(c * den) for c in p.coeffs])
 
 
@@ -397,9 +397,6 @@ def test_integer_chain_is_a_positive_multiple_of_the_fraction_chain(factors, lea
 
 def test_mean_rate_derivatives_match_fraction_pipeline():
     # the polynomials the peak search really sees: g' of seeded random windows
-    from runslab.patterns import mean_rate
-    from runslab.verify import _random_pattern
-
     rng = np.random.default_rng(17)
     for _ in range(300):
         d1 = mean_rate(_random_pattern(rng)).derivative()

@@ -175,21 +175,6 @@ def test_checks_decompose_once_per_summary(monkeypatch, check, extra):
     assert len(decompositions) == len(summaries) + extra
 
 
-def test_random_routes_decompose_only_admissible_windows(monkeypatch):
-    # 446 windows drawn, 100 admissible, at seed 0
-    attempts = []
-    exact = verify.summarize
-
-    def counted(pattern):
-        attempts.append(pattern)
-        return exact(pattern)
-
-    monkeypatch.setattr(verify, "summarize", counted)
-    decompositions = _count_calls(monkeypatch, "decompose_fluctuations")
-    verify._check_random_routes(verify.VerifyContext(base_seed=0))
-    assert (len(attempts), len(decompositions)) == (446, 100)
-
-
 def test_quick_scale_summarizes_run_length_1_once(monkeypatch):
     # the closed-form constants, d = 1 of the closed-form loop and the drift
     # row all read one summary
