@@ -57,7 +57,7 @@ MAX_SUBSET_DP_CELLS = 16
 assert math.factorial(MAX_DP_CELLS) < 2**63
 
 # brute_force_max_pmf walks the orders in blocks of this many trailing cells.
-_ORDER_BLOCK_TAIL = 7
+_ORDER_BLOCK_TAIL = 8
 
 
 @dataclass(frozen=True)
@@ -195,38 +195,63 @@ def _popcount(x: np.ndarray, bits: int) -> np.ndarray:
     return sum((x >> b) & 1 for b in range(bits))
 
 
+def _permutation_columns(k: int) -> np.ndarray:
+    """Every permutation of range(k) as a column of a (k, k!) int8 array."""
+    cols = np.zeros((0, 1), dtype=np.int8)
+    for m in range(1, k + 1):
+        # first value f, then a permutation of the others: those of m - 1
+        # with every value >= f moved up by one
+        cols = np.concatenate(
+            [np.vstack([np.full((1, cols.shape[1]), f, dtype=np.int8), cols + (cols >= f)])
+             for f in range(m)],
+            axis=1,
+        )
+    return cols
+
+
 def brute_force_max_pmf(n: int) -> Dict[int, Fraction]:
     """Exact distribution of the maximal run count over the whole fill.
 
     Walks all n! insertion orders; capped by the order enumeration budget.
-    The orders go in blocks that share their first n - 7 cells: one block
-    holds every order of the remaining cells, and its rows step through the
-    fill together on an int8 occupancy row padded by an empty cell at each
-    end, so memory stays at one block of 7! rows whatever n is.
+    The run count of every occupied set is read from a table of 2^n entries
+    filled by `count_runs`.  The orders go in blocks that share their first
+    n - 8 cells; a block holds every order of the remaining (tail) cells as
+    (step, order) int8 columns of tail positions.  A prefix OR of each
+    column's position bits down the steps gives, as int16 masks, the tail
+    positions each order has filled after each step.  Those masks are the
+    same for every block, so they are built once; each block relabels the
+    table to its own tail cells and folds every step's run counts into a
+    running max per order.  Memory stays at one block of 8! orders
+    whatever n is.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if n > MAX_ORDER_CELLS:
         raise ValueError(f"order enumeration capped at n <= {MAX_ORDER_CELLS}, got {n}")
+    table = np.array(
+        [count_runs([(mask >> j) & 1 for j in range(n)]) for mask in range(1 << n)],
+        dtype=np.int8,
+    )
     tail = min(n, _ORDER_BLOCK_TAIL)
-    suffixes = np.array(list(itertools.permutations(range(tail))), dtype=np.intp)
-    rows = len(suffixes)
-    width = n + 2
-    row_start = np.arange(rows, dtype=np.intp) * width
+    occ = np.left_shift(1, _permutation_columns(tail), dtype=np.int16)
+    for step in range(1, tail):
+        occ[step] |= occ[step - 1]
+    tail_sets = np.arange(1 << tail)
     counts = np.zeros((n + 1) // 2 + 1, dtype=np.int64)
     for prefix in itertools.permutations(range(n), n - tail):
-        rest = np.array(sorted(set(range(n)) - set(prefix)), dtype=np.intp)
-        orders = np.empty((rows, n), dtype=np.intp)
-        orders[:, : n - tail] = prefix
-        orders[:, n - tail :] = rest[suffixes]
-        occ = np.zeros(rows * width, dtype=np.int8)
-        x = np.zeros(rows, dtype=np.int8)
-        best = np.zeros(rows, dtype=np.int8)
-        for step in range(n):
-            cell = row_start + orders[:, step] + 1
-            x += 1 - occ[cell - 1] - occ[cell + 1]
-            occ[cell] = 1
-            np.maximum(best, x, out=best)
+        mask = start = 0
+        for cell in prefix:
+            mask |= 1 << cell
+            start = max(start, int(table[mask]))
+        rest = [cell for cell in range(n) if not mask >> cell & 1]
+        # full[s]: the prefix's cells plus the cells at the tail positions in s
+        full = np.full(1 << tail, mask)
+        for i, cell in enumerate(rest):
+            full |= (tail_sets >> i & 1) << cell
+        local = table[full]
+        best = np.full(occ.shape[1], start, dtype=np.int8)
+        for filled in occ:
+            np.maximum(best, local.take(filled), out=best)
         counts += np.bincount(best, minlength=counts.size)
     total = math.factorial(n)
     assert counts.sum() == total

@@ -16,7 +16,8 @@ behaviour at large n:
 * the scale of the cube-root correction to the running maximum.
 
 Everything returned to the caller is plain float; internally the arithmetic
-is `fractions.Fraction` so route agreement is not at the mercy of rounding.
+is exact (`fractions.Fraction`, or Python integers over one common
+denominator) so route agreement is not at the mercy of rounding.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polys import Polynomial, _as_fraction, _cleared, real_roots_in_interval
+from .polys import Polynomial, _as_fraction, _cleared, _horner_int, real_roots_in_interval
 
 __all__ = [
     "MAX_WINDOW_LEN",
@@ -287,10 +288,11 @@ def centered_product_sum(row: Sequence[int], alpha: str, t: Rational) -> Fractio
 # -- peak of the mean rate ---------------------------------------------------
 
 
-def _peak_point(g: Polynomial) -> Fraction:
-    """The unique admissible interior maximizer of g on (0, 1), exactly.
+def _peak_point(g: Polynomial) -> Tuple[Fraction, Fraction]:
+    """The unique admissible interior maximizer of g on (0, 1), exactly, and
+    the curvature g'' there.
 
-    Returns either the exact rational root of g' or the midpoint of a
+    The point is either the exact rational root of g' or the midpoint of a
     bracket of width < 1e-24.  Raises NoInteriorPeakError when the peak is
     absent, non-unique within a 1e-9 value margin, attained at the boundary,
     or has non-negative curvature.
@@ -311,21 +313,42 @@ def _peak_point(g: Polynomial) -> Fraction:
             )
     if vals[best] <= max(g(Fraction(0)), g(Fraction(1))) + _TINY:
         raise NoInteriorPeakError("mean rate is maximized at the boundary, not inside (0, 1)")
-    if d1.derivative()(points[best]) >= -_TINY:
+    curv = d1.derivative()(points[best])
+    if curv >= -_TINY:
         raise NoInteriorPeakError("degenerate curvature at the mean-rate peak")
-    return points[best]
+    return points[best], curv
 
 
 # -- variance rate and jump variance, two routes each ------------------------
 
 
+def _term_numerators(dec: FluctuationDecomposition, x: Fraction) -> Tuple[int, list]:
+    """(den, [(nu(a), num_a)]) with terms[a](x) == num_a / den for every a.
+
+    Each term is evaluated on integers by Horner's rule at x = N/M and
+    brought to the common denominator lcm(term denominators) * M^ell, so the
+    callers' sums stay on integers and build one Fraction at the end.
+    """
+    ell = dec.window_length
+    forms = [(alpha.count("1"), poly._int_form(), poly.degree) for alpha, poly in dec.terms.items()]
+    lcd = math.lcm(*(den for _, (den, _), _ in forms))
+    num, m = x.numerator, x.denominator
+    nums = [
+        (nu, _horner_int(ints, num, m) * m ** (ell - degree) * (lcd // den))
+        for nu, (den, ints), degree in forms
+    ]
+    return lcd * m**ell, nums
+
+
 def _jump_variance_from_terms(dec: FluctuationDecomposition, t: Fraction) -> Fraction:
-    q = t * (1 - t)
-    total = Fraction(0)
-    for alpha, poly in dec.terms.items():
-        nu = alpha.count("1")
-        total += nu * poly(t) ** 2 * q ** (nu - 1)
-    return total
+    """Sum over patterns a of nu(a) * terms[a](t)^2 * (t(1-t))^(nu(a)-1)."""
+    ell = dec.window_length
+    den, nums = _term_numerators(dec, t)
+    # t(1 - t) = b / c; every power is brought to c^(ell - 1)
+    b = t.numerator * (t.denominator - t.numerator)
+    c = t.denominator**2
+    total = sum(nu * v * v * b ** (nu - 1) * c ** (ell - nu) for nu, v in nums)
+    return Fraction(total, den * den * c ** (ell - 1))
 
 
 def _window_mean_direct(values: Sequence[Fraction], ell: int, t: Fraction) -> Fraction:
@@ -422,13 +445,15 @@ def fluctuation_covariance(
     dec = source if isinstance(source, FluctuationDecomposition) else decompose_fluctuations(source)
     sf = _as_fraction(s)
     tf = _as_fraction(t)
-    base = min(sf, tf) * (1 - max(sf, tf))
-    total = Fraction(0)
-    for alpha, poly in dec.terms.items():
-        at_s = poly(sf)
-        at_t = at_s if sf == tf else poly(tf)
-        total += at_s * at_t * base ** alpha.count("1")
-    return total
+    ell = dec.window_length
+    den_s, at_s = _term_numerators(dec, sf)
+    den_t, at_t = (den_s, at_s) if sf == tf else _term_numerators(dec, tf)
+    # min(s, t) (1 - max(s, t)) = b / c; every power is brought to c^ell
+    lo, hi = min(sf, tf), max(sf, tf)
+    b = lo.numerator * (hi.denominator - hi.numerator)
+    c = lo.denominator * hi.denominator
+    total = sum(u * v * b**nu * c ** (ell - nu) for (nu, u), (_, v) in zip(at_s, at_t))
+    return Fraction(total, den_s * den_t * c**ell)
 
 
 def insertion_jump_moments(pattern: PatternFunctional, t: Rational) -> Tuple[float, float]:
@@ -501,9 +526,8 @@ def summarize(pattern: PatternFunctional) -> AsymptoticSummary:
     # The peak comes first, so that a window without one is never decomposed;
     # mean_rate equals the decomposition's mean rate exactly.
     g = mean_rate(pattern)
-    t0 = _peak_point(g)
+    t0, curv = _peak_point(g)
     dec = decompose_fluctuations(pattern)
-    curv = g.derivative().derivative()(t0)
 
     vr_a = fluctuation_covariance(dec, t0, t0)
     _check_routes("variance-rate", float(vr_a), float(window_lag_covariance(pattern, t0, t0)))

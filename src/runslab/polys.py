@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["Polynomial", "real_roots_in_interval", "refine_root"]
+__all__ = ["Polynomial", "real_roots_in_interval"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -360,17 +360,11 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
     return out
 
 
-def refine_root(p: Polynomial, a, b, width=Fraction(1, 10**18)) -> tuple[Fraction, Fraction]:
-    """Shrink a bracketing interval (p(a)p(b) < 0) below `width` by bisection.
+def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink a bracketing interval (p(a)p(b) < 0) below `width` by bisection,
+    for the polynomial p with integer coefficients `ints`.
 
     Exact rational roots hit by a bisection point are returned as (r, r).
-    """
-    return _bisect(p._int_form()[1], _as_fraction(a), _as_fraction(b), _as_fraction(width))
-
-
-def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """`refine_root` for the polynomial with integer coefficients `ints`.
-
     The bracket is kept as integer numerators lo, hi over one denominator q,
     which doubles with each halving, and only the sign of p is tested.
     """

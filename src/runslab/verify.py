@@ -250,9 +250,7 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
 
 def _random_pattern(rng: np.random.Generator) -> PatternFunctional:
     ell = int(rng.integers(1, 5))
-    values = tuple(
-        Fraction(int(rng.integers(-8, 9)), 8) for _ in range(1 << ell)
-    )
+    values = tuple(Fraction(int(k), 8) for k in rng.integers(-8, 9, size=1 << ell))
     return PatternFunctional(ell, values)
 
 
@@ -275,6 +273,8 @@ def _check_random_routes(ctx: VerifyContext) -> List[ComparisonReport]:
             admissible += 1
             continue
         admissible += 1
+        # the popcount route's mean rate, which the butterfly's g_1 is
+        # checked against; the summary does not carry it
         deriv = mean_rate(pattern).derivative()
         g1 = summary.decomposition.terms.get("1")
         if g1 is None:

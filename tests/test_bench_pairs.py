@@ -21,16 +21,18 @@ DECLARED = [
 ]
 
 
-def run_lines(wall, cells, failed=0):
+def run_lines(wall, cells, failed=0, ops=None):
+    """One run; `ops` maps an op name to its times in that run."""
     result = {
         "metrics": {"wall_s": {"value": wall}, "cells_per_s": {"value": cells}},
         "failed": failed,
     }
-    return [json.dumps({"details": {}}), json.dumps(result)]
+    details = {"ops": [{"name": name, "times": times} for name, times in (ops or {}).items()]}
+    return [json.dumps({"details": details}), json.dumps(result)]
 
 
 def pairs(parent, change):
-    """Pairs from (wall, cells[, failed]) tuples, one per side and seed."""
+    """Pairs from (wall, cells[, failed[, ops]]) tuples, one per side and seed."""
     return [
         {"seed": seed, "first": "parent", "parent": run_lines(*p), "change": run_lines(*c)}
         for seed, (p, c) in enumerate(zip(parent, change))
@@ -77,3 +79,19 @@ def test_failed_ops_are_summed_per_side():
         DECLARED,
     )
     assert (summary["failed_ops_parent"], summary["failed_ops_change"]) == (3, 4)
+
+
+def test_per_op_medians_and_ratio():
+    summary = bench_pairs.summarize(
+        pairs(
+            [(1.0, 1.0, 0, {"a": [1.0, 2.0, 3.0], "b": [1.0]}),
+             (1.0, 1.0, 0, {"a": [3.0, 4.0, 5.0], "b": [3.0]})],
+            [(1.0, 1.0, 0, {"a": [1.0, 1.0, 1.0], "b": []}),
+             (1.0, 1.0, 0, {"a": [2.0, 2.0], "b": []})],
+        ),
+        DECLARED,
+    )
+    # medians within each run (2, 4 vs 1, 2), then over the runs
+    assert summary["ops"]["a"] == {"parent": 3.0, "change": 1.5, "ratio": 0.5}
+    # an op that never finished on one side has no median and no ratio
+    assert summary["ops"]["b"] == {"parent": 2.0, "change": None, "ratio": None}

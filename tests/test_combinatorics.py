@@ -5,9 +5,11 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from runslab import combinatorics
 from runslab.combinatorics import (
     MAX_DP_CELLS,
     MAX_ORDER_CELLS,
@@ -209,7 +211,7 @@ def test_brute_force_matches_loop_oracle(n):
     ],
 )
 def test_exact_max_tables_stay_in_memory_budget(func, n):
-    # two DP layers at a time; one block of 7! orders at a time
+    # two DP layers at a time; one block of 8! orders at a time
     tracemalloc.start()
     try:
         func(n)
@@ -217,6 +219,18 @@ def test_exact_max_tables_stay_in_memory_budget(func, n):
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20
+
+
+def test_brute_force_at_the_order_cap_matches_both_dps():
+    # n = 10 walks 90 blocks of 8! orders; n <= 8 takes a single block
+    assert brute_force_max_pmf(10) == max_pmf_subset_dp(10) == max_pmf_gap_dp(10)
+
+
+def test_permutation_columns_are_every_order():
+    for k in range(1, 7):
+        cols = combinatorics._permutation_columns(k)
+        assert cols.dtype == np.int8
+        assert [tuple(c) for c in cols.T] == list(itertools.permutations(range(k)))
 
 
 def test_brute_force_budget_enforced():

@@ -1,5 +1,6 @@
 """Window functionals: decomposition, peak finding, the two variance routes."""
 
+import functools
 import hashlib
 import math
 from dataclasses import replace
@@ -517,6 +518,67 @@ def test_pair_expectation_matches_pair_loop(ell):
                     assert patterns._pair_expectation(ints, ell, lag, tl, tr) == (
                         pair_expectation_loop(ints, ell, lag, tl, tr)
                     )
+
+
+def fluctuation_covariance_oracle(dec, s, t):
+    """The Fraction sum that the integer `fluctuation_covariance` replaced."""
+    base = min(s, t) * (1 - max(s, t))
+    total = Fraction(0)
+    for alpha, poly in dec.terms.items():
+        total += poly(s) * poly(t) * base ** alpha.count("1")
+    return total
+
+
+def jump_variance_oracle(dec, t):
+    """The Fraction sum that the integer `_jump_variance_from_terms` replaced."""
+    q = t * (1 - t)
+    total = Fraction(0)
+    for alpha, poly in dec.terms.items():
+        nu = alpha.count("1")
+        total += nu * poly(t) ** 2 * q ** (nu - 1)
+    return total
+
+
+@functools.cache
+def peak_midpoints():
+    """Peaks of seeded random windows that are midpoints of 1e-24 brackets,
+    not exact roots: the points summarize evaluates the terms at."""
+    rng = np.random.default_rng(5)
+    out = []
+    while len(out) < 12:
+        try:
+            t0, _ = patterns._peak_point(mean_rate(_random_pattern(rng)))
+        except NoInteriorPeakError:
+            continue
+        if t0.denominator > 10**24:
+            out.append(t0)
+    return out
+
+
+term_times = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+    st.integers(0, 11).map(lambda i: peak_midpoints()[i]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ell: st.lists(window_values, min_size=1 << ell, max_size=1 << ell)
+    ),
+    term_times,
+    term_times,
+    st.booleans(),
+)
+def test_integer_term_sums_match_fraction_oracles(values, s, t, same_time):
+    if same_time:
+        t = s
+    dec = decompose_fluctuations(PatternFunctional(len(values).bit_length() - 1, tuple(values)))
+    got = fluctuation_covariance(dec, s, t)
+    assert type(got) is Fraction and got == fluctuation_covariance_oracle(dec, s, t)
+    got = patterns._jump_variance_from_terms(dec, t)
+    assert type(got) is Fraction and got == jump_variance_oracle(dec, t)
 
 
 def test_covariance_symmetric_and_diagonal():

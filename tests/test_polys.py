@@ -10,15 +10,20 @@ from hypothesis import assume, given, settings, strategies as st
 from runslab.patterns import mean_rate
 from runslab.polys import (
     Polynomial,
+    _bisect,
     _primitive,
     _squarefree,
     _sturm_chain,
     real_roots_in_interval,
-    refine_root,
 )
 from runslab.verify import _random_pattern
 
 X = Polynomial.identity()
+
+
+def refine_root(p, a, b, width=Fraction(1, 10**18)):
+    """The bisection that root isolation runs, on p's integer coefficients."""
+    return _bisect(p._int_form()[1], Fraction(a), Fraction(b), Fraction(width))
 
 
 def test_construction_trims_leading_zeros():

@@ -7,6 +7,7 @@ registry stable.
 
 import hashlib
 from dataclasses import astuple, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,3 +208,19 @@ def test_grid_violations_match_the_loop_form():
     assert got == grid_violations_loop(empirical, se, reference)
     assert 0 < got[0] < 47 and got[1] > 1.0
     assert verify._grid_violations(empirical, np.full((7, 7), np.nan), reference) == (0, 0.0)
+
+
+def random_pattern_per_value(rng):
+    """The window draw with one `integers` call per value, as it was written first."""
+    ell = int(rng.integers(1, 5))
+    values = tuple(Fraction(int(rng.integers(-8, 9)), 8) for _ in range(1 << ell))
+    return patterns.PatternFunctional(ell, values)
+
+
+def test_random_window_draws_match_per_value_draws():
+    # one call of 2^ell values consumes the stream as 2^ell scalar calls,
+    # so verify's random windows, and the quick digest, stay the same
+    for seed in range(50):
+        one, each = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            assert verify._random_pattern(one) == random_pattern_per_value(each)

@@ -10,7 +10,8 @@ parent goes first on even pairs and the change on odd ones, so that drift
 of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
 and, per end-to-end metric, each side's median and quartiles, the median
-ratio change/parent, and the pairs in which the change was better.
+ratio change/parent, and the pairs in which the change was better; per op,
+each side's median time and their ratio.
 """
 
 from __future__ import annotations
@@ -74,7 +75,27 @@ def summarize(pairs, declared):
         }
     for side in ("parent", "change"):
         summary[f"failed_ops_{side}"] = sum(json.loads(p[side][1])["failed"] for p in pairs)
+    summary["ops"] = op_medians(pairs)
     return summary
+
+
+def op_medians(pairs):
+    """Per op: each side's median over the pairs of the run's median op time
+    (seconds at reference speed), and the ratio change/parent.  A side on
+    which the op never finished reads None, and so does the ratio."""
+    times = {}
+    for side in ("parent", "change"):
+        for pair in pairs:
+            for op in json.loads(pair[side][0])["details"]["ops"]:
+                runs = times.setdefault(op["name"], {"parent": [], "change": []})[side]
+                if op["times"]:
+                    runs.append(statistics.median(op["times"]))
+    out = {}
+    for name, sides in times.items():
+        med = {side: statistics.median(runs) if runs else None for side, runs in sides.items()}
+        both = None not in med.values()
+        out[name] = {**med, "ratio": med["change"] / med["parent"] if both else None}
+    return out
 
 
 def main(argv=None) -> int:
