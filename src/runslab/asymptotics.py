@@ -61,8 +61,8 @@ class VSamplerConfig:
     def __post_init__(self):
         if not 0.0 < self.step <= 0.01:
             raise ValueError(f"step must be in (0, 0.01], got {self.step}")
-        if self.horizon < 3.0:
-            raise ValueError(f"horizon must be >= 3, got {self.horizon}")
+        if not 3.0 <= self.horizon < math.inf:  # refuses nan and inf too
+            raise ValueError(f"horizon must be finite and >= 3, got {self.horizon}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.paths}")
         if self.jobs < 1:

@@ -39,11 +39,8 @@ __all__ = [
     "NoInteriorPeakError",
     "runs_pattern",
     "run_length_pattern",
-    "constant_pattern",
     "parse_pattern_text",
-    "format_pattern_text",
     "load_pattern",
-    "save_pattern",
     "mean_rate",
     "FluctuationDecomposition",
     "decompose_fluctuations",
@@ -115,9 +112,6 @@ def run_length_pattern(d: int) -> PatternFunctional:
     values[((1 << d) - 1) << 1] = 1
     return PatternFunctional(ell, tuple(values))
 
-def constant_pattern(c: Rational, length: int = 1) -> PatternFunctional:
-    return PatternFunctional(length, tuple([c] * (1 << length)))
-
 
 # -- text format -------------------------------------------------------------
 #
@@ -154,22 +148,9 @@ def parse_pattern_text(text: str) -> PatternFunctional:
     return PatternFunctional(ell, tuple(values))
 
 
-def format_pattern_text(pattern: PatternFunctional) -> str:
-    ell = pattern.length
-    lines = [str(ell)]
-    for w, v in enumerate(pattern.values):
-        lines.append(f"{format(w, f'0{ell}b')} {v}")
-    return "\n".join(lines) + "\n"
-
-
 def load_pattern(path: Union[str, os.PathLike]) -> PatternFunctional:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_pattern_text(fh.read())
-
-
-def save_pattern(pattern: PatternFunctional, path: Union[str, os.PathLike]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_pattern_text(pattern))
 
 
 # -- exact decomposition -----------------------------------------------------
@@ -237,11 +218,8 @@ def decompose_fluctuations(pattern: PatternFunctional) -> FluctuationDecompositi
         for i, c in enumerate(coeffs[mask]):
             acc[i] += c
 
-    def poly(ints: Sequence[int]) -> Polynomial:
-        return Polynomial(Fraction(c, den) for c in ints)
-
-    terms = {a: poly(c) for a, c in sums.items() if any(c)}
-    return FluctuationDecomposition(ell, poly(coeffs[0]), terms)
+    terms = {a: Polynomial(c, den) for a, c in sums.items() if any(c)}
+    return FluctuationDecomposition(ell, Polynomial(coeffs[0], den), terms)
 
 
 def mean_rate(pattern: PatternFunctional) -> Polynomial:
@@ -253,22 +231,20 @@ def mean_rate(pattern: PatternFunctional) -> Polynomial:
     """
     ell = pattern.length
     _check_analysis_length(ell)
-    den, sums = _sums_by_ones(pattern.values, ell)
+    den, ints = _cleared(pattern.values)
     out = [0] * (ell + 1)
-    for ones, v in enumerate(sums):
+    for ones, v in enumerate(_sums_by_ones(ints, ell)):
         for i in range(ell - ones + 1):
             out[ones + i] += (-1) ** i * math.comb(ell - ones, i) * v
-    return Polynomial(Fraction(c, den) for c in out)
+    return Polynomial(out, den)
 
 
-def _sums_by_ones(values: Sequence[Fraction], ell: int) -> Tuple[int, list]:
-    """(den, sums): sums[k] is den times the total value of the windows with
-    k occupied cells."""
-    den, ints = _cleared(values)
+def _sums_by_ones(ints: Sequence[int], ell: int) -> list:
+    """sums[k]: the total of the integer window values with k occupied cells."""
     sums = [0] * (ell + 1)
     for w, v in enumerate(ints):
         sums[bin(w).count("1")] += v
-    return den, sums
+    return sums
 
 
 def centered_product_sum(row: Sequence[int], alpha: str, t: Rational) -> Fraction:
@@ -330,12 +306,11 @@ def _term_numerators(dec: FluctuationDecomposition, x: Fraction) -> Tuple[int, l
     callers' sums stay on integers and build one Fraction at the end.
     """
     ell = dec.window_length
-    forms = [(alpha.count("1"), poly._int_form(), poly.degree) for alpha, poly in dec.terms.items()]
-    lcd = math.lcm(*(den for _, (den, _), _ in forms))
+    lcd = math.lcm(*(p.den for p in dec.terms.values()))
     num, m = x.numerator, x.denominator
     nums = [
-        (nu, _horner_int(ints, num, m) * m ** (ell - degree) * (lcd // den))
-        for nu, (den, ints), degree in forms
+        (alpha.count("1"), _horner_int(p.ints, num, m) * m ** (ell - p.degree) * (lcd // p.den))
+        for alpha, p in dec.terms.items()
     ]
     return lcd * m**ell, nums
 
@@ -351,18 +326,10 @@ def _jump_variance_from_terms(dec: FluctuationDecomposition, t: Fraction) -> Fra
     return Fraction(total, den * den * c ** (ell - 1))
 
 
-def _window_mean_direct(values: Sequence[Fraction], ell: int, t: Fraction) -> Fraction:
-    den, sums = _sums_by_ones(values, ell)
-    num, m = t.numerator, t.denominator
-    total = sum(v * num**ones * (m - num) ** (ell - ones) for ones, v in enumerate(sums))
-    return Fraction(total, den * m**ell)
-
-
-def _pair_expectation(
-    ints: Sequence[int], ell: int, lag: int, tl: Fraction, tr: Fraction
-) -> Fraction:
-    """E[left window value at fill tl  *  value lag cells right at fill tr],
-    for the integer window values `ints`.
+def _pair_expectation(ints: Sequence[int], ell: int, lag: int, tl: Fraction, tr: Fraction) -> int:
+    """m^(ell + min(lag, ell)) times E[left window value at fill tl  *  value
+    lag cells right at fill tr], for the integer window values `ints` and m
+    the common denominator of tl and tr.
 
     Cells fill at independent uniform times, so a cell seen at two fill
     fractions is (1,1) with probability min, (0,0) with 1 - max, and only
@@ -374,7 +341,7 @@ def _pair_expectation(
     the vector's support -- at most ell * 2^ell, and the number of nonzero
     values when tl == tr, where the law is diagonal -- rather than one term
     per pair of window values.  The probabilities run on integer numerators
-    over tl's and tr's common denominator m.
+    over m.
     """
     m = math.lcm(tl.denominator, tr.denominator)
     nl = tl.numerator * (m // tl.denominator)
@@ -406,8 +373,7 @@ def _pair_expectation(
                     c = a ^ ((x ^ y) << cell)
                     moved[c] = moved.get(c, 0) + v * joint[x][y]
         left = moved
-    total = sum(v * right.get(b, 0) for b, v in left.items())
-    return Fraction(total, m ** (ell + own))
+    return sum(v * right.get(b, 0) for b, v in left.items())
 
 
 def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) -> Fraction:
@@ -417,20 +383,27 @@ def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) 
     at cell j and fill t).  Independent of the decomposition machinery; for
     rows of length at least twice the window this is exactly n^-1 times the
     covariance of the two windowed sums in the randomized-time model.
+
+    Every lag's pair expectation and the product of the two window means
+    are summed as integer numerators over den^2 * m^(2 ell), den the
+    values' common denominator and m that of s and t, into one Fraction.
     """
     sf = _as_fraction(s)
     tf = _as_fraction(t)
     ell = pattern.length
-    values = pattern.values
-    mu = _window_mean_direct(values, ell, sf) * _window_mean_direct(values, ell, tf)
-    den, ints = _cleared(values)
-    pairs = Fraction(0)
+    den, ints = _cleared(pattern.values)
+    m = math.lcm(sf.denominator, tf.denominator)
+    sums = _sums_by_ones(ints, ell)
+    means = [  # den * m^ell times the window mean at fill n / m
+        sum(v * n**ones * (m - n) ** (ell - ones) for ones, v in enumerate(sums))
+        for n in (sf.numerator * (m // sf.denominator), tf.numerator * (m // tf.denominator))
+    ]
+    pairs = 0
     for j in range(-(ell - 1), ell):
-        if j >= 0:
-            pairs += _pair_expectation(ints, ell, j, sf, tf)
-        else:
-            pairs += _pair_expectation(ints, ell, -j, tf, sf)
-    return pairs / (den * den) - (2 * ell - 1) * mu
+        lag = abs(j)
+        tl, tr = (sf, tf) if j >= 0 else (tf, sf)
+        pairs += _pair_expectation(ints, ell, lag, tl, tr) * m ** (ell - lag)
+    return Fraction(pairs - (2 * ell - 1) * means[0] * means[1], den * den * m ** (2 * ell))
 
 
 def fluctuation_covariance(

@@ -1,18 +1,15 @@
-"""Dense univariate polynomials over the rationals, with real-root isolation.
+"""Exact univariate polynomials over the rationals, with real-root isolation.
 
-Coefficients are `fractions.Fraction` end to end; evaluation preserves the
-argument type, so feeding a Fraction in gets an exact value out.  Root
-isolation uses a Sturm chain on the squarefree part plus exact bisection --
-enough machinery to certify that a polynomial has exactly one critical point
-of interest inside (0, 1) and to pin it to any requested width.
-
-Exact evaluation runs on Python integers underneath: the coefficients are
-cleared once to a common denominator L, a rational point N/M is kept as its
-two integers, and Horner's rule works on L * M^d * p(N/M); a single Fraction
-is built from the result.  Exact arithmetic does not depend on the order of
-operations, so every value equals the one that Fraction arithmetic step by
-step would give.  Root isolation needs only signs, so it works on integer
-coefficient lists from start to finish and builds no Fraction to count.
+A polynomial is integer numerators over one positive denominator, in lowest
+terms, and nothing else: every kernel that builds one (the window
+decomposition, the mean rate) works on integers already, so it hands them
+over as they are.  Evaluation at an int or a Fraction N/M runs Horner's rule
+on the integers, den * M^d * p(N/M), and builds a single Fraction from the
+result.  Root isolation uses a Sturm chain on the squarefree part plus exact
+bisection -- enough machinery to certify that a polynomial has exactly one
+critical point of interest inside (0, 1) and to pin it to any requested
+width.  It needs only signs, so it works on integer coefficient lists from
+start to finish and builds no Fraction to count.
 """
 
 from __future__ import annotations
@@ -51,138 +48,49 @@ def _horner_int(ints: Sequence[int], num: int, den: int) -> int:
 
 
 class Polynomial:
-    """A polynomial sum(c[i] * x**i), coefficients exact rationals."""
+    """The polynomial sum(ints[i] * x**i) / den, in lowest terms.
 
-    __slots__ = ("coeffs", "_ints")
+    `ints` has no trailing zero and shares no factor with `den`, so two
+    polynomials are equal exactly when their fields are.
+    """
 
-    def __init__(self, coeffs: Iterable = ()):  # ascending degree order
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-        self._ints = None  # _cleared(coeffs), on the first exact use
+    __slots__ = ("den", "ints")
 
-    def _int_form(self) -> tuple[int, list[int]]:
-        """(L, L * coeffs), L the lcm of the denominators; coeffs never change."""
-        if self._ints is None:
-            self._ints = _cleared(self.coeffs)
-        return self._ints
+    def __init__(self, ints: Iterable[int] = (), den: int = 1):  # ascending degree
+        if den <= 0:
+            raise ValueError(f"need a positive denominator, got {den}")
+        ints = list(ints)
+        while ints and ints[-1] == 0:
+            ints.pop()
+        g = math.gcd(den, *ints)
+        self.den = den // g
+        self.ints = tuple(c // g for c in ints)
 
-    # -- construction helpers ------------------------------------------------
-
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
-    def identity(cls) -> "Polynomial":
-        return cls((0, 1))
-
-    # -- basic queries -------------------------------------------------------
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, ascending; derived, not stored."""
+        return tuple(Fraction(c, self.den) for c in self.ints)
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return not self.ints
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            return self.coeffs == Polynomial.constant(other).coeffs
+            return self.den == other.den and self.ints == other.ints
         return NotImplemented
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "Polynomial(0)"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(f"{c}")
-            elif i == 1:
-                parts.append(f"{c}*t")
-            else:
-                parts.append(f"{c}*t^{i}")
-        return "Polynomial(" + " + ".join(parts) + ")"
-
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other) -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            other = Polynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return Polynomial.constant(other) - self
-
-    def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        c = _as_fraction(other)
-        return Polynomial(tuple(a * c for a in self.coeffs))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Polynomial.constant(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(i * c for i, c in enumerate(self.coeffs) if i))
+        return Polynomial([i * c for i, c in enumerate(self.ints) if i], self.den)
 
-    def __call__(self, x):
-        """Horner evaluation; exact when x is a Fraction or int."""
-        if self.coeffs and isinstance(x, (int, Fraction)):
-            den, ints = self._int_form()
-            num, xden = x.numerator, x.denominator
-            return Fraction(_horner_int(ints, num, xden), den * xden ** self.degree)
-        acc = 0 * x  # keeps the caller's numeric type
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    def __call__(self, x) -> Fraction:
+        """The exact value at an int or a Fraction."""
+        num, xden = x.numerator, x.denominator
+        return Fraction(_horner_int(self.ints, num, xden), self.den * xden ** max(self.degree, 0))
 
 
 # -- root machinery ---------------------------------------------------------
@@ -329,7 +237,7 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
         raise ValueError("need lo < hi")
     if p.is_zero():
         raise ValueError("zero polynomial has no isolated roots")
-    ints = _squarefree(_primitive(p._int_form()[1]))
+    ints = _squarefree(_primitive(list(p.ints)))
     if len(ints) <= 1:
         return []
     # Deflate roots sitting exactly on the boundary so Sturm counting can

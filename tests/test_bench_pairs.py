@@ -95,3 +95,13 @@ def test_per_op_medians_and_ratio():
     assert summary["ops"]["a"] == {"parent": 3.0, "change": 1.5, "ratio": 0.5}
     # an op that never finished on one side has no median and no ratio
     assert summary["ops"]["b"] == {"parent": 2.0, "change": None, "ratio": None}
+
+
+def test_source_lines_counts_python_files_under_src_runslab(tmp_path):
+    package = tmp_path / "src" / "runslab"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "sub" / "b.py").write_text("z = 3\n\n# end")  # no final newline
+    (package / "notes.txt").write_text("not counted\n")
+    (tmp_path / "tools.py").write_text("outside the package\n")
+    assert bench_pairs.source_lines(tmp_path) == 5

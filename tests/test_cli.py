@@ -17,9 +17,9 @@ import pytest
 
 from runslab.cli import COLUMNS, main
 from runslab.combinatorics import MAX_DP_CELLS
-from runslab.patterns import (
-    PatternFunctional, constant_pattern, run_length_pattern, save_pattern,
-)
+from runslab.patterns import PatternFunctional, run_length_pattern
+
+from conftest import constant_pattern, save_pattern
 
 
 def run_cli(capsys, argv):
@@ -466,6 +466,8 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, scale, jobs):
         ["verify", "--override-constant", "runs-variance-rate"],  # missing =VALUE
         ["verify", "--override-constant", "nope=1.0"],
         ["verify", "--override-constant", "runs-variance-rate=abc"],
+        ["vconst", "--horizon", "nan", "--paths", "10"],  # not refused by >= 3 alone
+        ["vconst", "--horizon", "inf", "--paths", "10"],
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):

@@ -330,7 +330,7 @@ def test_pattern_moments_match_runs_closed_form():
 
 def test_pattern_moments_uniform_window_is_constant():
     # a window that always scores 1 sums to n in cyclic mode, variance 0
-    from runslab.patterns import constant_pattern
+    from conftest import constant_pattern
 
     pat = constant_pattern(1, length=2)
     res = brute_force_pattern_moments(pat, 5, 3, cyclic=True)

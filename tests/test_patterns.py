@@ -17,10 +17,8 @@ from runslab.patterns import (
     NoInteriorPeakError,
     PatternFunctional,
     centered_product_sum,
-    constant_pattern,
     decompose_fluctuations,
     fluctuation_covariance,
-    format_pattern_text,
     insertion_jump_moments,
     load_pattern,
     mean_rate,
@@ -28,12 +26,13 @@ from runslab.patterns import (
     run_length_pattern,
     run_length_reference_constants,
     runs_pattern,
-    save_pattern,
     summarize,
     window_lag_covariance,
 )
 from runslab.polys import Polynomial, _cleared
 from runslab.verify import _random_pattern
+
+from conftest import constant_pattern, format_pattern_text, save_pattern
 
 
 # -- construction and the text format ----------------------------------------
@@ -135,34 +134,63 @@ def test_analysis_window_cap():
         decompose_fluctuations(too_wide)
 
 
+# Polynomials as Fraction coefficient lists, ascending, for the oracles
+# below; `poly` turns one into the Polynomial that the kernels return.
+
+
+def add(a, b):
+    out = [Fraction(0)] * max(len(a), len(b))
+    for cs in (a, b):
+        for i, c in enumerate(cs):
+            out[i] += c
+    return out
+
+
+def mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def poly(cs):
+    den, ints = _cleared([Fraction(c) for c in cs])
+    return Polynomial(ints, den)
+
+
+T, ONE_MINUS_T = [0, 1], [1, -1]
+
+
 def decompose_oracle(pattern):
-    """The Polynomial butterfly that the integer-coefficient one replaced."""
+    """The Fraction butterfly that the integer-coefficient one replaced."""
     ell = pattern.length
-    t = Polynomial.identity()
-    coeffs = [Polynomial.constant(v) for v in pattern.values]
+    coeffs = [[v] for v in pattern.values]
     for cell in range(ell):
         bit = 1 << (ell - 1 - cell)
         for mask in range(1 << ell):
             if not mask & bit:
                 lo, hi = coeffs[mask], coeffs[mask | bit]
-                coeffs[mask] = (1 - t) * lo + t * hi
-                coeffs[mask | bit] = hi - lo
+                coeffs[mask] = add(mul(ONE_MINUS_T, lo), mul(T, hi))
+                coeffs[mask | bit] = add(hi, [-c for c in lo])
     terms = {}
     for mask in range(1, 1 << ell):
-        if coeffs[mask]:
+        if any(coeffs[mask]):
             alpha = format(mask, f"0{ell}b").strip("0")
-            terms[alpha] = terms.get(alpha, Polynomial()) + coeffs[mask]
-    return coeffs[0], {a: p for a, p in terms.items() if p}
+            terms[alpha] = add(terms.get(alpha, []), coeffs[mask])
+    return poly(coeffs[0]), {a: poly(p) for a, p in terms.items() if any(p)}
 
 
 def mean_rate_oracle(pattern):
     ell = pattern.length
-    t = Polynomial.identity()
-    out = Polynomial()
+    out = []
     for w, v in enumerate(pattern.values):
         ones = bin(w).count("1")
-        out = out + v * t**ones * (1 - t) ** (ell - ones)
-    return out
+        term = [v]
+        for factor in [T] * ones + [ONE_MINUS_T] * (ell - ones):
+            term = mul(term, factor)
+        out = add(out, term)
+    return poly(out)
 
 
 window_values = st.one_of(
@@ -464,8 +492,11 @@ def test_pair_expectation_matches_fraction_oracle(data, ell, tl, tr, same_time):
         tr = tl
     den, ints = _cleared(values)
     got = patterns._pair_expectation(ints, ell, lag, tl, tr)
-    assert type(got) is Fraction
-    assert got / (den * den) == pair_expectation_oracle(values, ell, lag, tl, tr)
+    m = math.lcm(tl.denominator, tr.denominator)
+    assert type(got) is int
+    assert Fraction(got, den * den * m ** (ell + min(lag, ell))) == (
+        pair_expectation_oracle(values, ell, lag, tl, tr)
+    )
 
 
 def pair_expectation_loop(ints, ell, lag, tl, tr):
@@ -494,7 +525,7 @@ def pair_expectation_loop(ints, ell, lag, tl, tr):
             for c in range(max(ell - lag, 0), ell):  # cells only in the right window
                 prob *= nr if (w2 >> (ell - 1 - c)) & 1 else m - nr
             total += v1 * v2 * prob
-    return Fraction(total, m ** (ell + min(lag, ell)))
+    return total  # over m^(ell + min(lag, ell))
 
 
 @pytest.mark.parametrize("ell", range(2, 9))
@@ -579,6 +610,54 @@ def test_integer_term_sums_match_fraction_oracles(values, s, t, same_time):
     assert type(got) is Fraction and got == fluctuation_covariance_oracle(dec, s, t)
     got = patterns._jump_variance_from_terms(dec, t)
     assert type(got) is Fraction and got == jump_variance_oracle(dec, t)
+
+
+def window_lag_covariance_oracle(pattern, s, t):
+    """The per-lag Fraction sum that `window_lag_covariance`'s one integer
+    sum over den^2 * m^(2 ell) replaced."""
+    s, t = Fraction(s), Fraction(t)
+    ell = pattern.length
+
+    def window_mean(x):
+        return sum(
+            v * x ** bin(w).count("1") * (1 - x) ** (ell - bin(w).count("1"))
+            for w, v in enumerate(pattern.values)
+        )
+
+    den, ints = _cleared(pattern.values)
+    m = math.lcm(s.denominator, t.denominator)
+    pairs = Fraction(0)
+    for j in range(-(ell - 1), ell):
+        tl, tr = (s, t) if j >= 0 else (t, s)
+        pairs += Fraction(patterns._pair_expectation(ints, ell, abs(j), tl, tr), m ** (ell + abs(j)))
+    return pairs / (den * den) - (2 * ell - 1) * window_mean(s) * window_mean(t)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda ell: st.lists(window_values, min_size=1 << ell, max_size=1 << ell)
+    ),
+    term_times,
+    term_times,
+    st.booleans(),
+)
+def test_window_lag_covariance_matches_per_lag_fraction_sum(values, s, t, same_time):
+    # s == t and s != t; peak midpoints put denominators above 10^24 in m
+    if same_time:
+        t = s
+    pattern = PatternFunctional(len(values).bit_length() - 1, tuple(values))
+    got = window_lag_covariance(pattern, s, t)
+    assert type(got) is Fraction and got == window_lag_covariance_oracle(pattern, s, t)
+
+
+@pytest.mark.parametrize("d", range(1, 5))  # windows of 3 to 6 cells
+def test_window_lag_covariance_matches_oracle_at_the_peak(d):
+    pattern = run_length_pattern(d)
+    t0, _ = patterns._peak_point(mean_rate(pattern))
+    for s in peak_midpoints()[:3]:
+        for a, b in ((t0, t0), (s, t0), (t0, s)):
+            assert window_lag_covariance(pattern, a, b) == window_lag_covariance_oracle(pattern, a, b)
 
 
 def test_covariance_symmetric_and_diagonal():

@@ -1,4 +1,10 @@
-"""Rational polynomial arithmetic and Sturm-chain root isolation."""
+"""Exact polynomials as integers over one denominator, and Sturm-chain root
+isolation.
+
+`Polynomial` has no arithmetic operators, so the tests build their inputs
+from coefficient lists: `poly` for one list, `times` for a product of
+lists.  The Fraction oracles below work on the `coeffs` tuples.
+"""
 
 import math
 from fractions import Fraction
@@ -11,6 +17,7 @@ from runslab.patterns import mean_rate
 from runslab.polys import (
     Polynomial,
     _bisect,
+    _cleared,
     _primitive,
     _squarefree,
     _sturm_chain,
@@ -18,12 +25,28 @@ from runslab.polys import (
 )
 from runslab.verify import _random_pattern
 
-X = Polynomial.identity()
+
+def poly(cs):
+    """The Polynomial with int or Fraction coefficients cs, ascending."""
+    den, ints = _cleared([Fraction(c) for c in cs])
+    return Polynomial(ints, den)
+
+
+def times(*factors):
+    """The Polynomial that is the product of coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return poly(out)
 
 
 def refine_root(p, a, b, width=Fraction(1, 10**18)):
     """The bisection that root isolation runs, on p's integer coefficients."""
-    return _bisect(p._int_form()[1], Fraction(a), Fraction(b), Fraction(width))
+    return _bisect(p.ints, Fraction(a), Fraction(b), Fraction(width))
 
 
 def test_construction_trims_leading_zeros():
@@ -32,17 +55,43 @@ def test_construction_trims_leading_zeros():
     assert Polynomial().degree == -1
 
 
-def test_arithmetic_small_cases():
-    p = 1 - 2 * X + X**2
-    assert p(1) == 0
-    assert p(3) == 4
-    assert (p * p).degree == 4
-    assert p - p == Polynomial()
-    assert (X + 1) * (X - 1) == X**2 - 1
+def test_construction_reduces_to_lowest_terms():
+    p = Polynomial([6, -4, 0], 8)
+    assert (p.ints, p.den) == ((3, -2), 4)
+    assert p == Polynomial([3, -2], 4) == poly([Fraction(3, 4), Fraction(-1, 2)])
+    assert (Polynomial([0], 5).ints, Polynomial([0], 5).den) == ((), 1)
+    with pytest.raises(ValueError):
+        Polynomial([1], 0)
+
+
+@given(
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=4),
+    st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=3), max_size=4),
+    st.integers(1, 6),
+    st.integers(1, 6),
+    st.booleans(),
+)
+def test_equality_is_equality_of_fraction_coefficients(a, b, ka, kb, same):
+    # whatever common multiple of the denominators a polynomial is built on
+    if same:
+        b = a + [Fraction(0)] * len(b)  # equal up to trailing zeros
+    def build(cs, k):
+        den, ints = _cleared(cs)
+        return Polynomial([k * c for c in ints], k * den)
+
+    def trimmed(cs):
+        cs = list(cs)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    p, q = build(a, ka), build(b, kb)
+    assert p.coeffs == trimmed(a)
+    assert (p == q) == (trimmed(a) == trimmed(b))
 
 
 def test_evaluation_is_exact():
-    p = Polynomial([Fraction(1, 3), Fraction(-1, 7), 2])
+    p = poly([Fraction(1, 3), Fraction(-1, 7), 2])
     t = Fraction(5, 11)
     assert p(t) == Fraction(1, 3) - Fraction(1, 7) * t + 2 * t * t
 
@@ -58,15 +107,9 @@ coeffs = st.lists(
 )
 
 
-@given(coeffs, coeffs)
-def test_product_rule(a, b):
-    p, q = Polynomial(a), Polynomial(b)
-    assert (p * q).derivative() == p.derivative() * q + p * q.derivative()
-
-
 @given(coeffs, st.fractions(min_value=-2, max_value=2, max_denominator=8))
 def test_evaluation_matches_horner_by_hand(a, x):
-    p = Polynomial(a)
+    p = poly(a)
     acc = Fraction(0)
     for c in reversed(p.coeffs):
         acc = acc * x + c
@@ -96,7 +139,7 @@ def _divmod_poly(a, b):
         q[i - db] = f
         for j, bc in enumerate(b.coeffs):
             rem[i - db + j] -= f * bc
-    return Polynomial(q), Polynomial(rem)
+    return poly(q), poly(rem)
 
 
 def _gcd_poly(a, b):
@@ -104,7 +147,7 @@ def _gcd_poly(a, b):
         a, b = b, _divmod_poly(a, b)[1]
     if a.is_zero():
         return a
-    return a * (1 / a.coeffs[-1])  # monic
+    return poly([c / a.coeffs[-1] for c in a.coeffs])  # monic
 
 
 def squarefree_part(p):
@@ -123,7 +166,7 @@ def sturm_chain_oracle(p):
         rem = _divmod_poly(chain[-2], chain[-1])[1]
         if rem.is_zero():
             break
-        chain.append(-rem)
+        chain.append(poly([-c for c in rem.coeffs]))
     return [q for q in chain if not q.is_zero()]
 
 
@@ -147,7 +190,7 @@ def real_roots_oracle(p, lo, hi, width=Fraction(1, 10**18)):
         return []
     for point in (lo, hi):
         if p(point) == 0:
-            p = _divmod_poly(p, Polynomial((-point, 1)))[0]
+            p = _divmod_poly(p, poly((-point, 1)))[0]
     if p.degree <= 0:
         return []
     chain = sturm_chain_oracle(p)
@@ -185,14 +228,14 @@ def is_positive_multiple(ints, p):
 
 
 def test_squarefree_part_drops_multiplicity():
-    p = (X - 1) ** 3 * (X + 2)
+    p = times([-1, 1], [-1, 1], [-1, 1], [2, 1])  # (x - 1)^3 (x + 2)
     sf = squarefree_part(p)
     assert sf(1) == 0 and sf(-2) == 0
     assert sf.degree == 2
 
 
 def test_roots_of_quadratic():
-    p = (2 * X - 1) * (3 * X - 2)  # roots 1/2, 2/3
+    p = times([-1, 2], [-2, 3])  # roots 1/2, 2/3
     roots = real_roots_in_interval(p, 0, 1)
     assert len(roots) == 2
     for (a, b), r in zip(roots, (Fraction(1, 2), Fraction(2, 3))):
@@ -201,21 +244,21 @@ def test_roots_of_quadratic():
 
 
 def test_root_hit_exactly_by_bisection():
-    roots = real_roots_in_interval(2 * X - 1, 0, 1)
+    roots = real_roots_in_interval(Polynomial([-1, 2]), 0, 1)
     assert roots == [(Fraction(1, 2), Fraction(1, 2))]
 
 
 def test_endpoint_roots_excluded():
-    p = X * (X - 1)
+    p = Polynomial([0, -1, 1])  # x (x - 1)
     assert real_roots_in_interval(p, 0, 1) == []
 
 
 def test_no_real_roots():
-    assert real_roots_in_interval(X**2 + 1, -10, 10) == []
+    assert real_roots_in_interval(Polynomial([1, 0, 1]), -10, 10) == []
 
 
 def test_multiple_root_isolated_once():
-    p = (X - Fraction(1, 3)) ** 2
+    p = times([Fraction(-1, 3), 1], [Fraction(-1, 3), 1])
     roots = real_roots_in_interval(p, 0, 1)
     assert len(roots) == 1
     a, b = roots[0]
@@ -224,7 +267,7 @@ def test_multiple_root_isolated_once():
 
 def test_close_roots_separated():
     r1, r2 = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)
-    p = (X - r1) * (X - r2)
+    p = times([-r1, 1], [-r2, 1])
     roots = real_roots_in_interval(p, 0, 1)
     assert len(roots) == 2
     (a1, b1), (a2, b2) = roots
@@ -234,14 +277,14 @@ def test_close_roots_separated():
 
 def test_degree_five_root_count():
     # x(x^2-1)(x^2-4) has roots -2,-1,0,1,2
-    p = X * (X**2 - 1) * (X**2 - 4)
+    p = times([0, 1], [-1, 0, 1], [-4, 0, 1])
     assert len(real_roots_in_interval(p, -3, 3)) == 5
     assert len(real_roots_in_interval(p, Fraction(-3, 2), 3)) == 4
 
 
 def test_requested_width_honored():
     width = Fraction(1, 10**24)
-    (a, b), = real_roots_in_interval(X**2 - 2, 0, 2, width=width)
+    (a, b), = real_roots_in_interval(Polynomial([-2, 0, 1]), 0, 2, width=width)
     assert b - a < width
     # sqrt(2) truncated to 25 digits; the bracket midpoint must agree
     sqrt2 = Fraction(14142135623730950488016887, 10**25)
@@ -249,7 +292,7 @@ def test_requested_width_honored():
 
 
 def test_refine_root_shrinks_bracket():
-    p = X**3 - 2
+    p = Polynomial([-2, 0, 0, 1])
     a, b = refine_root(p, 1, 2, width=Fraction(1, 10**12))
     assert b - a < Fraction(1, 10**12)
     assert p(a) <= 0 <= p(b)
@@ -257,7 +300,7 @@ def test_refine_root_shrinks_bracket():
 
 def test_refine_root_needs_sign_change():
     with pytest.raises(ValueError):
-        refine_root(X**2 + 1, 0, 1)
+        refine_root(Polynomial([1, 0, 1]), 0, 1)
 
 
 # -- integer kernels against Fraction oracles --------------------------------
@@ -297,15 +340,14 @@ def refine_root_oracle(p, a, b, width=Fraction(1, 10**18)):
 points = st.one_of(
     st.integers(-50, 50),
     st.fractions(min_value=-3, max_value=3, max_denominator=10**9),
-    st.floats(min_value=-3, max_value=3, allow_nan=False),
 )
 
 
 @given(st.lists(st.fractions(max_denominator=10**6), max_size=7), points)
 def test_evaluation_matches_fraction_horner(cs, x):
-    p = Polynomial(cs)
-    got, want = p(x), horner_oracle(p, x)
-    assert got == want and type(got) is type(want)
+    p = poly(cs)
+    got = p(x)
+    assert got == horner_oracle(p, x) and type(got) is Fraction
 
 
 # distinct rational roots, some dyadic so that a bisection midpoint can hit
@@ -328,11 +370,7 @@ widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**18), Fraction(1, 1
     widths,
 )
 def test_refine_root_matches_fraction_bisection(rs, lead, quadratic, left, right, width):
-    p = Polynomial.constant(lead)
-    for r in rs:
-        p = p * (X - r)
-    if quadratic:
-        p = p * (X**2 + X + 1)
+    p = times([lead], *([-r, 1] for r in rs), *([[1, 1, 1]] if quadratic else []))
     assert squarefree_part(p) == p
     a, b = rs[0] - left, rs[0] + right  # around the first root
     assume(p(a) * p(b) < 0)
@@ -344,7 +382,7 @@ def test_refine_root_lands_on_dyadic_root(k, j):
     # a root k/2^j in (0, 1) is a bisection midpoint of [0, 1]
     root = Fraction(k, 2**j)
     assume(root < 1)
-    p = (X - root) * (X + 2)
+    p = times([-root, 1], [2, 1])
     got = refine_root(p, 0, 1)
     assert got == refine_root_oracle(p, 0, 1)
     assert got == (root, root)
@@ -367,16 +405,13 @@ isolation_widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**24)])
 @given(
     st.lists(st.tuples(factor_roots, st.integers(1, 3)), min_size=1, max_size=4),
     st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
-    st.sampled_from([None, X**2 + 1, X**2 - 2, 3 * X**2 - X + 1]),
+    st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, -1, 3]]),  # 1, x^2 + 1, x^2 - 2, 3x^2 - x + 1
     st.sampled_from([(0, 1), (Fraction(-1, 2), Fraction(3, 2)), (Fraction(1, 4), 1)]),
     isolation_widths,
 )
 def test_roots_match_fraction_pipeline(factors, lead, extra, bounds, width):
-    p = Polynomial.constant(lead)
-    for r, mult in factors:  # repeated roots come from mult > 1 and repeats
-        p = p * (r.denominator * X - r.numerator) ** mult
-    if extra is not None:
-        p = p * extra
+    # repeated roots come from mult > 1 and repeats
+    p = times([lead], extra, *([-r.numerator, r.denominator] for r, mult in factors for _ in range(mult)))
     lo, hi = bounds
     assert real_roots_in_interval(p, lo, hi, width) == real_roots_oracle(p, lo, hi, width)
 
@@ -385,12 +420,10 @@ def test_roots_match_fraction_pipeline(factors, lead, extra, bounds, width):
 @given(
     st.lists(st.tuples(factor_roots, st.integers(1, 3)), min_size=1, max_size=4),
     st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool),
-    st.sampled_from([Polynomial.constant(1), X**2 + 1, X**2 - 2, 3 * X**2 - X + 1]),
+    st.sampled_from([[1], [1, 0, 1], [-2, 0, 1], [1, -1, 3]]),
 )
 def test_integer_chain_is_a_positive_multiple_of_the_fraction_chain(factors, lead, extra):
-    p = extra * lead
-    for r, mult in factors:
-        p = p * (r.denominator * X - r.numerator) ** mult
+    p = times([lead], extra, *([-r.numerator, r.denominator] for r, mult in factors for _ in range(mult)))
     sf = _squarefree(int_form(p))
     assert is_positive_multiple(sf, squarefree_part(p))
     if len(sf) > 1:

@@ -11,7 +11,9 @@ of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
 and, per end-to-end metric, each side's median and quartiles, the median
 ratio change/parent, and the pairs in which the change was better; per op,
-each side's median time and their ratio.
+each side's median time and their ratio; and each side's line count under
+src/runslab/, so that a change's line delta comes from the same record as
+its timings.
 """
 
 from __future__ import annotations
@@ -37,6 +39,14 @@ def describe(checkout: Path):
         capture_output=True, text=True,
     )
     return proc.stdout.strip() or None
+
+
+def source_lines(checkout: Path) -> int:
+    """The number of lines in the checkout's src/runslab/ Python files."""
+    return sum(
+        len(path.read_text(encoding="utf-8").splitlines())
+        for path in (checkout / "src" / "runslab").rglob("*.py")
+    )
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float):
@@ -129,7 +139,10 @@ def main(argv=None) -> int:
         "parent_commit": describe(checkouts["parent"]),
         "change_commit": describe(checkouts["change"]),
         "seeds": args.seeds,
-        "summary": summarize(pairs, benchmark["end_to_end"]),
+        "summary": {
+            **summarize(pairs, benchmark["end_to_end"]),
+            "src_lines": {side: source_lines(path) for side, path in checkouts.items()},
+        },
         "pairs": pairs,
     }
     out = args.out_dir / f"BENCH_{args.label}.json"
