@@ -30,6 +30,15 @@ grid samples off the block of paths.  Blocks hold at most
 cost over hundreds of repetitions while large-n sweeps keep one
 repetition, and one path, in memory at a time.
 
+The step-indexed kernels (runs and pattern) of a sweep chunk write into one
+workspace (``_workspace``): the orders, fill steps, increments, gathered
+increments and paths of a block, carved from one allocation made for the
+chunk's first block and reused by the rest, so no later block allocates a
+block-sized array or faults in fresh pages.  Runs paths are int32 while n
+fits, since no run count exceeds ceil(n/2); the single-trajectory API
+allocates fresh arrays for the same kernel and widens its runs paths to
+int64.
+
 The time-ordered models (runs-time and the queues) sweep each row in
 ascending time, ties broken by index, which is the order a stable argsort
 gives.  They need only the times in that order and each event's step, so
@@ -140,27 +149,63 @@ def _check_order(order: Sequence[int]) -> np.ndarray:
 # flat index array scatters and gathers a whole block (two index arrays
 # would cost ~24 ms more per rep at n = 10^6).  For one row it is just the
 # order.
+#
+# A sweep chunk hands the step-indexed kernels a workspace (`_workspace`):
+# named byte regions, made once a chunk and sized for its first block, which
+# has the most rows.  A kernel takes each block-sized array as a view of the
+# leading bytes of a region, so a shorter last block fits, and two arrays
+# whose lives do not overlap can share one region.  Without a workspace (the
+# single-trajectory API) every array is fresh, and the kernel is the same.
 
 
-def _filled_at(orders: np.ndarray) -> np.ndarray:
+def _scratch(ws: Optional[dict], region: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized block-sized array: fresh without a workspace, else a
+    view of the leading bytes of the workspace's `region`."""
+    if ws is None:
+        return np.empty(shape, dtype)
+    size = math.prod(shape) * np.dtype(dtype).itemsize
+    return ws[region][:size].view(dtype).reshape(shape)
+
+
+def _index_dtype(n: int):
+    """32 bits while they hold 0..n (steps, and run counts, which never
+    exceed ceil(n/2)): half the bytes of int64 to scatter, gather and scan."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+
+
+def _ramp(ws: Optional[dict], rows: int, n: int) -> np.ndarray:
+    """A (rows, n) block whose every row is 0..n-1, in `_index_dtype(n)`;
+    a read-only broadcast without a workspace."""
+    if ws is None:
+        return np.broadcast_to(np.arange(n, dtype=_index_dtype(n)), (rows, n))
+    return _scratch(ws, "ramp", (rows, n), _index_dtype(n))
+
+
+def _filled_at(orders: np.ndarray, ws: Optional[dict] = None) -> np.ndarray:
     """The step at which each cell of the block fills."""
-    n = orders.shape[1]
-    # Only compared, so 32 bits do while they fit: half the bytes to scatter.
-    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
+    ramp = _ramp(ws, *orders.shape)
+    # dead before the paths are written, so it shares their region
+    filled_at = _scratch(ws, "paths", orders.shape, ramp.dtype)
     # Scatter through 1-d views: numpy's 1-d fancy assignment is ~40%
     # faster than one with a 2-d index.  For one row nothing is copied.
-    steps = np.broadcast_to(np.arange(n, dtype=dtype), orders.shape)
-    filled_at = np.empty(orders.shape, dtype=dtype)
-    filled_at.reshape(-1)[orders.reshape(-1)] = steps.reshape(-1)
+    filled_at.reshape(-1)[orders.reshape(-1)] = ramp.reshape(-1)
     return filled_at
 
 
-def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype) -> np.ndarray:
+def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype, ws: Optional[dict] = None) -> np.ndarray:
     """Paths from 0 along each row's order: value after m steps is the sum
     of the increments of the first m cells filled."""
     rows, n = delta.shape
-    values = np.zeros((rows, n + 1), dtype=dtype)
-    np.cumsum(delta.reshape(-1)[orders], axis=1, dtype=dtype, out=values[:, 1:])
+    gathered = _scratch(ws, "gathered", delta.shape, delta.dtype)
+    # mode="clip" writes straight into `gathered`; the default mode buffers
+    # through a fresh array.  Every index is in range, so nothing is clipped.
+    np.take(delta.reshape(-1), orders, out=gathered, mode="clip")
+    values = _scratch(ws, "paths", (rows, n + 1), dtype)
+    values[:, 0] = 0
+    # Widen into the paths, then sum them in place: a cumsum that casts
+    # (int8 steps to int32 paths) first copies its whole input.
+    np.copyto(values[:, 1:], gathered)
+    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
     return values
 
 
@@ -261,30 +306,42 @@ def _trajectory(
 # -- runs kernel -------------------------------------------------------------
 
 
-def _runs_steps(e: np.ndarray, cyclic: bool) -> np.ndarray:
+def _runs_steps(e: np.ndarray, cyclic: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Each cell's run-count increment, from the int8 block e[k] = [cell k
-    fills before cell k+1] (k+1 mod n when cyclic; k < n-1 when linear)."""
+    fills before cell k+1] (k+1 mod n when cyclic; k < n-1 when linear),
+    into `out` when given."""
     # Filling cell k adds 1 - [left neighbor present] - [right neighbor
     # present].  The left neighbor is present iff e[k-1] and the right one
     # iff not e[k], so the increment is e[k] - e[k-1] (cyclic: indices mod
     # n); a linear row's last cell has no right neighbor and gets 1 - e[n-2].
+    rows, cols = e.shape
+    delta = np.empty((rows, cols if cyclic else cols + 1), dtype=np.int8) if out is None else out
     if cyclic:
-        return e - np.roll(e, 1, axis=1)
-    delta = np.zeros((e.shape[0], e.shape[1] + 1), dtype=np.int8)
-    delta[:, :-1] += e
+        np.subtract(e[:, 1:], e[:, :-1], out=delta[:, 1:])
+        np.subtract(e[:, :1], e[:, -1:], out=delta[:, :1])
+        return delta
+    delta[:, :-1] = e
+    delta[:, -1] = 1
     delta[:, 1:] -= e
-    delta[:, -1] += 1
     return delta
 
 
-def _runs_values(orders: np.ndarray, cyclic: bool) -> np.ndarray:
-    """Run counts after 0..n insertions, one row per (flat) insertion order."""
-    filled_at = _filled_at(orders)
+def _runs_values(orders: np.ndarray, cyclic: bool, ws: Optional[dict] = None) -> np.ndarray:
+    """Run counts after 0..n insertions, one row per (flat) insertion order.
+
+    The paths are int32 while n fits (`_index_dtype`).
+    """
+    n = orders.shape[1]
+    filled_at = _filled_at(orders, ws)
+    # [cell k fills before cell k+1], written as bools into int8 bytes; read
+    # before the gather, so it shares the gathered increments' region
+    ahead = _scratch(ws, "gathered", orders.shape, np.int8)
+    np.less(filled_at[:, :-1], filled_at[:, 1:], out=ahead[:, :-1].view(np.bool_))
     if cyclic:
-        e = (filled_at < np.roll(filled_at, -1, axis=1)).view(np.int8)
-    else:
-        e = (filled_at[:, :-1] < filled_at[:, 1:]).view(np.int8)
-    return _accumulate(_runs_steps(e, cyclic), orders, np.int64)
+        np.less(filled_at[:, -1:], filled_at[:, :1], out=ahead[:, -1:].view(np.bool_))
+    e = ahead if cyclic else ahead[:, :-1]
+    delta = _runs_steps(e, cyclic, _scratch(ws, "steps", orders.shape, np.int8))
+    return _accumulate(delta, orders, _index_dtype(n), ws)
 
 
 def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
@@ -315,7 +372,9 @@ def runs_from_order(
     n = order.size
     _require_positive(n)
     _check_cyclic_size(cyclic, n)
-    summary = _step_summary(_runs_values(order[None, :], cyclic), _check_step_grid(grid, n))
+    # the public paths are int64 whatever the kernel's dtype
+    values = _runs_values(order[None, :], cyclic).astype(np.int64)
+    summary = _step_summary(values, _check_step_grid(grid, n))
     return _trajectory("runs-cyclic" if cyclic else "runs-linear", n, summary, grid, keep_values)
 
 
@@ -350,11 +409,11 @@ def simulate_runs_randomized_time(
 
 
 def _pattern_values(
-    table: np.ndarray, ell: int, orders: np.ndarray, cyclic: bool
+    table: np.ndarray, ell: int, orders: np.ndarray, cyclic: bool, ws: Optional[dict] = None
 ) -> np.ndarray:
     """Windowed sums after 0..n insertions, one row per (flat) insertion order."""
     rows, n = orders.shape
-    filled_at = _filled_at(orders)
+    filled_at = _filled_at(orders, ws)
     # The masks are window values, so 8 bits hold them up to 8 cells and 16
     # bits up to MAX_WINDOW_LEN: an eighth or a quarter of int64's traffic.
     dtype = np.uint8 if ell <= 8 else np.uint16
@@ -364,7 +423,8 @@ def _pattern_values(
             # cell k+d (mod n) occupied before cell k's own insertion
             earlier[d] = (np.roll(filled_at, -d, axis=1) < filled_at).astype(dtype)
     windows = np.arange(table.size)
-    delta = np.zeros((rows, n), dtype=np.float64)
+    delta = _scratch(ws, "steps", orders.shape, np.float64)
+    delta.fill(0.0)
     for o in range(ell):
         inserted_bit = 1 << (ell - 1 - o)
         # the jump of every window value when cell o fills: the float
@@ -380,7 +440,7 @@ def _pattern_values(
             # window start k-o must stay within 0..n-ell
             cells = slice(o, n - ell + o + 1)
             delta[:, cells] += jump[mask[:, cells]]
-    values = _accumulate(delta, orders, np.float64)
+    values = _accumulate(delta, orders, np.float64, ws)
     values += table[0] * (n if cyclic else n - ell + 1)
     return values
 
@@ -598,9 +658,10 @@ def _shuffle_draw_blocks(n: int) -> int:
     return max(1, math.ceil((mean + 3 * math.sqrt(var)) / 8))
 
 
-def _batch_orders(keys: np.ndarray, n: int, blocks: int):
+def _batch_orders(keys: np.ndarray, n: int, blocks: int, out: Optional[np.ndarray] = None):
     """Insertion orders for a block, row r keyed keys[r], from the first
-    `blocks` Philox blocks of each row's stream; and which rows they cover.
+    `blocks` Philox blocks of each row's stream (into `out` when given); and
+    which rows they cover.
 
     Numpy's shuffle of an n-cell array swaps cell i with cell j for i = n-1
     down to 1, j drawn by `random_interval(i)`: uint32 draws u (the low,
@@ -641,7 +702,7 @@ def _batch_orders(keys: np.ndarray, n: int, blocks: int):
         moved = flat[j]
         flat[j] = perm[i]
         perm[i] = moved
-    orders = np.empty((rows, n), dtype=np.int64)
+    orders = np.empty((rows, n), dtype=np.int64) if out is None else out
     np.add(perm.T, (cols * n)[:, None], out=orders)
     return orders, covered
 
@@ -653,16 +714,20 @@ def _shuffle_rows(pool: StreamPool, orders: np.ndarray, keys: np.ndarray) -> np.
     return orders
 
 
-def _draw_orders(pool: StreamPool, keys: np.ndarray, n: int) -> np.ndarray:
+def _draw_orders(
+    pool: StreamPool, keys: np.ndarray, n: int, ws: Optional[dict] = None
+) -> np.ndarray:
     """Flat insertion orders; row r is r*n + the order the rep keyed keys[r]
     draws by `permutation(n)`, which is a shuffle of arange (the shuffle's
     draws do not depend on the values it moves).  Rows the batch pass does
     not cover are shuffled one by one, so no row depends on its budget."""
     rows = keys.size
+    orders = _scratch(ws, "orders", (rows, n), np.int64)
     if n > _BATCH_ORDER_MAX_N or rows < _BATCH_ORDER_MIN_ROWS:
-        orders = np.arange(rows * n, dtype=np.int64).reshape(rows, n)
+        # the flat arange, from the row ramp: no n-sized temporary
+        np.add(_ramp(ws, rows, n), np.arange(0, rows * n, n)[:, None], out=orders)
         return _shuffle_rows(pool, orders, keys)
-    orders, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n))
+    _, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n), orders)
     redo = np.flatnonzero(~covered)
     orders[redo] = _shuffle_rows(pool, redo[:, None] * n + np.arange(n), keys[redo])
     return orders
@@ -676,19 +741,54 @@ def _draw_uniforms(pool: StreamPool, keys: np.ndarray, n: int) -> np.ndarray:
     return times
 
 
+def _workspace(config: SimConfig, rows: int) -> Optional[dict]:
+    """Byte regions for `rows` rows of the model's step-indexed kernel, by
+    name, with the ramp filled in; None for the time-ordered models, which
+    take no workspace.  The fill steps share the paths' region, and the
+    runs kernel's comparison bits the gathered increments'.
+
+    The regions are carved from one allocation.  When glibc frees a mapped
+    block it raises its mmap threshold to that size and its trim threshold
+    to twice that, so after a chunk or two the workspace comes from the heap
+    and, freed, stays there for the next chunk's: a 20-rep runs sweep at
+    n = 10^6 took about 10 minor faults, against 25k with one allocation
+    per array (whose largest, 8 MB, set a trim threshold below the 18 MB of
+    all of them).
+    """
+    n = config.n
+    index = np.dtype(_index_dtype(n)).itemsize
+    if config.model == "pattern":
+        step, path = 8, 8  # float64
+    elif config.model in ("runs-linear", "runs-cyclic"):
+        step, path = 1, index  # int8 increments, paths in `_index_dtype(n)`
+    else:
+        return None
+    sizes = {"orders": 8 * n, "ramp": index * n, "paths": path * (n + 1), "steps": step * n,
+             "gathered": step * n}
+    # each region starts on a 64-byte boundary, so every view is aligned
+    starts = np.cumsum([0] + [-(-rows * size // 64) * 64 for size in sizes.values()]).tolist()
+    arena = np.empty(starts[-1], dtype=np.uint8)
+    ws = {name: arena[at:end] for name, at, end in zip(sizes, starts, starts[1:])}
+    _scratch(ws, "ramp", (rows, n), _index_dtype(n))[...] = np.arange(n, dtype=_index_dtype(n))
+    return ws
+
+
 def _block_summary(
-    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray]
+    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray],
+    ws: Optional[dict],
 ):
     """The block of paths of the reps keyed `keys`, then their per-rep max,
     argmax, mid value and grid samples (None without a grid).  `table` is
-    the pattern's float table (None for the other models)."""
+    the pattern's float table (None for the other models); the step-indexed
+    kernels fill the block-sized arrays of the workspace `ws`, so the paths
+    live until the next block overwrites them."""
     model, n, grid = config.model, config.n, config.grid
     if model in ("runs-linear", "runs-cyclic", "pattern"):
-        orders = _draw_orders(pool, keys, n)
+        orders = _draw_orders(pool, keys, n, ws)
         if model == "pattern":
-            values = _pattern_values(table, config.pattern.length, orders, config.cyclic)
+            values = _pattern_values(table, config.pattern.length, orders, config.cyclic, ws)
         else:
-            values = _runs_values(orders, model == "runs-cyclic")
+            values = _runs_values(orders, model == "runs-cyclic", ws)
         step_idx = _grid_step_indices(grid, n) if grid is not None else None
         return _step_summary(values, step_idx)
     if model == "runs-time":
@@ -705,16 +805,11 @@ def _sweep_chunk(config: SimConfig, start: int, count: int):
     table = config.pattern.table_float() if config.pattern is not None else None
     rows = max(1, _BLOCK_CELL_BUDGET // config.n)
     stop = start + count
+    ws = _workspace(config, min(rows, count))
     blocks = []
     for lo in range(start, stop, rows):
         keys = mix_keys(config.base_seed, lo, min(rows, stop - lo))
-        # `paths` stays bound until the next block's paths replace it.
-        # Holding one block of paths across the next kernel call stops
-        # glibc from trimming the heap top and faulting it back in every
-        # block: 5x fewer page faults, and a third less time, for the
-        # run-length-1 pattern sweep at n = 10^5.
-        paths, *summary = _block_summary(config, pool, keys, table)
-        blocks.append(summary)
+        blocks.append(_block_summary(config, pool, keys, table, ws)[1:])
     maxes, argmaxes, mids, grid_rows = (
         None if parts[0] is None else np.concatenate(parts).astype(np.float64)
         for parts in zip(*blocks)

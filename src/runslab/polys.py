@@ -231,6 +231,20 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
     root strictly inside.  Roots sitting exactly at lo or hi are excluded.
     Multiplicities are erased (isolation runs on the squarefree part).
     """
+    ints, brackets = _isolate(p, lo, hi)
+    return [_bisect(ints, a, b, _as_fraction(width)) for a, b in brackets]
+
+
+def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
+    """The integer polynomial that root isolation brackets -- p's squarefree
+    part with roots at lo or hi divided out -- and one bracket (a, b) per
+    root strictly inside (lo, hi), disjoint, in increasing order, with a
+    sign change across it.
+
+    `_bisect` on that polynomial narrows a bracket; narrowing it to one
+    width and then to a smaller one gives what narrowing it to the smaller
+    one at once gives.
+    """
     lo = _as_fraction(lo)
     hi = _as_fraction(hi)
     if lo >= hi:
@@ -239,14 +253,14 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
         raise ValueError("zero polynomial has no isolated roots")
     ints = _squarefree(_primitive(list(p.ints)))
     if len(ints) <= 1:
-        return []
+        return ints, []
     # Deflate roots sitting exactly on the boundary so Sturm counting can
     # anchor there; they are excluded from the open interval anyway.
     for point in (lo, hi):
         if not _sign_at(ints, point):
             ints = _exact_quotient(ints, [-point.numerator, point.denominator])
     if len(ints) <= 1:
-        return []
+        return ints, []
     chain = _sturm_chain(ints)
 
     brackets: list[tuple[Fraction, Fraction]] = []
@@ -262,10 +276,8 @@ def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> 
         left = _count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
-
-    out = [_bisect(ints, a, b, _as_fraction(width)) for a, b in brackets]
-    out.sort()
-    return out
+    brackets.sort()
+    return ints, brackets
 
 
 def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

@@ -21,18 +21,23 @@ DECLARED = [
 ]
 
 
-def run_lines(wall, cells, failed=0, ops=None):
-    """One run; `ops` maps an op name to its times in that run."""
+def run_lines(wall, cells, failed=0, ops=None, raw_passes=None):
+    """One run; `ops` maps an op name to its times in that run, and the raw
+    pass times default to the scaled wall time."""
     result = {
         "metrics": {"wall_s": {"value": wall}, "cells_per_s": {"value": cells}},
         "failed": failed,
     }
-    details = {"ops": [{"name": name, "times": times} for name, times in (ops or {}).items()]}
+    details = {
+        "ops": [{"name": name, "times": times} for name, times in (ops or {}).items()],
+        "raw_passes": [wall] if raw_passes is None else raw_passes,
+    }
     return [json.dumps({"details": details}), json.dumps(result)]
 
 
 def pairs(parent, change):
-    """Pairs from (wall, cells[, failed[, ops]]) tuples, one per side and seed."""
+    """Pairs from (wall, cells[, failed[, ops[, raw_passes]]]) tuples, one
+    per side and seed."""
     return [
         {"seed": seed, "first": "parent", "parent": run_lines(*p), "change": run_lines(*c)}
         for seed, (p, c) in enumerate(zip(parent, change))
@@ -95,6 +100,28 @@ def test_per_op_medians_and_ratio():
     assert summary["ops"]["a"] == {"parent": 3.0, "change": 1.5, "ratio": 0.5}
     # an op that never finished on one side has no median and no ratio
     assert summary["ops"]["b"] == {"parent": 2.0, "change": None, "ratio": None}
+
+
+def test_raw_pass_times_are_compared_next_to_the_scaled_ones():
+    # The change's scaled wall time halves while its raw passes do not move:
+    # the calibration kernel slowed down, not the program.
+    summary = bench_pairs.summarize(
+        pairs(
+            [(1.0, 1.0, 0, {}, [2.0, 2.1, 1.9]), (1.0, 1.0, 0, {}, [3.0, 1.0, 2.0]),
+             (1.0, 1.0, 0, {}, [2.5])],
+            [(0.5, 1.0, 0, {}, [2.2, 1.8, 2.0]), (0.5, 1.0, 0, {}, [2.4]),
+             (0.5, 1.0, 0, {}, [2.6, 2.6])],
+        ),
+        DECLARED,
+    )
+    assert summary["wall_s"]["median_ratio"] == 0.5
+    raw = summary["raw_wall_s"]
+    assert (raw["unit"], raw["better"]) == ("s", "lower")
+    # each run's median raw pass: 2.0, 2.0, 2.5 against 2.0, 2.4, 2.6
+    assert raw["parent"] == {"median": 2.0, "q1": 2.0, "q3": 2.25}
+    assert raw["change"] == {"median": 2.4, "q1": 2.2, "q3": 2.5}
+    assert raw["median_ratio"] == pytest.approx(1.2)
+    assert raw["change_better_pairs"] == "0/3"
 
 
 def test_source_lines_counts_python_files_under_src_runslab(tmp_path):

@@ -136,19 +136,22 @@ def test_alternating_then_filling():
 
 
 def test_loop_and_vectorized_kernels_identical():
+    # int32 paths, fresh or in a sweep's workspace, against the int64 loop
     rng = np.random.default_rng(2024)
     for n in (1, 2, 3, 17, 127, 128, 129, 400):
         for cyclic in (False, True):
             if cyclic and n < 2:
                 continue
+            model = "runs-cyclic" if cyclic else "runs-linear"
             for rows in (1, 2, 7):
                 orders, flat = random_block(rng, rows, n)
-                block = _runs_values(flat, cyclic)
-                assert block.shape == (rows, n + 1)
-                for order, values in zip(orders, block):
-                    np.testing.assert_array_equal(
-                        runs_values_loop(order.tolist(), cyclic), values
-                    )
+                ws = evolve._workspace(SimConfig(model=model, n=n, reps=rows, base_seed=0), rows)
+                for block in (_runs_values(flat, cyclic), _runs_values(flat, cyclic, ws)):
+                    assert block.shape == (rows, n + 1) and block.dtype == np.int32
+                    for order, values in zip(orders, block):
+                        np.testing.assert_array_equal(
+                            runs_values_loop(order.tolist(), cyclic), values
+                        )
 
 
 def test_order_must_be_permutation():
@@ -656,6 +659,64 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
         expected = MomentAccumulator()
         expected.add_batch(np.asarray(field, dtype=np.float64))
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
+
+
+@pytest.mark.parametrize("model", ["runs-linear", "runs-cyclic", "pattern"])
+def test_sweep_rows_from_the_workspace_equal_fresh_allocations(monkeypatch, model):
+    # Blocks of 3 rows at n = 52 over 2 chunks of 20 reps: each chunk ends
+    # on a 2-row block, which runs in the leading rows of the workspace.
+    monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 3 * 52)
+    config = SimConfig(
+        model=model, n=52, reps=40, base_seed=8, grid=(0.25, 0.5),
+        pattern=run_length_pattern(1) if model == "pattern" else None,
+    )
+    made = []
+    workspace = evolve._workspace
+    monkeypatch.setattr(evolve, "_workspace", lambda *a: made.append(a[1]) or workspace(*a))
+    reused = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
+    assert made == [3, 3]  # once a chunk, for its first block
+    monkeypatch.setattr(evolve, "_workspace", lambda *a: None)
+    fresh = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
+    for got, want in zip(reused, fresh):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize("model", ["runs-linear", "runs-cyclic", "pattern"])
+def test_block_paths_live_in_the_workspace(model):
+    # A short block and a full one: no block allocates its own paths.
+    n = 40
+    config = SimConfig(
+        model=model, n=n, reps=9, base_seed=2,
+        pattern=run_length_pattern(1) if model == "pattern" else None,
+    )
+    ws = evolve._workspace(config, 5)
+    table = config.pattern.table_float() if config.pattern is not None else None
+    for lo, rows in ((0, 5), (5, 4)):
+        keys = mix_keys(config.base_seed, lo, rows)
+        paths = evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)[0]
+        assert paths.shape == (rows, n + 1)
+        assert paths.base is not None and np.shares_memory(paths, ws["paths"])
+    assert evolve._workspace(replace(config, model="runs-time", pattern=None), 5) is None
+
+
+def test_trajectory_value_dtypes():
+    # The public paths keep their dtypes: the runs kernel's int32 paths are
+    # widened for the single-trajectory API.
+    pattern = run_length_pattern(1)
+    grid = (3, 10)
+    for traj, dtype in (
+        (simulate_runs(20, 1, grid=grid, keep_values=True), np.int64),
+        (simulate_runs(20, 1, cyclic=True, grid=grid, keep_values=True), np.int64),
+        (runs_from_order(range(20), grid=grid, keep_values=True), np.int64),
+        (simulate_pattern(pattern, 20, 1, grid=grid, keep_values=True), np.float64),
+        (simulate_runs_randomized_time(20, 1, keep_values=True), np.int64),
+        (simulate_priority_queue(20, 1, grid=(0.5,), keep_values=True), np.int64),
+        (simulate_lazy_hash(20, 1, grid=(0.5,), keep_values=True), np.int64),
+    ):
+        assert traj.values.dtype == dtype and traj.samples.dtype == dtype
 
 
 def test_pattern_table_built_once_per_chunk(monkeypatch):

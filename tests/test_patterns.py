@@ -29,8 +29,8 @@ from runslab.patterns import (
     summarize,
     window_lag_covariance,
 )
-from runslab.polys import Polynomial, _cleared
-from runslab.verify import _random_pattern
+from runslab.polys import Polynomial, _cleared, real_roots_in_interval
+from runslab.verify import VerifyContext, _random_pattern
 
 from conftest import constant_pattern, format_pattern_text, save_pattern
 
@@ -323,6 +323,118 @@ def test_inadmissible_window_is_rejected_before_decomposition(monkeypatch, case)
     with pytest.raises(NoInteriorPeakError) as info:
         summarize(build())
     assert str(info.value) == message
+
+
+def peak_point_oracle(g):
+    """The peak search that refined every critical point to 1e-24 before it
+    tested any: `_peak_point` must return, or raise, exactly what it did."""
+    d1 = g.derivative()
+    if d1.is_zero():
+        raise NoInteriorPeakError("mean rate is constant; no interior peak")
+    roots = real_roots_in_interval(d1, 0, 1, width=patterns._ROOT_WIDTH)
+    if not roots:
+        raise NoInteriorPeakError("mean rate has no interior critical point")
+    points = [(a + b) / 2 for a, b in roots]
+    vals = [g(pt) for pt in points]
+    best = max(range(len(points)), key=vals.__getitem__)
+    for i, v in enumerate(vals):
+        if i != best and v > vals[best] - patterns._PEAK_MARGIN:
+            raise NoInteriorPeakError(
+                "mean rate has multiple near-maximal critical values; peak not unique"
+            )
+    if vals[best] <= max(g(Fraction(0)), g(Fraction(1))) + patterns._TINY:
+        raise NoInteriorPeakError("mean rate is maximized at the boundary, not inside (0, 1)")
+    curv = d1.derivative()(points[best])
+    if curv >= -patterns._TINY:
+        raise NoInteriorPeakError("degenerate curvature at the mean-rate peak")
+    return points[best], curv
+
+
+def peak_outcome(search, g):
+    """(point, curvature), or the message of the NoInteriorPeakError raised."""
+    try:
+        return search(g)
+    except NoInteriorPeakError as exc:
+        return str(exc)
+
+
+def counting_coarse_verdicts(monkeypatch):
+    """Wrap `_coarse_peak`; the list records each call's outcome."""
+    seen = []
+    coarse_peak = patterns._coarse_peak
+
+    def counted(g, brackets):
+        try:
+            best = coarse_peak(g, brackets)
+        except NoInteriorPeakError:
+            seen.append("raised")
+            raise
+        seen.append("undecided" if best is None else "decided")
+        return best
+
+    monkeypatch.setattr(patterns, "_coarse_peak", counted)
+    return seen
+
+
+@pytest.mark.parametrize("coarse", [patterns._COARSE_WIDTH, Fraction(1, 4)])
+def test_peak_point_matches_oracle_on_verify_windows(monkeypatch, coarse):
+    # verify --scale quick's seeded windows: 446 draws give its 100
+    # admissible ones.  Quarter-width brackets leave many tests undecided,
+    # so the fallback to 1e-24 brackets runs too.
+    default = coarse == patterns._COARSE_WIDTH
+    monkeypatch.setattr(patterns, "_COARSE_WIDTH", coarse)
+    seen = counting_coarse_verdicts(monkeypatch)
+    rng = np.random.default_rng(VerifyContext(base_seed=0).seed("random-windows"))
+    for _ in range(446):
+        g = mean_rate(_random_pattern(rng))
+        assert peak_outcome(patterns._peak_point, g) == peak_outcome(peak_point_oracle, g)
+    if default:
+        # every window with a critical point is decided on coarse brackets,
+        # 108 of them rejected there without refining a point
+        assert (seen.count("decided"), seen.count("raised"), seen.count("undecided")) == (100, 108, 0)
+    else:
+        assert seen.count("undecided") > 20
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda ell: st.lists(window_values, min_size=1 << ell, max_size=1 << ell)
+    ),
+    st.sampled_from([Fraction(1, 2**16), Fraction(1, 2**6), Fraction(1, 2)]),
+)
+def test_peak_point_matches_oracle_on_random_windows(values, coarse):
+    g = mean_rate(PatternFunctional(len(values).bit_length() - 1, tuple(values)))
+    old = patterns._COARSE_WIDTH
+    patterns._COARSE_WIDTH = coarse
+    try:
+        got = peak_outcome(patterns._peak_point, g)
+    finally:
+        patterns._COARSE_WIDTH = old
+    assert got == peak_outcome(peak_point_oracle, g)
+
+
+def test_boundary_rejection_refines_no_point(monkeypatch):
+    widths = []
+    bisect = patterns._bisect
+    monkeypatch.setattr(patterns, "_bisect", lambda ints, a, b, w: widths.append(w) or bisect(ints, a, b, w))
+    with pytest.raises(NoInteriorPeakError, match="boundary"):
+        patterns._peak_point(mean_rate(PatternFunctional(2, (1, 1, 0, 1))))
+    assert widths and patterns._ROOT_WIDTH not in widths
+
+
+def test_window_lag_covariance_calls_each_lag_once_on_the_diagonal(monkeypatch):
+    calls = []
+    pair = patterns._pair_expectation
+    monkeypatch.setattr(patterns, "_pair_expectation", lambda *a: calls.append(a[2:]) or pair(*a))
+    pattern = run_length_pattern(2)  # 4 cells
+    s, t = Fraction(1, 3), Fraction(2, 5)
+    diagonal = window_lag_covariance(pattern, s, s)
+    assert [c[0] for c in calls] == [0, 1, 2, 3]
+    assert diagonal == window_lag_covariance_oracle(pattern, s, s)
+    calls.clear()
+    window_lag_covariance(pattern, s, t)
+    assert len(calls) == 7  # lags -3..3: the fills swap sides with the sign
 
 
 def test_mean_rate_is_the_decomposition_mean_rate():

@@ -9,11 +9,11 @@ other, where S is ``run_seconds`` of the change's BENCHMARK.json; the
 parent goes first on even pairs and the change on odd ones, so that drift
 of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
-and, per end-to-end metric, each side's median and quartiles, the median
-ratio change/parent, and the pairs in which the change was better; per op,
-each side's median time and their ratio; and each side's line count under
-src/runslab/, so that a change's line delta comes from the same record as
-its timings.
+and, per end-to-end metric and for the raw (unscaled) pass time, each
+side's median and quartiles, the median ratio change/parent, and the pairs
+in which the change was better; per op, each side's median time and their
+ratio; and each side's line count under src/runslab/, so that a change's
+line delta comes from the same record as its timings.
 """
 
 from __future__ import annotations
@@ -64,8 +64,28 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def compare(sides, unit, better):
+    """Both sides' quartiles and the paired comparison of one metric."""
+    lower = better == "lower"
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
+    return {
+        "unit": unit,
+        "better": better,
+        "parent": quartiles(sides["parent"]),
+        "change": quartiles(sides["change"]),
+        "median_ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
+        "change_better_pairs": f"{wins}/{len(sides['parent'])}",
+    }
+
+
 def summarize(pairs, declared):
-    """Per end-to-end metric: both sides' quartiles and the paired comparison."""
+    """Per end-to-end metric: both sides' quartiles and the paired comparison.
+
+    `raw_wall_s` compares each run's median raw pass time (``raw_passes``),
+    unscaled: a scaled time divides by a calibration kernel that runs in the
+    same worker heap as the program, so a change to how the program uses
+    the allocator can move the kernel, and the scaled times with it.
+    """
     summary = {}
     for metric in declared:
         name = metric["name"]
@@ -73,16 +93,12 @@ def summarize(pairs, declared):
             side: [json.loads(p[side][1])["metrics"][name]["value"] for p in pairs]
             for side in ("parent", "change")
         }
-        lower = metric["better"] == "lower"
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
-        summary[name] = {
-            "unit": metric["unit"],
-            "better": metric["better"],
-            "parent": quartiles(sides["parent"]),
-            "change": quartiles(sides["change"]),
-            "median_ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
-            "change_better_pairs": f"{wins}/{len(pairs)}",
-        }
+        summary[name] = compare(sides, metric["unit"], metric["better"])
+    raw = {
+        side: [statistics.median(json.loads(p[side][0])["details"]["raw_passes"]) for p in pairs]
+        for side in ("parent", "change")
+    }
+    summary["raw_wall_s"] = compare(raw, "s", "lower")
     for side in ("parent", "change"):
         summary[f"failed_ops_{side}"] = sum(json.loads(p[side][1])["failed"] for p in pairs)
     summary["ops"] = op_medians(pairs)
@@ -130,8 +146,9 @@ def main(argv=None) -> int:
             pair[side] = run_once(checkouts[side], args.workload, seed, seconds)
         pairs.append(pair)
         walls = {s: json.loads(pair[s][1])["metrics"]["wall_s"]["value"] for s in order}
-        print(f"seed {seed}: wall_s parent {walls['parent']:.4g} s, change {walls['change']:.4g} s",
-              file=sys.stderr)
+        raws = {s: statistics.median(json.loads(pair[s][0])["details"]["raw_passes"]) for s in order}
+        print(f"seed {seed}: wall_s parent {walls['parent']:.4g} s, change {walls['change']:.4g} s;"
+              f" raw {raws['parent']:.4g} s, {raws['change']:.4g} s", file=sys.stderr)
     record = {
         "workload": args.workload,
         "command": (f"python3 perfbench/run.py --workload {args.workload}"
