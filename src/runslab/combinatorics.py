@@ -3,9 +3,9 @@
 A row of n cells is filled one cell at a time in uniformly random order; after
 m insertions the configuration is a uniformly random m-subset of cells.  This
 module gives exact (rational) answers about the number of runs of occupied
-cells at a fixed step m, about the running maximum over the whole fill, and
-about exact moments of window-pattern statistics -- by closed form where one
-exists, and by exhaustive enumeration as an independent baseline.
+cells at a fixed step m and about the running maximum over the whole fill --
+by closed form where one exists, and by exhaustive enumeration as an
+independent baseline.
 
 All probabilities and moments are `fractions.Fraction`; nothing here samples.
 """
@@ -27,7 +27,6 @@ __all__ = [
     "MAX_SUBSET_CELLS",
     "MAX_SUBSET_DP_CELLS",
     "RunCountPmf",
-    "ExactMoments",
     "run_count_pmf",
     "run_count_pmf_enumerated",
     "mean_runs_discrete",
@@ -38,7 +37,6 @@ __all__ = [
     "brute_force_max_pmf",
     "max_pmf_subset_dp",
     "max_pmf_gap_dp",
-    "brute_force_pattern_moments",
 ]
 
 # Hard enumeration budgets.  Order-by-order enumeration walks n! insertion
@@ -58,14 +56,6 @@ assert math.factorial(MAX_DP_CELLS) < 2**63
 
 # brute_force_max_pmf walks the orders in blocks of this many trailing cells.
 _ORDER_BLOCK_TAIL = 8
-
-
-@dataclass(frozen=True)
-class ExactMoments:
-    """Exact first and second central moments of a discrete statistic."""
-
-    mean: Fraction
-    variance: Fraction
 
 
 @dataclass(frozen=True)
@@ -382,38 +372,3 @@ def max_pmf_gap_dp(n: int) -> Dict[int, Fraction]:
     assert hist.sum() == total
     return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}
 
-
-def brute_force_pattern_moments(pattern, n: int, m: int, cyclic: bool = True) -> ExactMoments:
-    """Exact mean and variance of a window-pattern sum over all m-subsets.
-
-    `pattern` is a `PatternFunctional`; its value is summed over every length
-    window of the configuration (wrapping around in cyclic mode, dropping
-    windows that stick out past the boundary otherwise).  Exhaustive over
-    C(n, m) subsets, subject to the subset enumeration budget.
-    """
-    _check_nm(n, m)
-    if n > MAX_SUBSET_CELLS:
-        raise ValueError(f"subset enumeration capped at n <= {MAX_SUBSET_CELLS}, got {n}")
-    ell = pattern.length
-    if n < ell:
-        raise ValueError(f"need n >= window length {ell}, got {n}")
-    values = pattern.values
-    starts = range(n) if cyclic else range(n - ell + 1)
-
-    total = Fraction(0)
-    total_sq = Fraction(0)
-    ncfg = comb(n, m)
-    for chosen in itertools.combinations(range(n), m):
-        row = [0] * n
-        for j in chosen:
-            row[j] = 1
-        x = Fraction(0)
-        for k in starts:
-            w = 0
-            for i in range(ell):
-                w = (w << 1) | row[(k + i) % n]
-            x += values[w]
-        total += x
-        total_sq += x * x
-    mean = total / ncfg
-    return ExactMoments(mean, total_sq / ncfg - mean * mean)

@@ -30,14 +30,12 @@ grid samples off the block of paths.  Blocks hold at most
 cost over hundreds of repetitions while large-n sweeps keep one
 repetition, and one path, in memory at a time.
 
-The step-indexed kernels (runs and pattern) of a sweep chunk write into one
-workspace (``_workspace``): the orders, fill steps, increments, gathered
-increments and paths of a block, carved from one allocation made for the
-chunk's first block and reused by the rest, so no later block allocates a
-block-sized array or faults in fresh pages.  Runs paths are int32 while n
-fits, since no run count exceeds ceil(n/2); the single-trajectory API
-allocates fresh arrays for the same kernel and widens its runs paths to
-int64.
+Every kernel writes its block-sized arrays into one workspace
+(``_workspace``) made for a sweep chunk's first block, so later blocks
+allocate none and, below the size `_workspace` states, fault in no pages.
+A single trajectory runs the same kernel in a one-row workspace and copies
+what it keeps.  Runs paths are int32 while n fits, since no run count
+exceeds ceil(n/2); a `Trajectory` widens them to int64.
 
 The time-ordered models (runs-time and the queues) sweep each row in
 ascending time, ties broken by index, which is the order a stable argsort
@@ -54,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -150,21 +149,16 @@ def _check_order(order: Sequence[int]) -> np.ndarray:
 # would cost ~24 ms more per rep at n = 10^6).  For one row it is just the
 # order.
 #
-# A sweep chunk hands the step-indexed kernels a workspace (`_workspace`):
-# named byte regions, made once a chunk and sized for its first block, which
-# has the most rows.  A kernel takes each block-sized array as a view of the
-# leading bytes of a region, so a shorter last block fits, and two arrays
-# whose lives do not overlap can share one region.  Without a workspace (the
-# single-trajectory API) every array is fresh, and the kernel is the same.
+# Every kernel takes a workspace (`_workspace`): named byte regions, made
+# once a sweep chunk (or trajectory, whose config also checks n) and sized
+# for its first block, which has the most rows.  A kernel takes each
+# block-sized array as a view of the leading bytes of a region, so a shorter
+# last block fits, and arrays whose lives do not overlap can share a region.
 
 
-def _scratch(ws: Optional[dict], region: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialized block-sized array: fresh without a workspace, else a
-    view of the leading bytes of the workspace's `region`."""
-    if ws is None:
-        return np.empty(shape, dtype)
-    size = math.prod(shape) * np.dtype(dtype).itemsize
-    return ws[region][:size].view(dtype).reshape(shape)
+def _scratch(ws: dict, region: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized view of the leading bytes of the workspace's `region`."""
+    return np.ndarray(shape, dtype, buffer=ws[region])
 
 
 def _index_dtype(n: int):
@@ -173,17 +167,9 @@ def _index_dtype(n: int):
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
-def _ramp(ws: Optional[dict], rows: int, n: int) -> np.ndarray:
-    """A (rows, n) block whose every row is 0..n-1, in `_index_dtype(n)`;
-    a read-only broadcast without a workspace."""
-    if ws is None:
-        return np.broadcast_to(np.arange(n, dtype=_index_dtype(n)), (rows, n))
-    return _scratch(ws, "ramp", (rows, n), _index_dtype(n))
-
-
-def _filled_at(orders: np.ndarray, ws: Optional[dict] = None) -> np.ndarray:
+def _filled_at(orders: np.ndarray, ws: dict) -> np.ndarray:
     """The step at which each cell of the block fills."""
-    ramp = _ramp(ws, *orders.shape)
+    ramp = _scratch(ws, "ramp", orders.shape, _index_dtype(orders.shape[1]))
     # dead before the paths are written, so it shares their region
     filled_at = _scratch(ws, "paths", orders.shape, ramp.dtype)
     # Scatter through 1-d views: numpy's 1-d fancy assignment is ~40%
@@ -192,21 +178,26 @@ def _filled_at(orders: np.ndarray, ws: Optional[dict] = None) -> np.ndarray:
     return filled_at
 
 
-def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype, ws: Optional[dict] = None) -> np.ndarray:
+def _paths(steps: np.ndarray, dtype, ws: dict) -> np.ndarray:
+    """Per row, the path from 0 that adds its steps in turn, in `dtype`."""
+    rows, m = steps.shape
+    values = _scratch(ws, "paths", (rows, m + 1), dtype)
+    values[:, 0] = 0
+    # Widen into the paths, then sum them in place: a cumsum that casts
+    # (int8 steps to int32 paths) first copies its whole input.
+    np.copyto(values[:, 1:], steps)
+    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
+    return values
+
+
+def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype, ws: dict) -> np.ndarray:
     """Paths from 0 along each row's order: value after m steps is the sum
     of the increments of the first m cells filled."""
-    rows, n = delta.shape
     gathered = _scratch(ws, "gathered", delta.shape, delta.dtype)
     # mode="clip" writes straight into `gathered`; the default mode buffers
     # through a fresh array.  Every index is in range, so nothing is clipped.
     np.take(delta.reshape(-1), orders, out=gathered, mode="clip")
-    values = _scratch(ws, "paths", (rows, n + 1), dtype)
-    values[:, 0] = 0
-    # Widen into the paths, then sum them in place: a cumsum that casts
-    # (int8 steps to int32 paths) first copies its whole input.
-    np.copyto(values[:, 1:], gathered)
-    np.cumsum(values[:, 1:], axis=1, out=values[:, 1:])
-    return values
+    return _paths(gathered, dtype, ws)
 
 
 def _first_max(values: np.ndarray):
@@ -218,7 +209,7 @@ def _first_max(values: np.ndarray):
 def _step_summary(values: np.ndarray, step_idx: Optional[np.ndarray]):
     """A step-indexed block of paths and, per row: max, first argmax, value
     at step ceil(n/2), and the values at the grid steps (None without a
-    grid).  The per-row parts are copies, so the paths can be freed."""
+    grid).  The per-row parts are copies: the next block reuses the paths."""
     n = values.shape[1] - 1
     maxv, argmax = _first_max(values)
     samples = values[:, step_idx] if step_idx is not None else None
@@ -233,7 +224,7 @@ _CODE_MASK = np.uint64(3)
 _TIME_BITS_LIMIT = np.float64(2.0).view(np.uint64)  # 2^62
 
 
-def _time_path(times: np.ndarray, steps: np.ndarray):
+def _time_path(times: np.ndarray, steps: np.ndarray, ws: dict):
     """Per row of `times`: the times in the order `argsort(kind="stable")`
     gives, and the path from 0 that adds steps[k] (-1, 0 or 1, broadcast to
     the shape of `times`) as time k passes.
@@ -244,28 +235,28 @@ def _time_path(times: np.ndarray, steps: np.ndarray):
     tie, a NaN, a set sign bit (-0.0 too), an infinity or a time >= 2 are
     sorted again with a stable argsort.
     """
-    rows, m = times.shape
     bits = times.view(np.uint64)
-    # In place where it can be: a fresh block-sized array costs page faults.
-    codes = np.empty(times.shape, dtype=np.uint8)
+    codes = _scratch(ws, "codes", times.shape, np.uint8)
     np.add(steps, 1, out=codes, casting="unsafe")
-    keys = bits << _CODE_BITS
+    keys = _scratch(ws, "keys", times.shape, np.uint64)
+    np.left_shift(bits, _CODE_BITS, out=keys)
     keys |= codes
     keys.sort(axis=1)
     np.bitwise_and(keys, _CODE_MASK, out=codes, casting="unsafe")
     keys >>= _CODE_BITS
+    ranked_steps = codes.view(np.int8)
+    ranked_steps -= 1  # each code was its step + 1
     ranked = keys.view(np.float64)
-    redo = (bits >= _TIME_BITS_LIMIT).any(axis=1) | ~(ranked[:, 1:] > ranked[:, :-1]).all(axis=1)
+    # dead before the path is written, so it shares its region
+    rising = _scratch(ws, "paths", times[:, 1:].shape, np.bool_)
+    np.greater(ranked[:, 1:], ranked[:, :-1], out=rising)
+    redo = (bits.max(axis=1) >= _TIME_BITS_LIMIT) | ~rising.all(axis=1)
     if redo.any():
         order = np.argsort(times[redo], axis=1, kind="stable")
         ranked[redo] = np.take_along_axis(times[redo], order, axis=1)
         redo_steps = np.broadcast_to(steps, times.shape)[redo]
-        codes[redo] = np.take_along_axis(redo_steps, order, axis=1) + 1
-    path = np.empty((rows, m + 1), dtype=np.int64)
-    path[:, 0] = 0
-    np.cumsum(codes, axis=1, dtype=np.int64, out=path[:, 1:])
-    path[:, 1:] -= np.arange(1, m + 1)  # each code is its step + 1
-    return ranked, path
+        ranked_steps[redo] = np.take_along_axis(redo_steps, order, axis=1)
+    return ranked, _paths(ranked_steps, np.int64, ws)
 
 
 def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
@@ -288,9 +279,11 @@ def _trajectory(
     """Row 0 of a kernel summary (paths, max, argmax, mid value, samples).
 
     ``.item()`` gives Python ints for the integer paths and floats for the
-    float ones (pattern values, runs-time arrival times).
+    float ones (pattern values, runs-time arrival times).  The path and
+    samples are copies off the workspace; int32 ones are widened to int64.
     """
     values, maxv, argmax, mid, samples = summary
+    dtype = np.promote_types(values.dtype, np.int64)
     return Trajectory(
         model=model,
         n=n,
@@ -298,35 +291,33 @@ def _trajectory(
         argmax=argmax[0].item(),
         mid_value=mid[0].item(),
         grid=tuple(grid) if grid is not None else None,
-        samples=samples[0] if samples is not None else None,
-        values=values[0] if keep_values else None,
+        samples=samples[0].astype(dtype) if samples is not None else None,
+        values=values[0].astype(dtype) if keep_values else None,
     )
 
 
 # -- runs kernel -------------------------------------------------------------
 
 
-def _runs_steps(e: np.ndarray, cyclic: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _runs_steps(e: np.ndarray, cyclic: bool, out: np.ndarray) -> np.ndarray:
     """Each cell's run-count increment, from the int8 block e[k] = [cell k
     fills before cell k+1] (k+1 mod n when cyclic; k < n-1 when linear),
-    into `out` when given."""
+    into the int8 block `out`."""
     # Filling cell k adds 1 - [left neighbor present] - [right neighbor
     # present].  The left neighbor is present iff e[k-1] and the right one
     # iff not e[k], so the increment is e[k] - e[k-1] (cyclic: indices mod
     # n); a linear row's last cell has no right neighbor and gets 1 - e[n-2].
-    rows, cols = e.shape
-    delta = np.empty((rows, cols if cyclic else cols + 1), dtype=np.int8) if out is None else out
     if cyclic:
-        np.subtract(e[:, 1:], e[:, :-1], out=delta[:, 1:])
-        np.subtract(e[:, :1], e[:, -1:], out=delta[:, :1])
-        return delta
-    delta[:, :-1] = e
-    delta[:, -1] = 1
-    delta[:, 1:] -= e
-    return delta
+        np.subtract(e[:, 1:], e[:, :-1], out=out[:, 1:])
+        np.subtract(e[:, :1], e[:, -1:], out=out[:, :1])
+        return out
+    out[:, :-1] = e
+    out[:, -1] = 1
+    out[:, 1:] -= e
+    return out
 
 
-def _runs_values(orders: np.ndarray, cyclic: bool, ws: Optional[dict] = None) -> np.ndarray:
+def _runs_values(orders: np.ndarray, cyclic: bool, ws: dict) -> np.ndarray:
     """Run counts after 0..n insertions, one row per (flat) insertion order.
 
     The paths are int32 while n fits (`_index_dtype`).
@@ -344,7 +335,7 @@ def _runs_values(orders: np.ndarray, cyclic: bool, ws: Optional[dict] = None) ->
     return _accumulate(delta, orders, _index_dtype(n), ws)
 
 
-def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
+def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: dict):
     """Runs with independent arrival times, one row of `times` per rep.
 
     Returns the step-indexed paths (in arrival order) and, per row: max,
@@ -352,9 +343,13 @@ def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
     fill fractions `pts` (None without them).
     """
     # Cell k fills before k+1 in stable time order when its time is earlier
-    # or tied (index order), or when k+1's is a NaN, which sorts last.
-    e = ((times[:, :-1] <= times[:, 1:]) | np.isnan(times[:, 1:])).view(np.int8)
-    sorted_times, values = _time_path(times, _runs_steps(e, cyclic=False))
+    # or tied (index order), or when k+1's is a NaN, which sorts last.  Both
+    # tests are dead before `_time_path` writes the codes and paths regions.
+    ahead = _scratch(ws, "codes", times[:, 1:].shape, np.bool_)
+    np.less_equal(times[:, :-1], times[:, 1:], out=ahead)
+    ahead |= np.isnan(times[:, 1:], out=_scratch(ws, "paths", ahead.shape, np.bool_))
+    steps = _runs_steps(ahead.view(np.int8), False, _scratch(ws, "steps", times.shape, np.int8))
+    sorted_times, values = _time_path(times, steps, ws)
     maxv, argmax_step = _first_max(values)
     rows = np.arange(times.shape[0])
     argmax_t = np.where(argmax_step == 0, 0.0, sorted_times[rows, argmax_step - 1])
@@ -370,12 +365,11 @@ def runs_from_order(
     keeps a single growing run, which pins the increment logic in tests)."""
     order = _check_order(order)
     n = order.size
-    _require_positive(n)
-    _check_cyclic_size(cyclic, n)
-    # the public paths are int64 whatever the kernel's dtype
-    values = _runs_values(order[None, :], cyclic).astype(np.int64)
+    model = "runs-cyclic" if cyclic else "runs-linear"
+    ws = _workspace(SimConfig(model=model, n=n, reps=1, base_seed=0), 1)
+    values = _runs_values(order[None, :], cyclic, ws)
     summary = _step_summary(values, _check_step_grid(grid, n))
-    return _trajectory("runs-cyclic" if cyclic else "runs-linear", n, summary, grid, keep_values)
+    return _trajectory(model, n, summary, grid, keep_values)
 
 
 def simulate_runs(
@@ -398,10 +392,9 @@ def simulate_runs_randomized_time(
     arrival order), so its max equals the step-indexed max; samples are
     taken at fill fractions t by counting arrivals up to t.
     """
-    _require_positive(n)
-    times = stream(seed).random(n)
+    ws = _workspace(SimConfig(model="runs-time", n=n, reps=1, base_seed=0), 1)
     grid_t = DEFAULT_TIME_GRID if grid is None else tuple(float(t) for t in grid)
-    summary = _runs_time_summary(times[None, :], grid_t)
+    summary = _runs_time_summary(stream(seed).random(n)[None, :], grid_t, ws)
     return _trajectory("runs-time", n, summary, grid_t, keep_values)
 
 
@@ -409,19 +402,28 @@ def simulate_runs_randomized_time(
 
 
 def _pattern_values(
-    table: np.ndarray, ell: int, orders: np.ndarray, cyclic: bool, ws: Optional[dict] = None
+    table: np.ndarray, ell: int, orders: np.ndarray, cyclic: bool, ws: dict
 ) -> np.ndarray:
     """Windowed sums after 0..n insertions, one row per (flat) insertion order."""
     rows, n = orders.shape
     filled_at = _filled_at(orders, ws)
+    # earlier[ell - 1 + d] = [cell k+d (mod n) occupied before cell k's own
+    # insertion], once a block for each offset d != 0, then for the wrap.
+    earlier = _scratch(ws, "bits", (2 * ell - 1, rows, n), np.bool_)
+    for d in range(1 - ell, ell):
+        if d:
+            j = d % n
+            np.less(filled_at[:, j:], filled_at[:, :n - j], out=earlier[ell - 1 + d, :, :n - j])
+            np.less(filled_at[:, :j], filled_at[:, n - j:], out=earlier[ell - 1 + d, :, n - j:])
+    # A linear row's window start k-o must stay within 0..n-ell.
+    width = n if cyclic else n - ell + 1
     # The masks are window values, so 8 bits hold them up to 8 cells and 16
     # bits up to MAX_WINDOW_LEN: an eighth or a quarter of int64's traffic.
-    dtype = np.uint8 if ell <= 8 else np.uint16
-    earlier = {}
-    for d in range(-(ell - 1), ell):
-        if d:
-            # cell k+d (mod n) occupied before cell k's own insertion
-            earlier[d] = (np.roll(filled_at, -d, axis=1) < filled_at).astype(dtype)
+    # Each is widened, before the gather overwrites it, into the intp indices
+    # np.take would otherwise copy it to (filled_at's region, now dead).
+    mask = _scratch(ws, "gathered", (rows, width), np.uint8 if ell <= 8 else np.uint16)
+    index = _scratch(ws, "paths", (rows, width), np.intp)
+    gathered = _scratch(ws, "gathered", (rows, width), np.float64)
     windows = np.arange(table.size)
     delta = _scratch(ws, "steps", orders.shape, np.float64)
     delta.fill(0.0)
@@ -430,16 +432,15 @@ def _pattern_values(
         # the jump of every window value when cell o fills: the float
         # subtraction the loop makes per cell, made once per value
         jump = table[windows | inserted_bit] - table[windows]
-        mask = np.zeros((rows, n), dtype=dtype)
+        cells = slice(0, n) if cyclic else slice(o, o + width)
+        mask.fill(0)
         for i in range(ell):
+            mask <<= 1
             if i != o:
-                mask |= earlier[i - o] << dtype(ell - 1 - i)
-        if cyclic:
-            delta += jump[mask]
-        else:
-            # window start k-o must stay within 0..n-ell
-            cells = slice(o, n - ell + o + 1)
-            delta[:, cells] += jump[mask[:, cells]]
+                mask |= earlier[ell - 1 + i - o, :, cells]
+        np.copyto(index, mask)
+        np.take(jump, index, out=gathered, mode="clip")  # as in `_accumulate`
+        delta[:, cells] += gathered
     values = _accumulate(delta, orders, np.float64, ws)
     values += table[0] * (n if cyclic else n - ell + 1)
     return values
@@ -460,7 +461,8 @@ def pattern_from_order(
     order = _check_order(order)
     n = order.size
     _check_pattern_size(pattern, n)
-    values = _pattern_values(pattern.table_float(), pattern.length, order[None, :], cyclic)
+    ws = _workspace(SimConfig(model="pattern", n=n, reps=1, base_seed=0, pattern=pattern), 1)
+    values = _pattern_values(pattern.table_float(), pattern.length, order[None, :], cyclic, ws)
     summary = _step_summary(values, _check_step_grid(grid, n))
     return _trajectory("pattern", n, summary, grid, keep_values)
 
@@ -478,34 +480,36 @@ def simulate_pattern(
 # -- queue kernel ------------------------------------------------------------
 
 
-def _queue_events_minmax(uv: np.ndarray) -> np.ndarray:
-    """Turn a (rows, 2n) block of u | v draws into arrive | depart times, in place."""
-    n = uv.shape[1] // 2
-    u, v = uv[:, :n], uv[:, n:]
-    arrive = np.minimum(u, v)
-    np.maximum(u, v, out=v)
+# The draws make a (rows, 2n) block of u | v draws arrive | depart times in
+# place, via the keys' region (free until `_time_path`), not ufuncs between
+# the block's halves, which copy their input.
+def _queue_events_minmax(uv: np.ndarray, ws: dict) -> np.ndarray:
+    """Arrival is the min of the item's two uniforms, departure the max."""
+    u, v = uv.reshape(len(uv), 2, -1).swapaxes(0, 1)  # each row's halves
+    arrive, depart = _scratch(ws, "keys", (2, *u.shape), np.float64)
+    np.minimum(u, v, out=arrive)
+    np.maximum(u, v, out=depart)
     u[...] = arrive
+    v[...] = depart
     return uv
 
 
-def _queue_events_inverse(uv: np.ndarray) -> np.ndarray:
-    """Turn a (rows, 2n) block of u | v draws into arrive | depart times, in place.
-
-    Arrival is the min of two uniforms drawn by inverse CDF; departure is
+def _queue_events_inverse(uv: np.ndarray, ws: dict) -> np.ndarray:
+    """Arrival is the min of two uniforms drawn by inverse CDF; departure is
     then uniform on (arrival, 1).  Same joint law as the min/max pairing,
     by an independent construction.
     """
-    n = uv.shape[1] // 2
-    arrive, v = uv[:, :n], uv[:, n:]
+    arrive, v = uv.reshape(len(uv), 2, -1).swapaxes(0, 1)  # each row's halves
     np.subtract(1.0, arrive, out=arrive)
     np.sqrt(arrive, out=arrive)
     np.subtract(1.0, arrive, out=arrive)  # 1 - sqrt(1 - u)
-    v *= 1.0 - arrive
-    v += arrive  # arrive + (1 - arrive) * v
+    scratch = _scratch(ws, "keys", v.shape, np.float64)
+    v *= np.subtract(1.0, arrive, out=scratch)
+    v[...] = np.add(arrive, v, out=scratch)  # arrive + (1 - arrive) * v
     return uv
 
 
-def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
+def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: dict):
     """Occupancy paths over the 2n events in time order, one row per rep.
 
     `times` holds each rep's n arrival times, then its n departure times.
@@ -515,7 +519,7 @@ def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
     """
     rows, n = times.shape[0], times.shape[1] // 2
     steps = np.repeat(np.array([1, -1], dtype=np.int8), n)  # arrivals, then departures
-    event_times, values = _time_path(times, steps)
+    event_times, values = _time_path(times, steps, ws)
     maxv, argmax = _first_max(values)
     samples = None
     if pts is not None:
@@ -525,11 +529,13 @@ def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]]):
 
 
 def _queue_trajectory(
-    model: str, times: np.ndarray, grid: Optional[Sequence[float]], keep_values: bool,
+    model: str, draw, n: int, seed: int, grid: Optional[Sequence[float]], keep_values: bool,
 ) -> Trajectory:
+    ws = _workspace(SimConfig(model=model, n=n, reps=1, base_seed=0), 1)
+    # random((2, n)) is u then v, so as one (1, 2n) row it is a sweep block's row
+    times = draw(stream(seed).random((2, n)).reshape(1, -1), ws)
     grid_t = tuple(float(t) for t in grid) if grid is not None else None
-    summary = _queue_summary(times, grid_t)
-    return _trajectory(model, times.shape[1] // 2, summary, grid_t, keep_values)
+    return _trajectory(model, n, _queue_summary(times, grid_t, ws), grid_t, keep_values)
 
 
 def simulate_priority_queue(
@@ -541,10 +547,7 @@ def simulate_priority_queue(
     and leaves at the later.  The 2n events are swept exactly in time order
     (no discretization); the path starts and ends at 0.
     """
-    _require_positive(n)
-    # random((2, n)) is u then v, so as one (1, 2n) row it is a sweep block's row
-    times = _queue_events_minmax(stream(seed).random((2, n)).reshape(1, -1))
-    return _queue_trajectory("priority-queue", times, grid, keep_values)
+    return _queue_trajectory("priority-queue", _queue_events_minmax, n, seed, grid, keep_values)
 
 
 def simulate_lazy_hash(
@@ -556,9 +559,7 @@ def simulate_lazy_hash(
     arrival, conditional draw of the departure) so the distributional
     equivalence stays a testable claim rather than shared code.
     """
-    _require_positive(n)
-    times = _queue_events_inverse(stream(seed).random((2, n)).reshape(1, -1))
-    return _queue_trajectory("lazy-hash", times, grid, keep_values)
+    return _queue_trajectory("lazy-hash", _queue_events_inverse, n, seed, grid, keep_values)
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -658,10 +659,10 @@ def _shuffle_draw_blocks(n: int) -> int:
     return max(1, math.ceil((mean + 3 * math.sqrt(var)) / 8))
 
 
-def _batch_orders(keys: np.ndarray, n: int, blocks: int, out: Optional[np.ndarray] = None):
+def _batch_orders(keys: np.ndarray, n: int, blocks: int, out: np.ndarray):
     """Insertion orders for a block, row r keyed keys[r], from the first
-    `blocks` Philox blocks of each row's stream (into `out` when given); and
-    which rows they cover.
+    `blocks` Philox blocks of each row's stream (into `out`); and which rows
+    they cover.
 
     Numpy's shuffle of an n-cell array swaps cell i with cell j for i = n-1
     down to 1, j drawn by `random_interval(i)`: uint32 draws u (the low,
@@ -702,9 +703,8 @@ def _batch_orders(keys: np.ndarray, n: int, blocks: int, out: Optional[np.ndarra
         moved = flat[j]
         flat[j] = perm[i]
         perm[i] = moved
-    orders = np.empty((rows, n), dtype=np.int64) if out is None else out
-    np.add(perm.T, (cols * n)[:, None], out=orders)
-    return orders, covered
+    np.add(perm.T, (cols * n)[:, None], out=out)
+    return out, covered
 
 
 def _shuffle_rows(pool: StreamPool, orders: np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -714,9 +714,7 @@ def _shuffle_rows(pool: StreamPool, orders: np.ndarray, keys: np.ndarray) -> np.
     return orders
 
 
-def _draw_orders(
-    pool: StreamPool, keys: np.ndarray, n: int, ws: Optional[dict] = None
-) -> np.ndarray:
+def _draw_orders(pool: StreamPool, keys: np.ndarray, n: int, ws: dict) -> np.ndarray:
     """Flat insertion orders; row r is r*n + the order the rep keyed keys[r]
     draws by `permutation(n)`, which is a shuffle of arange (the shuffle's
     draws do not depend on the values it moves).  Rows the batch pass does
@@ -725,7 +723,8 @@ def _draw_orders(
     orders = _scratch(ws, "orders", (rows, n), np.int64)
     if n > _BATCH_ORDER_MAX_N or rows < _BATCH_ORDER_MIN_ROWS:
         # the flat arange, from the row ramp: no n-sized temporary
-        np.add(_ramp(ws, rows, n), np.arange(0, rows * n, n)[:, None], out=orders)
+        ramp = _scratch(ws, "ramp", (rows, n), _index_dtype(n))
+        np.add(ramp, np.arange(0, rows * n, n)[:, None], out=orders)
         return _shuffle_rows(pool, orders, keys)
     _, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n), orders)
     redo = np.flatnonzero(~covered)
@@ -733,55 +732,56 @@ def _draw_orders(
     return orders
 
 
-def _draw_uniforms(pool: StreamPool, keys: np.ndarray, n: int) -> np.ndarray:
+def _draw_uniforms(pool: StreamPool, keys: np.ndarray, n: int, ws: dict) -> np.ndarray:
     """Row r: `random(n)` on the stream keyed keys[r]."""
-    times = np.empty((keys.size, n), dtype=np.float64)
+    times = _scratch(ws, "times", (keys.size, n), np.float64)
     for row, key in zip(times, keys.tolist()):
         pool.rekey(key).random(out=row)
     return times
 
 
-def _workspace(config: SimConfig, rows: int) -> Optional[dict]:
-    """Byte regions for `rows` rows of the model's step-indexed kernel, by
-    name, with the ramp filled in; None for the time-ordered models, which
-    take no workspace.  The fill steps share the paths' region, and the
-    runs kernel's comparison bits the gathered increments'.
+def _workspace(config: SimConfig, rows: int) -> dict:
+    """Byte regions for `rows` rows of the model's kernel, by name, with the
+    ramp filled in.  Each kernel says which of its arrays share a region.
 
     The regions are carved from one allocation.  When glibc frees a mapped
     block it raises its mmap threshold to that size and its trim threshold
     to twice that, so after a chunk or two the workspace comes from the heap
-    and, freed, stays there for the next chunk's: a 20-rep runs sweep at
-    n = 10^6 took about 10 minor faults, against 25k with one allocation
-    per array (whose largest, 8 MB, set a trim threshold below the 18 MB of
-    all of them).
+    and stays there for the next chunk's (with one allocation per array, the
+    largest set a trim threshold below their sum).  The threshold is capped
+    at 32 MB, so runs sweeps above n = 1.8e6 (18 bytes a cell) and
+    run-length-1 pattern sweeps above n = 8.2e5 (41 bytes) map it afresh
+    each chunk: a warmed 8-rep runs sweep took 412 minor faults at n = 2e6,
+    against none at 10^6.
     """
-    n = config.n
+    n, model = config.n, config.model
     index = np.dtype(_index_dtype(n)).itemsize
-    if config.model == "pattern":
-        step, path = 8, 8  # float64
-    elif config.model in ("runs-linear", "runs-cyclic"):
-        step, path = 1, index  # int8 increments, paths in `_index_dtype(n)`
-    else:
-        return None
-    sizes = {"orders": 8 * n, "ramp": index * n, "paths": path * (n + 1), "steps": step * n,
-             "gathered": step * n}
+    if model in ("runs-time", "priority-queue", "lazy-hash"):
+        m = n if model == "runs-time" else 2 * n  # times in a row
+        sizes = {"times": 8 * m, "keys": 8 * m, "codes": m, "steps": m, "paths": 8 * (m + 1)}
+    elif model == "pattern":  # float64 increments and paths
+        sizes = {"orders": 8 * n, "ramp": index * n, "paths": 8 * (n + 1), "steps": 8 * n,
+                 "gathered": 8 * n, "bits": (2 * config.pattern.length - 1) * n}
+    else:  # int8 increments, paths in `_index_dtype(n)`
+        sizes = {"orders": 8 * n, "ramp": index * n, "paths": index * (n + 1), "steps": n,
+                 "gathered": n}
     # each region starts on a 64-byte boundary, so every view is aligned
-    starts = np.cumsum([0] + [-(-rows * size // 64) * 64 for size in sizes.values()]).tolist()
+    starts = list(accumulate((-(-rows * size // 64) * 64 for size in sizes.values()), initial=0))
     arena = np.empty(starts[-1], dtype=np.uint8)
     ws = {name: arena[at:end] for name, at, end in zip(sizes, starts, starts[1:])}
-    _scratch(ws, "ramp", (rows, n), _index_dtype(n))[...] = np.arange(n, dtype=_index_dtype(n))
+    if "ramp" in ws:
+        _scratch(ws, "ramp", (rows, n), _index_dtype(n))[...] = np.arange(n, dtype=_index_dtype(n))
     return ws
 
 
 def _block_summary(
-    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray],
-    ws: Optional[dict],
+    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray], ws: dict,
 ):
     """The block of paths of the reps keyed `keys`, then their per-rep max,
     argmax, mid value and grid samples (None without a grid).  `table` is
-    the pattern's float table (None for the other models); the step-indexed
-    kernels fill the block-sized arrays of the workspace `ws`, so the paths
-    live until the next block overwrites them."""
+    the pattern's float table (None for the other models); the kernels fill
+    the block-sized arrays of the workspace `ws`, so the paths live until
+    the next block overwrites them."""
     model, n, grid = config.model, config.n, config.grid
     if model in ("runs-linear", "runs-cyclic", "pattern"):
         orders = _draw_orders(pool, keys, n, ws)
@@ -792,10 +792,10 @@ def _block_summary(
         step_idx = _grid_step_indices(grid, n) if grid is not None else None
         return _step_summary(values, step_idx)
     if model == "runs-time":
-        return _runs_time_summary(_draw_uniforms(pool, keys, n), grid)
+        return _runs_time_summary(_draw_uniforms(pool, keys, n, ws), grid, ws)
     draw = _queue_events_minmax if model == "priority-queue" else _queue_events_inverse
-    uv = _draw_uniforms(pool, keys, 2 * n)  # a rep's n draws of u, then its n of v
-    return _queue_summary(draw(uv), grid)
+    uv = _draw_uniforms(pool, keys, 2 * n, ws)  # a rep's n draws of u, then its n of v
+    return _queue_summary(draw(uv, ws), grid, ws)
 
 
 def _sweep_chunk(config: SimConfig, start: int, count: int):

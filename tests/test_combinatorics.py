@@ -15,7 +15,6 @@ from runslab.combinatorics import (
     MAX_ORDER_CELLS,
     MAX_SUBSET_DP_CELLS,
     brute_force_max_pmf,
-    brute_force_pattern_moments,
     count_runs,
     max_pmf_gap_dp,
     max_pmf_subset_dp,
@@ -26,6 +25,7 @@ from runslab.combinatorics import (
     var_runs_discrete,
     var_runs_time,
 )
+from conftest import brute_force_pattern_moments
 from runslab.evolve import SimConfig, run_sweep
 from runslab.patterns import run_length_pattern, runs_pattern
 

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -9,12 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from runslab.combinatorics import (
-    brute_force_max_pmf,
-    brute_force_pattern_moments,
-    count_runs,
-    mean_runs_discrete,
-)
+from conftest import brute_force_pattern_moments
+from runslab.combinatorics import brute_force_max_pmf, count_runs, mean_runs_discrete
 from runslab import evolve
 from runslab._rng import StreamPool, mix_keys, stream
 from runslab.evolve import (
@@ -100,6 +97,15 @@ def random_block(rng, rows, n):
     return orders, orders + n * np.arange(rows)[:, None]
 
 
+def workspace(model, n, rows, ell=3):
+    """A workspace for `rows` rows of the model's kernel (windows of `ell`
+    cells for the pattern).  Tests size it for more rows than their block,
+    so the kernels run in its leading rows, as a sweep's last block does."""
+    pattern = PatternFunctional(ell, (0,) * (1 << ell)) if model == "pattern" else None
+    config = SimConfig(model=model, n=n, reps=1, base_seed=0, pattern=pattern)
+    return evolve._workspace(config, rows)
+
+
 # -- runs kernels ------------------------------------------------------------
 
 
@@ -136,7 +142,7 @@ def test_alternating_then_filling():
 
 
 def test_loop_and_vectorized_kernels_identical():
-    # int32 paths, fresh or in a sweep's workspace, against the int64 loop
+    # int32 paths, in the leading rows of a workspace, against the int64 loop
     rng = np.random.default_rng(2024)
     for n in (1, 2, 3, 17, 127, 128, 129, 400):
         for cyclic in (False, True):
@@ -145,13 +151,10 @@ def test_loop_and_vectorized_kernels_identical():
             model = "runs-cyclic" if cyclic else "runs-linear"
             for rows in (1, 2, 7):
                 orders, flat = random_block(rng, rows, n)
-                ws = evolve._workspace(SimConfig(model=model, n=n, reps=rows, base_seed=0), rows)
-                for block in (_runs_values(flat, cyclic), _runs_values(flat, cyclic, ws)):
-                    assert block.shape == (rows, n + 1) and block.dtype == np.int32
-                    for order, values in zip(orders, block):
-                        np.testing.assert_array_equal(
-                            runs_values_loop(order.tolist(), cyclic), values
-                        )
+                block = _runs_values(flat, cyclic, workspace(model, n, rows + 2))
+                assert block.shape == (rows, n + 1) and block.dtype == np.int32
+                for order, values in zip(orders, block):
+                    np.testing.assert_array_equal(runs_values_loop(order.tolist(), cyclic), values)
 
 
 def test_order_must_be_permutation():
@@ -285,7 +288,8 @@ def assert_stable_time_path(times):
         rng.integers(-1, 2, size=times.shape).astype(np.int8),
         rng.integers(-1, 2, size=times.shape[1]).astype(np.int8),
     ):
-        ranked, path = _time_path(times, steps)
+        ws = workspace("runs-time", times.shape[1], len(times) + 2)
+        ranked, path = _time_path(times, steps, ws)
         np.testing.assert_array_equal(ranked.view(np.uint64), expected.view(np.uint64))
         full = np.broadcast_to(steps, times.shape)
         np.testing.assert_array_equal(path[:, 0], 0)
@@ -328,7 +332,8 @@ def test_runs_time_summary_follows_stable_order_on_ties():
         [0.15, 0.95, 0.4, 0.55, 0.05, 0.75],
     ])
     pts = (0.2, 0.5)
-    values, maxv, argmax_t, mid, samples = _runs_time_summary(times, pts)
+    ws = workspace("runs-time", times.shape[1], len(times) + 2)
+    values, maxv, argmax_t, mid, samples = _runs_time_summary(times, pts, ws)
     for r, row in enumerate(times):
         order = np.argsort(row, kind="stable")
         path = runs_values_loop(order.tolist(), cyclic=False)
@@ -404,7 +409,8 @@ def test_pattern_float_tables_loop_equals_vectorized():
             for rows in (1, 3):
                 orders, flat = random_block(rng, rows, n)
                 for cyclic in (True, False):
-                    block = _pattern_values(table, ell, flat, cyclic)
+                    ws = workspace("pattern", n, rows + 2, ell)
+                    block = _pattern_values(table, ell, flat, cyclic, ws)
                     for order, values in zip(orders, block):
                         np.testing.assert_array_equal(
                             pattern_values_loop(table, ell, order.tolist(), cyclic),
@@ -456,9 +462,14 @@ def queue_reference(arrive, depart, pts):
     return path, path.max(), int(np.argmax(path)), path[n], samples
 
 
+def queue_summary(arrive, depart, pts):
+    """`_queue_summary` of the rows of arrive | depart times."""
+    ws = workspace("priority-queue", arrive.shape[1], len(arrive) + 2)
+    return _queue_summary(np.concatenate([arrive, depart], axis=1), pts, ws)
+
+
 def assert_queue_rows_match_reference(arrive, depart, pts):
-    values, maxv, argmax, mid, samples = _queue_summary(
-        np.concatenate([arrive, depart], axis=1), pts)
+    values, maxv, argmax, mid, samples = queue_summary(arrive, depart, pts)
     for r in range(arrive.shape[0]):
         path, pmax, pargmax, pmid, psamples = queue_reference(arrive[r], depart[r], pts)
         np.testing.assert_array_equal(values[r], path)
@@ -472,7 +483,7 @@ def test_queue_summary_on_tied_event_times():
     arrive = np.array([[0.2, 0.5, 0.5, 0.1], [0.15, 0.6, 0.35, 0.05]])
     depart = np.array([[0.5, 0.5, 0.9, 0.3], [0.7, 0.65, 0.4, 0.95]])
     pts = (0.05, 0.3, 0.5, 0.95)
-    values = _queue_summary(np.concatenate([arrive, depart], axis=1), pts)[0]
+    values = queue_summary(arrive, depart, pts)[0]
     np.testing.assert_array_equal(values[0], [0, 1, 2, 1, 2, 3, 2, 1, 0])
     assert_queue_rows_match_reference(arrive, depart, pts)
 
@@ -497,7 +508,7 @@ def test_queue_events_in_place_match_the_out_of_place_formulas():
     }
     for draw, expected in want.items():
         block = uv.copy()
-        assert draw(block) is block
+        assert draw(block, workspace("priority-queue", 300, 6)) is block
         np.testing.assert_array_equal(block.view(np.uint64), expected.view(np.uint64))
 
 
@@ -539,13 +550,15 @@ def single_trajectories(case, n, seed, reps, grid):
             }[case]
             traj = simulate(n, seed, grid=grid)
         else:
+            ws = workspace(case, n, 1)
             if case == "runs-time":
-                summary = _runs_time_summary(rng.random(n)[None, :], grid)
+                summary = _runs_time_summary(rng.random(n)[None, :], grid, ws)
             else:
                 # The per-row protocol: all n draws of u, then all n of v.
                 u = rng.random(n)
                 v = rng.random(n)
-                summary = _queue_summary(draws[case](np.concatenate([u, v])[None, :]), grid)
+                uv = draws[case](np.concatenate([u, v])[None, :], ws)
+                summary = _queue_summary(uv, grid, ws)
             out.append(tuple(part[0] for part in summary[1:]))
             continue
         out.append((traj.max_value, traj.argmax, traj.mid_value, traj.samples))
@@ -574,9 +587,11 @@ def test_batch_orders_equal_per_row_shuffle(n):
     for rows in (1, 2, evolve._BLOCK_CELL_BUDGET // n):
         keys = mix_keys(n, 3 * rows, rows)
         expected = per_row_orders(keys, n)
-        orders, covered = evolve._batch_orders(keys, n, evolve._shuffle_draw_blocks(n))
+        orders, covered = evolve._batch_orders(
+            keys, n, evolve._shuffle_draw_blocks(n), np.empty((rows, n), dtype=np.int64))
         np.testing.assert_array_equal(orders[covered], expected[covered])
-        np.testing.assert_array_equal(evolve._draw_orders(StreamPool(0), keys, n), expected)
+        orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows + 2))
+        np.testing.assert_array_equal(orders, expected)
 
 
 def test_batch_orders_only_on_blocks_of_min_rows(monkeypatch):
@@ -586,7 +601,7 @@ def test_batch_orders_only_on_blocks_of_min_rows(monkeypatch):
     min_rows = evolve._BATCH_ORDER_MIN_ROWS
     for rows in (min_rows - 1, min_rows):
         keys = mix_keys(9, 0, rows)
-        orders = evolve._draw_orders(StreamPool(0), keys, 9)
+        orders = evolve._draw_orders(StreamPool(0), keys, 9, workspace("runs-linear", 9, rows))
         np.testing.assert_array_equal(orders, per_row_orders(keys, 9))
     assert [a[0].size for a in taken] == [min_rows]
 
@@ -599,12 +614,12 @@ def test_batch_orders_equal_per_row_shuffle_on_one_block_budget(monkeypatch, n):
     monkeypatch.setattr(evolve, "_shuffle_draw_blocks", lambda n: 1)
     rows = evolve._BLOCK_CELL_BUDGET // n
     keys = mix_keys(-n, 0, rows)
-    _, covered = evolve._batch_orders(keys, n, 1)
+    _, covered = evolve._batch_orders(keys, n, 1, np.empty((rows, n), dtype=np.int64))
     if n == 9:
         assert 0 < covered.sum() < rows // 4
     elif n > 9:
         assert not covered.any()
-    orders = evolve._draw_orders(StreamPool(0), keys, n)
+    orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows))
     np.testing.assert_array_equal(orders, per_row_orders(keys, n))
 
 
@@ -613,7 +628,8 @@ def test_batch_orders_cover_most_rows_on_default_budget(n):
     # Also past the crossover, where sweeps do not take the batch pass.
     rows = evolve._BLOCK_CELL_BUDGET // n
     keys = mix_keys(5, 0, rows)
-    orders, covered = evolve._batch_orders(keys, n, evolve._shuffle_draw_blocks(n))
+    orders, covered = evolve._batch_orders(
+        keys, n, evolve._shuffle_draw_blocks(n), np.empty((rows, n), dtype=np.int64))
     assert covered.mean() > 0.99
     np.testing.assert_array_equal(orders[covered], per_row_orders(keys, n)[covered])
 
@@ -661,62 +677,94 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
 
 
-@pytest.mark.parametrize("model", ["runs-linear", "runs-cyclic", "pattern"])
-def test_sweep_rows_from_the_workspace_equal_fresh_allocations(monkeypatch, model):
+def sweep_config(model, n, reps, seed, grid=None):
+    return SimConfig(
+        model=model, n=n, reps=reps, base_seed=seed, grid=grid,
+        pattern=run_length_pattern(1) if model == "pattern" else None,
+    )
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_sweep_rows_from_short_blocks_equal_one_row_blocks(monkeypatch, model):
     # Blocks of 3 rows at n = 52 over 2 chunks of 20 reps: each chunk ends
     # on a 2-row block, which runs in the leading rows of the workspace.
     monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
     monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 3 * 52)
-    config = SimConfig(
-        model=model, n=52, reps=40, base_seed=8, grid=(0.25, 0.5),
-        pattern=run_length_pattern(1) if model == "pattern" else None,
-    )
+    config = sweep_config(model, 52, 40, 8, grid=(0.25, 0.5))
     made = []
     workspace = evolve._workspace
     monkeypatch.setattr(evolve, "_workspace", lambda *a: made.append(a[1]) or workspace(*a))
-    reused = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
+    blocks = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
     assert made == [3, 3]  # once a chunk, for its first block
-    monkeypatch.setattr(evolve, "_workspace", lambda *a: None)
-    fresh = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
-    for got, want in zip(reused, fresh):
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 52)
+    rows = [evolve._sweep_chunk(config, lo, 20) for lo in (0, 20)]
+    assert made[2:] == [1, 1]
+    for got, want in zip(blocks, rows):
         for a, b in zip(got, want):
             assert a.dtype == b.dtype == np.float64
             np.testing.assert_array_equal(a, b)
 
 
-@pytest.mark.parametrize("model", ["runs-linear", "runs-cyclic", "pattern"])
+@pytest.mark.parametrize("model", MODELS)
 def test_block_paths_live_in_the_workspace(model):
     # A short block and a full one: no block allocates its own paths.
     n = 40
-    config = SimConfig(
-        model=model, n=n, reps=9, base_seed=2,
-        pattern=run_length_pattern(1) if model == "pattern" else None,
-    )
+    config = sweep_config(model, n, 9, 2)
     ws = evolve._workspace(config, 5)
     table = config.pattern.table_float() if config.pattern is not None else None
+    steps = 2 * n if model in ("priority-queue", "lazy-hash") else n
     for lo, rows in ((0, 5), (5, 4)):
         keys = mix_keys(config.base_seed, lo, rows)
         paths = evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)[0]
-        assert paths.shape == (rows, n + 1)
+        assert paths.shape == (rows, steps + 1)
         assert paths.base is not None and np.shares_memory(paths, ws["paths"])
-    assert evolve._workspace(replace(config, model="runs-time", pattern=None), 5) is None
 
 
-def test_trajectory_value_dtypes():
+@pytest.mark.parametrize("model", MODELS)
+def test_warmed_block_allocates_under_five_bytes_a_cell(model):
+    # After a first block has run in the workspace, a block of 32 rows at
+    # n = 1000 allocates only per-row results and window-sized tables.
+    n, rows = 1000, 32
+    config = sweep_config(model, n, rows, 4, grid=(0.25, 0.5))
+    ws = evolve._workspace(config, rows)
+    table = config.pattern.table_float() if config.pattern is not None else None
+    keys = mix_keys(config.base_seed, 0, rows)
+    evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)
+    tracemalloc.start()
+    try:
+        evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * rows * n
+
+
+def test_trajectory_value_dtypes(monkeypatch):
     # The public paths keep their dtypes: the runs kernel's int32 paths are
-    # widened for the single-trajectory API.
+    # widened for the single-trajectory API.  Paths and samples are copies
+    # that share no memory with the workspace the kernel ran in.
+    made = []
+    workspace = evolve._workspace
+    monkeypatch.setattr(evolve, "_workspace", lambda *a: made.append(workspace(*a)) or made[-1])
     pattern = run_length_pattern(1)
     grid = (3, 10)
-    for traj, dtype in (
-        (simulate_runs(20, 1, grid=grid, keep_values=True), np.int64),
-        (simulate_runs(20, 1, cyclic=True, grid=grid, keep_values=True), np.int64),
-        (runs_from_order(range(20), grid=grid, keep_values=True), np.int64),
-        (simulate_pattern(pattern, 20, 1, grid=grid, keep_values=True), np.float64),
-        (simulate_runs_randomized_time(20, 1, keep_values=True), np.int64),
-        (simulate_priority_queue(20, 1, grid=(0.5,), keep_values=True), np.int64),
-        (simulate_lazy_hash(20, 1, grid=(0.5,), keep_values=True), np.int64),
+    for simulate, dtype in (
+        (lambda: simulate_runs(20, 1, grid=grid, keep_values=True), np.int64),
+        (lambda: simulate_runs(20, 1, cyclic=True, grid=grid, keep_values=True), np.int64),
+        (lambda: runs_from_order(range(20), grid=grid, keep_values=True), np.int64),
+        (lambda: simulate_pattern(pattern, 20, 1, grid=grid, keep_values=True), np.float64),
+        (lambda: pattern_from_order(pattern, range(20), grid=grid, keep_values=True), np.float64),
+        (lambda: simulate_runs_randomized_time(20, 1, keep_values=True), np.int64),
+        (lambda: simulate_priority_queue(20, 1, grid=(0.5,), keep_values=True), np.int64),
+        (lambda: simulate_lazy_hash(20, 1, grid=(0.5,), keep_values=True), np.int64),
     ):
+        made.clear()
+        traj = simulate()
         assert traj.values.dtype == dtype and traj.samples.dtype == dtype
+        assert len(made) == 1
+        for region in made[0].values():
+            assert not np.shares_memory(traj.values, region)
+            assert not np.shares_memory(traj.samples, region)
 
 
 def test_pattern_table_built_once_per_chunk(monkeypatch):
