@@ -1,5 +1,6 @@
 """Simulation layer: kernels vs direct counting, sweeps, queue paths."""
 
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -510,6 +511,106 @@ def test_queue_events_in_place_match_the_out_of_place_formulas():
         block = uv.copy()
         assert draw(block, workspace("priority-queue", 300, 6)) is block
         np.testing.assert_array_equal(block.view(np.uint64), expected.view(np.uint64))
+
+
+# -- single-trajectory goldens -----------------------------------------------
+
+
+def eighths_pattern(ell):
+    """A window table of random eighths, nonzero on the empty window."""
+    values = np.random.default_rng(ell).integers(-8, 9, size=1 << ell)
+    values[0] = 3
+    return PatternFunctional(ell, tuple(Fraction(int(v), 8) for v in values))
+
+
+def golden_trajectories():
+    """Every single-trajectory function, over the sizes where the kernels
+    change shape: one and two cells, the batch-order boundary 31/32, and a
+    row of 1000; both flavors, both grids, and a negative seed."""
+    for n in (1, 2, 31, 32, 1000):
+        steps = [0, n // 3, n]
+        yield simulate_runs(n, 11, grid=steps, keep_values=True)
+        if n > 1:
+            yield simulate_runs(n, 12, cyclic=True, grid=steps, keep_values=True)
+        yield runs_from_order(np.random.default_rng(n).permutation(n), cyclic=n > 1, grid=steps)
+    yield simulate_runs(1000, -5, keep_values=True)
+    for ell, n in ((3, 6), (3, 1000), (16, 32), (16, 1000)):
+        pattern = eighths_pattern(ell)
+        for cyclic in (True, False):
+            yield simulate_pattern(pattern, n, 13, cyclic=cyclic, grid=[1, n // 2], keep_values=True)
+        order = np.random.default_rng(n).permutation(n)
+        yield pattern_from_order(pattern, order, cyclic=False, keep_values=True)
+    for n in (1, 2, 1000):
+        yield simulate_runs_randomized_time(n, 14, keep_values=True)
+        yield simulate_runs_randomized_time(n, 15, grid=(0.05, 0.5, 0.95), keep_values=True)
+    for simulate in (simulate_priority_queue, simulate_lazy_hash):
+        for n in (1, 2, 1000):
+            yield simulate(n, 16, keep_values=True)
+            yield simulate(n, 17, grid=(0.1, 0.5, 0.9), keep_values=True)
+        yield simulate(1000, -1)
+
+
+def trajectory_record(traj):
+    """A `Trajectory` as text: its fields, with each scalar's type and each
+    array's dtype, shape and bytes."""
+    scalars = [(type(x).__name__, repr(x)) for x in (traj.max_value, traj.argmax, traj.mid_value)]
+    arrays = [
+        None if a is None else (a.dtype.str, a.shape, a.tobytes().hex())
+        for a in (traj.samples, traj.values)
+    ]
+    return repr((traj.model, type(traj.n).__name__, traj.n, traj.grid, scalars, arrays))
+
+
+# SHA-256 over `golden_trajectories`, recorded before the single-trajectory
+# functions ran as rep 0 of a sweep keyed by their seed.
+TRAJECTORY_DIGEST = "f66aab7f6d991e875b89d61bdbbbf66a1ff09195e73509270a43f4c324932c54"
+
+
+def test_trajectories_match_golden_digest():
+    records = [trajectory_record(traj) for traj in golden_trajectories()]
+    assert len(records) == 47
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == TRAJECTORY_DIGEST
+
+
+@pytest.mark.parametrize("seed", [0, 7, -3])
+def test_trajectories_draw_from_the_seeds_stream(seed):
+    # The single-trajectory contract, against numpy's own draws: orders are
+    # stream(seed).permutation(n), arrival times stream(seed).random(n), and
+    # a queue's items random((2, n)): row 0 is u, row 1 is v.
+    n, steps = 40, [5, 20, 40]
+    pattern = eighths_pattern(3)
+    for cyclic in (False, True):
+        order = stream(seed).permutation(n)
+        assert trajectory_record(
+            simulate_runs(n, seed, cyclic=cyclic, grid=steps, keep_values=True)
+        ) == trajectory_record(runs_from_order(order, cyclic=cyclic, grid=steps, keep_values=True))
+        assert trajectory_record(
+            simulate_pattern(pattern, n, seed, cyclic=cyclic, grid=steps, keep_values=True)
+        ) == trajectory_record(
+            pattern_from_order(pattern, order, cyclic=cyclic, grid=steps, keep_values=True))
+    pts = (0.25, 0.5, 0.75)
+    traj = simulate_runs_randomized_time(n, seed, grid=pts, keep_values=True)
+    summary = _runs_time_summary(stream(seed).random(n)[None, :], pts, workspace("runs-time", n, 1))
+    assert_summary_is_trajectory(summary, traj)
+    u, v = stream(seed).random((2, n))
+    arrive = {
+        simulate_priority_queue: np.minimum(u, v),
+        simulate_lazy_hash: 1.0 - np.sqrt(1.0 - u),
+    }
+    depart = {
+        simulate_priority_queue: np.maximum(u, v),
+        simulate_lazy_hash: arrive[simulate_lazy_hash] + (1.0 - arrive[simulate_lazy_hash]) * v,
+    }
+    for simulate in arrive:
+        traj = simulate(n, seed, grid=pts, keep_values=True)
+        assert_summary_is_trajectory(queue_summary(arrive[simulate][None], depart[simulate][None], pts), traj)
+
+
+def assert_summary_is_trajectory(summary, traj):
+    values, maxv, argmax, mid, samples = summary
+    np.testing.assert_array_equal(values[0], traj.values)
+    assert (maxv[0], argmax[0], mid[0]) == (traj.max_value, traj.argmax, traj.mid_value)
+    np.testing.assert_array_equal(samples[0], traj.samples)
 
 
 # -- sweep harness -----------------------------------------------------------
