@@ -21,6 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ._rng import StreamPool, mix_key, mix_keys, ordered_map
+from .evolve import MODEL_ALIASES
 from .patterns import AsymptoticSummary
 from .stats import MomentAccumulator
 
@@ -162,24 +163,13 @@ def discretization_self_check(config: VSamplerConfig, coarse: VEstimate) -> Disc
 
 # -- first/second-order predictions ------------------------------------------
 
-_MODEL_FAMILY = {
-    "runs": "runs",
-    "runs-linear": "runs",
-    "runs-cyclic": "runs",
-    "runs-time": "runs",
-    "queue": "queue",
-    "pq": "queue",
-    "priority-queue": "queue",
-    "lazy-hash": "queue",
-    "pattern": "pattern",
-}
-
-
 def _family(model: str) -> str:
+    """The family (runs, queue or pattern) of any name `MODEL_ALIASES` accepts."""
     try:
-        return _MODEL_FAMILY[model]
+        tag = MODEL_ALIASES[model]
     except KeyError:
         raise ValueError(f"unknown model {model!r}") from None
+    return "runs" if tag.startswith("runs") else "pattern" if tag == "pattern" else "queue"
 
 
 def predict_max_mean(

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence
 from . import __version__
 from .combinatorics import (
     MAX_DP_CELLS,
+    MAX_PMF_CELLS,
     max_pmf_gap_dp,
     mean_runs_discrete,
     run_count_pmf,
@@ -53,7 +54,7 @@ from .patterns import (
     summarize,
 )
 from .asymptotics import VSamplerConfig, sample_parabola_max
-from .evolve import MODELS, SimConfig, run_sweep
+from .evolve import MODEL_ALIASES, SimConfig, run_sweep
 from .verify import REFERENCES, run_checks
 
 __all__ = ["main"]
@@ -73,16 +74,6 @@ COLUMNS = (
     "band",
     "pass",
 )
-
-# Short names accepted anywhere a model tag is; the right-hand sides are the
-# canonical tags of the simulation module.
-MODEL_ALIASES: Dict[str, str] = {
-    "runs": "runs-linear",
-    "pq": "priority-queue",
-    "queue": "priority-queue",
-    **{name: name for name in MODELS},
-}
-
 
 class UsageError(Exception):
     """Bad flag combinations or values; maps to exit code 2."""
@@ -221,6 +212,8 @@ def cmd_exact(args, manifest: RunManifest) -> int:
             raise UsageError("exact needs --m between 0 and n (or --max-pmf)")
         m = args.m
         if args.pmf:
+            if n > MAX_PMF_CELLS:
+                raise UsageError(f"--pmf supports n <= {MAX_PMF_CELLS}")
             pmf = run_count_pmf(n, m)
             for k in sorted(pmf.probs):
                 rows.append(_row(f"pmf-{k}", pmf.probs[k], n=n))

@@ -24,6 +24,7 @@ import numpy as np
 __all__ = [
     "MAX_DP_CELLS",
     "MAX_ORDER_CELLS",
+    "MAX_PMF_CELLS",
     "MAX_SUBSET_CELLS",
     "MAX_SUBSET_DP_CELLS",
     "RunCountPmf",
@@ -44,6 +45,12 @@ __all__ = [
 # functions refuse rather than silently taking hours.
 MAX_ORDER_CELLS = 10
 MAX_SUBSET_CELLS = 22
+
+# The run-count pmf's probabilities have denominators up to C(n, n/2), which
+# has 3,009 digits at n = 10^4: under Python's 4,300-digit limit on printing
+# an int, which C(n, n/2) passes near n = 14,300.  The table then takes about
+# 10 s and prints 24 MB.
+MAX_PMF_CELLS = 10_000
 
 # The max-run DPs count insertion orders in int64, and every count is at most
 # n!, so both stay exact while n! < 2^63, that is for n <= 20.  The gap DP
@@ -89,6 +96,8 @@ def run_count_pmf(n: int, m: int) -> RunCountPmf:
     Vandermonde convolution sums the counts back to C(n, m)).
     """
     _check_nm(n, m)
+    if n > MAX_PMF_CELLS:
+        raise ValueError(f"run-count pmf capped at n <= {MAX_PMF_CELLS}, got {n}")
     if m == 0:
         return RunCountPmf(n, m, {0: Fraction(1)})
     total = comb(n, m)

@@ -14,27 +14,30 @@ Every repetition draws from its own counter-based stream keyed by
 (base seed, repetition index), so sweeps are reproducible bit for bit and
 independent of how work is chunked across processes.
 
-Each model has one kernel, and it works on a block: a (rows, n) array whose
+Each model has one draw step (``_draw_block``) and one kernel step
+(``_kernel_summary``), and both work on a block: a (rows, n) array whose
 rows are the draws of separate repetitions (insertion orders, arrival
-times, or event times).  The single-trajectory functions pass a one-row
-block.  A sweep derives the keys of a chunk's repetitions in one vectorized
-pass (``mix_keys``) and fills the block with exactly the draws
-``stream(base_seed, rep)`` would give: for insertion orders of up to
+times, or event times).  A sweep derives the keys of a chunk's repetitions
+in one vectorized pass (``mix_keys``) and fills the block with exactly the
+draws ``stream(base_seed, rep)`` would give: for insertion orders of up to
 ``_BATCH_ORDER_MAX_N`` cells in blocks of at least ``_BATCH_ORDER_MIN_ROWS``
 rows, from every row's Philox words at once (``philox_words``) run through
 numpy's shuffle algorithm for all rows together; otherwise by re-keying one
-Philox instance per row.  It then
-runs the kernel once over the block and reads max, argmax, mid value and
-grid samples off the block of paths.  Blocks hold at most
-``_BLOCK_CELL_BUDGET`` cells, so small-n sweeps amortize numpy's per-call
-cost over hundreds of repetitions while large-n sweeps keep one
-repetition, and one path, in memory at a time.
+Philox instance per row.  It then runs the kernel once over the block and
+reads max, argmax, mid value and grid samples off the block of paths.
+Blocks hold at most ``_BLOCK_CELL_BUDGET`` cells, so small-n sweeps
+amortize numpy's per-call cost over hundreds of repetitions while large-n
+sweeps keep one repetition, and one path, in memory at a time.
+
+A single trajectory is rep 0 of a one-rep sweep keyed by its seed, so it
+draws what ``stream(seed)`` gives; the ``*_from_order`` functions hand
+their order to the kernel step instead.
 
 Every kernel writes its block-sized arrays into one workspace
 (``_workspace``) made for a sweep chunk's first block, so later blocks
 allocate none and, below the size `_workspace` states, fault in no pages.
-A single trajectory runs the same kernel in a one-row workspace and copies
-what it keeps.  Runs paths are int32 while n fits, since no run count
+A single trajectory runs in a one-row workspace and copies what it keeps.
+Runs paths are int32 while n fits, since no run count
 exceeds ceil(n/2); a `Trajectory` widens them to int64.
 
 The time-ordered models (runs-time and the queues) sweep each row in
@@ -57,12 +60,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import StreamPool, mix_keys, ordered_map, philox_words, stream
+from ._rng import StreamPool, mix_keys, ordered_map, philox_words
+from ._rng import stream  # noqa: F401 -- no draw here; perfbench's tracer test rebinds it
 from .patterns import PatternFunctional
 from .stats import CoMomentAccumulator, MomentAccumulator
 
 __all__ = [
     "MODELS",
+    "MODEL_ALIASES",
     "DEFAULT_TIME_GRID",
     "Trajectory",
     "SimConfig",
@@ -85,6 +90,10 @@ MODELS = (
     "priority-queue",
     "lazy-hash",
 )
+
+# Names accepted anywhere a model tag is: the tags, and short ones for them.
+MODEL_ALIASES = {"runs": "runs-linear", "pq": "priority-queue", "queue": "priority-queue",
+                 **{name: name for name in MODELS}}
 
 DEFAULT_TIME_GRID = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -121,18 +130,6 @@ class Trajectory:
     values: Optional[np.ndarray] = None
 
 
-def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-
-
-def _check_cyclic_size(cyclic: bool, n: int) -> None:
-    # A lone occupied cell on a 1-cycle is its own neighbor, so the ascent
-    # count and the insertion increments stop agreeing; rule the case out.
-    if cyclic and n < 2:
-        raise ValueError("cyclic mode needs n >= 2")
-
-
 def _check_order(order: Sequence[int]) -> np.ndarray:
     order = np.asarray(order, dtype=np.int64)
     n = order.size
@@ -150,8 +147,8 @@ def _check_order(order: Sequence[int]) -> np.ndarray:
 # order.
 #
 # Every kernel takes a workspace (`_workspace`): named byte regions, made
-# once a sweep chunk (or trajectory, whose config also checks n) and sized
-# for its first block, which has the most rows.  A kernel takes each
+# once a sweep chunk (a single trajectory is a one-rep chunk) and sized for
+# its first block, which has the most rows.  A kernel takes each
 # block-sized array as a view of the leading bytes of a region, so a shorter
 # last block fits, and arrays whose lives do not overlap can share a region.
 
@@ -273,29 +270,6 @@ def _check_step_grid(grid: Optional[Sequence[int]], n: int) -> Optional[np.ndarr
     return idx
 
 
-def _trajectory(
-    model: str, n: int, summary, grid: Optional[Sequence], keep_values: bool
-) -> Trajectory:
-    """Row 0 of a kernel summary (paths, max, argmax, mid value, samples).
-
-    ``.item()`` gives Python ints for the integer paths and floats for the
-    float ones (pattern values, runs-time arrival times).  The path and
-    samples are copies off the workspace; int32 ones are widened to int64.
-    """
-    values, maxv, argmax, mid, samples = summary
-    dtype = np.promote_types(values.dtype, np.int64)
-    return Trajectory(
-        model=model,
-        n=n,
-        max_value=maxv[0].item(),
-        argmax=argmax[0].item(),
-        mid_value=mid[0].item(),
-        grid=tuple(grid) if grid is not None else None,
-        samples=samples[0].astype(dtype) if samples is not None else None,
-        values=values[0].astype(dtype) if keep_values else None,
-    )
-
-
 # -- runs kernel -------------------------------------------------------------
 
 
@@ -364,12 +338,8 @@ def runs_from_order(
     """Run counts along an explicit insertion order (the identity order
     keeps a single growing run, which pins the increment logic in tests)."""
     order = _check_order(order)
-    n = order.size
     model = "runs-cyclic" if cyclic else "runs-linear"
-    ws = _workspace(SimConfig(model=model, n=n, reps=1, base_seed=0), 1)
-    values = _runs_values(order[None, :], cyclic, ws)
-    summary = _step_summary(values, _check_step_grid(grid, n))
-    return _trajectory(model, n, summary, grid, keep_values)
+    return _trajectory(model, order.size, 0, grid, keep_values, order)
 
 
 def simulate_runs(
@@ -377,10 +347,7 @@ def simulate_runs(
     keep_values: bool = False,
 ) -> Trajectory:
     """One uniformly random insertion order; summary per `Trajectory`."""
-    _require_positive(n)
-    _check_cyclic_size(cyclic, n)
-    order = stream(seed).permutation(n)
-    return runs_from_order(order, cyclic=cyclic, grid=grid, keep_values=keep_values)
+    return _trajectory("runs-cyclic" if cyclic else "runs-linear", n, seed, grid, keep_values)
 
 
 def simulate_runs_randomized_time(
@@ -392,10 +359,8 @@ def simulate_runs_randomized_time(
     arrival order), so its max equals the step-indexed max; samples are
     taken at fill fractions t by counting arrivals up to t.
     """
-    ws = _workspace(SimConfig(model="runs-time", n=n, reps=1, base_seed=0), 1)
-    grid_t = DEFAULT_TIME_GRID if grid is None else tuple(float(t) for t in grid)
-    summary = _runs_time_summary(stream(seed).random(n)[None, :], grid_t, ws)
-    return _trajectory("runs-time", n, summary, grid_t, keep_values)
+    grid = DEFAULT_TIME_GRID if grid is None else grid
+    return _trajectory("runs-time", n, seed, grid, keep_values)
 
 
 # -- window-pattern kernel ---------------------------------------------------
@@ -446,25 +411,13 @@ def _pattern_values(
     return values
 
 
-def _check_pattern_size(pattern: PatternFunctional, n: int) -> None:
-    if n < 2 * pattern.length:
-        raise ValueError(
-            f"need n >= twice the window length ({2 * pattern.length}), got {n}"
-        )
-
-
 def pattern_from_order(
     pattern: PatternFunctional, order: Sequence[int], *, cyclic: bool = True,
     grid: Optional[Sequence[int]] = None, keep_values: bool = False,
 ) -> Trajectory:
     """Windowed sum along an explicit insertion order."""
     order = _check_order(order)
-    n = order.size
-    _check_pattern_size(pattern, n)
-    ws = _workspace(SimConfig(model="pattern", n=n, reps=1, base_seed=0, pattern=pattern), 1)
-    values = _pattern_values(pattern.table_float(), pattern.length, order[None, :], cyclic, ws)
-    summary = _step_summary(values, _check_step_grid(grid, n))
-    return _trajectory("pattern", n, summary, grid, keep_values)
+    return _trajectory("pattern", order.size, 0, grid, keep_values, order, pattern, cyclic)
 
 
 def simulate_pattern(
@@ -472,9 +425,7 @@ def simulate_pattern(
     grid: Optional[Sequence[int]] = None, keep_values: bool = False,
 ) -> Trajectory:
     """One random insertion order for an arbitrary window functional."""
-    _check_pattern_size(pattern, n)
-    order = stream(seed).permutation(n)
-    return pattern_from_order(pattern, order, cyclic=cyclic, grid=grid, keep_values=keep_values)
+    return _trajectory("pattern", n, seed, grid, keep_values, pattern=pattern, cyclic=cyclic)
 
 
 # -- queue kernel ------------------------------------------------------------
@@ -528,16 +479,6 @@ def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: dict):
     return values, maxv, argmax, values[:, n].copy(), samples
 
 
-def _queue_trajectory(
-    model: str, draw, n: int, seed: int, grid: Optional[Sequence[float]], keep_values: bool,
-) -> Trajectory:
-    ws = _workspace(SimConfig(model=model, n=n, reps=1, base_seed=0), 1)
-    # random((2, n)) is u then v, so as one (1, 2n) row it is a sweep block's row
-    times = draw(stream(seed).random((2, n)).reshape(1, -1), ws)
-    grid_t = tuple(float(t) for t in grid) if grid is not None else None
-    return _trajectory(model, n, _queue_summary(times, grid_t, ws), grid_t, keep_values)
-
-
 def simulate_priority_queue(
     n: int, seed: int, *, grid: Optional[Sequence[float]] = None, keep_values: bool = False,
 ) -> Trajectory:
@@ -547,7 +488,7 @@ def simulate_priority_queue(
     and leaves at the later.  The 2n events are swept exactly in time order
     (no discretization); the path starts and ends at 0.
     """
-    return _queue_trajectory("priority-queue", _queue_events_minmax, n, seed, grid, keep_values)
+    return _trajectory("priority-queue", n, seed, grid, keep_values)
 
 
 def simulate_lazy_hash(
@@ -559,7 +500,7 @@ def simulate_lazy_hash(
     arrival, conditional draw of the departure) so the distributional
     equivalence stays a testable claim rather than shared code.
     """
-    return _queue_trajectory("lazy-hash", _queue_events_inverse, n, seed, grid, keep_values)
+    return _trajectory("lazy-hash", n, seed, grid, keep_values)
 
 
 # -- sweep harness -----------------------------------------------------------
@@ -588,8 +529,12 @@ class SimConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; choose from {MODELS}")
-        _require_positive(self.n)
-        _check_cyclic_size(self.model == "runs-cyclic", self.n)
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got {self.n}")
+        # A lone occupied cell on a 1-cycle is its own neighbor, so the ascent
+        # count and the insertion increments stop agreeing; rule the case out.
+        if self.model == "runs-cyclic" and self.n < 2:
+            raise ValueError("cyclic mode needs n >= 2")
         if self.reps < 1:
             raise ValueError(f"need reps >= 1, got {self.reps}")
         if self.jobs < 1:
@@ -597,7 +542,10 @@ class SimConfig:
         if self.model == "pattern":
             if self.pattern is None:
                 raise ValueError("pattern model needs a PatternFunctional")
-            _check_pattern_size(self.pattern, self.n)
+            if self.n < 2 * self.pattern.length:
+                raise ValueError(
+                    f"need n >= twice the window length ({2 * self.pattern.length}), got {self.n}"
+                )
         elif self.pattern is not None:
             raise ValueError(f"model {self.model!r} does not take a pattern")
         if self.grid is not None:
@@ -622,10 +570,6 @@ class SweepResult:
 
 def _chunk_size(n: int, reps: int) -> int:
     return max(1, min(reps, _CHUNK_CELL_BUDGET // max(n, 1)))
-
-
-def _grid_step_indices(grid: Tuple[float, ...], n: int) -> np.ndarray:
-    return np.asarray([int(round(t * n)) for t in grid], dtype=np.int64)
 
 
 # A block's insertion orders come from one vectorized pass over its rows
@@ -774,28 +718,74 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     return ws
 
 
-def _block_summary(
-    config: SimConfig, pool: StreamPool, keys: np.ndarray, table: Optional[np.ndarray], ws: dict,
-):
-    """The block of paths of the reps keyed `keys`, then their per-rep max,
-    argmax, mid value and grid samples (None without a grid).  `table` is
-    the pattern's float table (None for the other models); the kernels fill
-    the block-sized arrays of the workspace `ws`, so the paths live until
-    the next block overwrites them."""
-    model, n, grid = config.model, config.n, config.grid
-    if model in ("runs-linear", "runs-cyclic", "pattern"):
-        orders = _draw_orders(pool, keys, n, ws)
-        if model == "pattern":
-            values = _pattern_values(table, config.pattern.length, orders, config.cyclic, ws)
-        else:
-            values = _runs_values(orders, model == "runs-cyclic", ws)
-        step_idx = _grid_step_indices(grid, n) if grid is not None else None
-        return _step_summary(values, step_idx)
+_ORDER_MODELS = ("runs-linear", "runs-cyclic", "pattern")  # step-indexed, on insertion orders
+
+
+def _draw_block(config: SimConfig, pool: StreamPool, keys: np.ndarray, ws: dict) -> np.ndarray:
+    """Row r: the draws of the rep keyed keys[r], as the model's kernel
+    takes them -- a flat insertion order, n arrival times, or a queue's n
+    arrival then n departure times."""
+    model, n = config.model, config.n
+    if model in _ORDER_MODELS:
+        return _draw_orders(pool, keys, n, ws)
     if model == "runs-time":
-        return _runs_time_summary(_draw_uniforms(pool, keys, n, ws), grid, ws)
-    draw = _queue_events_minmax if model == "priority-queue" else _queue_events_inverse
+        return _draw_uniforms(pool, keys, n, ws)
     uv = _draw_uniforms(pool, keys, 2 * n, ws)  # a rep's n draws of u, then its n of v
-    return _queue_summary(draw(uv, ws), grid, ws)
+    return (_queue_events_minmax if model == "priority-queue" else _queue_events_inverse)(uv, ws)
+
+
+def _kernel_summary(
+    config: SimConfig, block: np.ndarray, table: Optional[np.ndarray], pts, ws: dict,
+):
+    """The model's kernel over a block of draws, then the block of paths and
+    their per-rep max, argmax, mid value and values at `pts` (step indices
+    for the step-indexed models, times for the others; None for none).
+    `table` is the pattern's float table (None for the other models); the
+    kernel fills the block-sized arrays of the workspace `ws`, so the paths
+    live until the next block overwrites them."""
+    model = config.model
+    if model == "runs-time":
+        return _runs_time_summary(block, pts, ws)
+    if model in ("priority-queue", "lazy-hash"):
+        return _queue_summary(block, pts, ws)
+    if model == "pattern":
+        values = _pattern_values(table, config.pattern.length, block, config.cyclic, ws)
+    else:
+        values = _runs_values(block, model == "runs-cyclic", ws)
+    return _step_summary(values, pts)
+
+
+def _trajectory(
+    model: str, n: int, seed: int, grid: Optional[Sequence], keep_values: bool,
+    order: Optional[np.ndarray] = None, pattern: Optional[PatternFunctional] = None,
+    cyclic: bool = True,
+) -> Trajectory:
+    """Rep 0 of a one-rep sweep keyed by `seed` (mix_keys(seed, 0, 1) is
+    stream(seed)'s key), or the model's kernel on the given insertion
+    `order`; `grid` holds steps for the step-indexed models, times for the
+    others.
+
+    ``.item()`` gives Python ints for the integer paths and floats for the
+    float ones (pattern values, runs-time arrival times).  The path and
+    samples are copies off the workspace; int32 ones are widened to int64.
+    """
+    config = SimConfig(model=model, n=n, reps=1, base_seed=seed, pattern=pattern, cyclic=cyclic)
+    if model in _ORDER_MODELS:
+        pts = _check_step_grid(grid, n)
+    else:
+        grid = pts = tuple(float(t) for t in grid) if grid is not None else None
+    ws = _workspace(config, 1)
+    block = (order[None, :] if order is not None
+             else _draw_block(config, StreamPool(seed), mix_keys(seed, 0, 1), ws))
+    table = pattern.table_float() if pattern is not None else None
+    values, maxv, argmax, mid, samples = _kernel_summary(config, block, table, pts, ws)
+    dtype = np.promote_types(values.dtype, np.int64)
+    return Trajectory(
+        model=model, n=n, max_value=maxv[0].item(), argmax=argmax[0].item(),
+        mid_value=mid[0].item(), grid=tuple(grid) if grid is not None else None,
+        samples=samples[0].astype(dtype) if samples is not None else None,
+        values=values[0].astype(dtype) if keep_values else None,
+    )
 
 
 def _sweep_chunk(config: SimConfig, start: int, count: int):
@@ -803,13 +793,17 @@ def _sweep_chunk(config: SimConfig, start: int, count: int):
     pool = StreamPool(config.base_seed)
     # A 16-cell window's table takes tens of ms to build: once a chunk.
     table = config.pattern.table_float() if config.pattern is not None else None
+    pts = config.grid  # fill fractions; step-indexed models sample step round(t * n)
+    if pts is not None and config.model in _ORDER_MODELS:
+        pts = np.asarray([int(round(t * config.n)) for t in pts], dtype=np.int64)
     rows = max(1, _BLOCK_CELL_BUDGET // config.n)
     stop = start + count
     ws = _workspace(config, min(rows, count))
     blocks = []
     for lo in range(start, stop, rows):
         keys = mix_keys(config.base_seed, lo, min(rows, stop - lo))
-        blocks.append(_block_summary(config, pool, keys, table, ws)[1:])
+        block = _draw_block(config, pool, keys, ws)
+        blocks.append(_kernel_summary(config, block, table, pts, ws)[1:])
     maxes, argmaxes, mids, grid_rows = (
         None if parts[0] is None else np.concatenate(parts).astype(np.float64)
         for parts in zip(*blocks)

@@ -18,7 +18,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["Polynomial", "real_roots_in_interval"]
+__all__ = ["Polynomial"]
 
 
 def _as_fraction(x) -> Fraction:
@@ -221,18 +221,6 @@ def _split_point(p: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
         if _sign_at(p, point):
             return point
     raise AssertionError("no admissible split point found")  # pragma: no cover
-
-
-def real_roots_in_interval(p: Polynomial, lo, hi, width=Fraction(1, 10**18)) -> list[tuple[Fraction, Fraction]]:
-    """All real roots of p strictly inside (lo, hi), to the requested width.
-
-    Returns disjoint pairs (a, b), in increasing order, one per root: either
-    a == b and the root is exactly that rational, or b - a < width with the
-    root strictly inside.  Roots sitting exactly at lo or hi are excluded.
-    Multiplicities are erased (isolation runs on the squarefree part).
-    """
-    ints, brackets = _isolate(p, lo, hi)
-    return [_bisect(ints, a, b, _as_fraction(width)) for a, b in brackets]
 
 
 def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:

@@ -336,9 +336,28 @@ def _sweep(ctx: VerifyContext, model: str, n: int, reps: int, seed: int, **kw):
     return res, dict(model=model, n=n, reps=reps, seed=seed)
 
 
-def _correction(ctx: VerifyContext, scale: str, n: int) -> float:
-    """Predicted n^(1/3) term of a max mean: scale * parabola-max mean * n^(1/3)."""
-    return ctx.reference(scale) * ctx.reference("brownian-parabola-mean") * n ** (1.0 / 3.0)
+def _limit_rows(
+    ctx: VerifyContext, label: str, res, meta: dict, leading: float, scale: str,
+    var_ref: Optional[float] = None,
+) -> List[ComparisonReport]:
+    """`label`-mean of the sweep's max against `leading` plus the predicted
+    n^(1/3) term (scale * parabola-max mean * n^(1/3)), within 0.15 of that
+    term; and, given `var_ref`, `label`-variance against it within 5%."""
+    n = meta["n"]
+    correction = ctx.reference(scale) * ctx.reference("brownian-parabola-mean") * n ** (1.0 / 3.0)
+    rows = [ComparisonReport(f"{label}-mean", res.max_stats.mean, leading + correction,
+                             0.15 * correction, se=res.max_stats.se(), source="limit", **meta)]
+    if var_ref is not None:
+        rows.append(ComparisonReport(f"{label}-variance", res.max_stats.variance(), var_ref,
+                                     0.05 * var_ref, source="limit", **meta))
+    return rows
+
+
+def _mc_vs_exact(quantity: str, res, exact: float, meta: dict) -> ComparisonReport:
+    """The sweep's mean max against an exact value, within 4 SE."""
+    se = res.max_stats.se()
+    return ComparisonReport(quantity, res.max_stats.mean, exact, 4.0 * se, se=se, source="exact",
+                            **meta)
 
 
 def _exact_max_mean(n: int) -> Fraction:
@@ -350,20 +369,8 @@ def _check_small_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     out: List[ComparisonReport] = []
     base = ctx.seed("small-max-mc")
     for n in range(3, 10):
-        exact = float(_exact_max_mean(n))
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
-        se = res.max_stats.se()
-        out.append(
-            ComparisonReport(
-                f"small-max-mc-mean-{n}",
-                res.max_stats.mean,
-                exact,
-                4.0 * se,
-                se=se,
-                source="exact",
-                **meta,
-            )
-        )
+        out.append(_mc_vs_exact(f"small-max-mc-mean-{n}", res, float(_exact_max_mean(n)), meta))
     return out
 
 
@@ -378,30 +385,20 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
     base = ctx.seed("reference-maxima")
     for n, ref_name, band in ((13, "runs-max-13-mean", 0.03), (52, "runs-max-52-mean", 0.08)):
         res, meta = _sweep(ctx, "runs-linear", n, 1_000_000, mix_key(base, n))
-        se = res.max_stats.se()
         out.append(
             ComparisonReport(
                 f"reference-max-mean-{n}",
                 res.max_stats.mean,
                 ctx.reference(ref_name),
                 band,
-                se=se,
+                se=res.max_stats.se(),
                 source="quoted-constant",
                 **meta,
             )
         )
         if n <= MAX_DP_CELLS:
-            out.append(
-                ComparisonReport(
-                    f"reference-max-mc-vs-exact-{n}",
-                    res.max_stats.mean,
-                    float(_exact_max_mean(n)),
-                    4.0 * se,
-                    se=se,
-                    source="exact",
-                    **meta,
-                )
-            )
+            exact = float(_exact_max_mean(n))
+            out.append(_mc_vs_exact(f"reference-max-mc-vs-exact-{n}", res, exact, meta))
     out.append(
         ComparisonReport("reference-max-runtime-seconds", time.perf_counter() - t0, 0.0, 300.0)
     )
@@ -413,28 +410,10 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
     t0 = time.perf_counter()
     n = 1_000_000
     res, meta = _sweep(ctx, "runs-linear", n, 10_000, ctx.seed("desk-scale-max"))
-    correction = _correction(ctx, "runs-correction-scale", n)
     var_ref = ctx.reference("runs-variance-rate") * n
-    return [
-        ComparisonReport(
-            "desk-scale-max-mean",
-            res.max_stats.mean,
-            n / 4 + correction,
-            0.15 * correction,
-            se=res.max_stats.se(),
-            source="limit",
-            **meta,
-        ),
-        ComparisonReport(
-            "desk-scale-max-variance",
-            res.max_stats.variance(),
-            var_ref,
-            0.05 * var_ref,
-            source="limit",
-            **meta,
-        ),
-        ComparisonReport("desk-scale-runtime-seconds", time.perf_counter() - t0, 0.0, 1800.0),
-    ]
+    rows = _limit_rows(ctx, "desk-scale-max", res, meta, n / 4, "runs-correction-scale", var_ref)
+    seconds = time.perf_counter() - t0
+    return rows + [ComparisonReport("desk-scale-runtime-seconds", seconds, 0.0, 1800.0)]
 
 
 def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
@@ -539,27 +518,7 @@ def _check_queues(ctx: VerifyContext) -> List[ComparisonReport]:
     """Queue-size max moments and the two-implementation KS comparison."""
     n = 10_000
     res, meta = _sweep(ctx, "priority-queue", n, 10_000, ctx.seed("queue-sweep"))
-    correction = _correction(ctx, "queue-correction-scale", n)
-    var_ref = n / 4
-    out = [
-        ComparisonReport(
-            "queue-max-mean",
-            res.max_stats.mean,
-            n / 2 + correction,
-            0.15 * correction,
-            se=res.max_stats.se(),
-            source="limit",
-            **meta,
-        ),
-        ComparisonReport(
-            "queue-max-variance",
-            res.max_stats.variance(),
-            var_ref,
-            0.05 * var_ref,
-            source="limit",
-            **meta,
-        ),
-    ]
+    out = _limit_rows(ctx, "queue-max", res, meta, n / 2, "queue-correction-scale", n / 4)
 
     ks_n, ks_reps = 100, 100_000
     pq, meta = _sweep(
@@ -586,18 +545,7 @@ def _check_pattern_max_mc(ctx: VerifyContext) -> List[ComparisonReport]:
     res, meta = _sweep(
         ctx, "pattern", n, 10_000, ctx.seed("pattern-max-mc"), pattern=run_length_pattern(1)
     )
-    correction = _correction(ctx, "run-length-1-correction-scale", n)
-    return [
-        ComparisonReport(
-            "pattern-max-mean",
-            res.max_stats.mean,
-            4 * n / 27 + correction,
-            0.15 * correction,
-            se=res.max_stats.se(),
-            source="limit",
-            **meta,
-        )
-    ]
+    return _limit_rows(ctx, "pattern-max", res, meta, 4 * n / 27, "run-length-1-correction-scale")
 
 
 # -- harness -----------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from runslab._rng import mix_key
+from runslab import asymptotics
 from runslab.asymptotics import (
     COVARIANCE_MODELS,
     VSamplerConfig,
@@ -25,6 +26,7 @@ from runslab.asymptotics import (
     predict_max_var,
     sample_parabola_max,
 )
+from runslab.evolve import MODEL_ALIASES
 from runslab.patterns import run_length_pattern, runs_pattern, summarize
 from runslab.verify import REFERENCES
 
@@ -122,6 +124,20 @@ def test_predicted_mean_formulas():
     assert bumped - runs == pytest.approx(0.5 * (1.0 - V) * cube)
     with pytest.raises(TypeError):
         predict_max_mean("runs", n)  # the constant has one home: the caller passes it
+
+
+def test_model_names_and_families():
+    # One table of names serves the CLI and the predictions.
+    families = {
+        "runs": "runs", "runs-linear": "runs", "runs-cyclic": "runs", "runs-time": "runs",
+        "queue": "queue", "pq": "queue", "priority-queue": "queue", "lazy-hash": "queue",
+        "pattern": "pattern",
+    }
+    assert set(MODEL_ALIASES) == set(families)
+    for name, family in families.items():
+        assert asymptotics._family(name) == family
+    with pytest.raises(ValueError, match=r"^unknown model 'runs-queue'$"):
+        predict_max_var("runs-queue", 100)
 
 
 def test_predicted_variance_formulas():

@@ -131,4 +131,29 @@ def test_source_lines_counts_python_files_under_src_runslab(tmp_path):
     (package / "sub" / "b.py").write_text("z = 3\n\n# end")  # no final newline
     (package / "notes.txt").write_text("not counted\n")
     (tmp_path / "tools.py").write_text("outside the package\n")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_a.py").write_text("def test_a():\n    pass\n\n")
+    (tmp_path / "tests" / "data.txt").write_text("not counted\n")
     assert bench_pairs.source_lines(tmp_path) == 5
+    assert bench_pairs.source_lines(tmp_path, "tests") == 3
+
+
+def test_record_holds_both_sides_source_and_test_lines(tmp_path, monkeypatch):
+    # Two checkouts whose runs are stubbed: the record counts each side's
+    # package and test lines, so code moved into the tests shows up.
+    sides = {}
+    for side, src, tests in (("parent", "a\nb\nc\n", "t\n"), ("change", "a\n", "t\nu\nv\n")):
+        root = tmp_path / side
+        (root / "src" / "runslab").mkdir(parents=True)
+        (root / "tests").mkdir()
+        (root / "src" / "runslab" / "m.py").write_text(src)
+        (root / "tests" / "test_m.py").write_text(tests)
+        (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": DECLARED}))
+        sides[side] = root
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: run_lines(1.0, 2.0))
+    argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
+            "--workload", "w", "--seeds", "1-2", "--label", "x", "--out-dir", str(tmp_path)]
+    assert bench_pairs.main(argv) == 0
+    summary = json.loads((tmp_path / "BENCH_x.json").read_text())["summary"]
+    assert summary["src_lines"] == {"parent": 3, "change": 1}
+    assert summary["tests_lines"] == {"parent": 1, "change": 3}

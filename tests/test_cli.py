@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from runslab.cli import COLUMNS, main
-from runslab.combinatorics import MAX_DP_CELLS
+from runslab.combinatorics import MAX_DP_CELLS, MAX_PMF_CELLS
 from runslab.patterns import PatternFunctional, run_length_pattern
 
 from conftest import constant_pattern, save_pattern
@@ -485,10 +485,31 @@ def test_linear_outside_pattern_model_is_a_usage_error(capsys, model):
     assert err == "error: --linear only applies to --model pattern (use runs or runs-cyclic)\n"
 
 
+def test_unknown_model_lists_every_accepted_name(capsys):
+    argv = ["simulate", "--model", "no-such-model", "--n", "10", "--reps", "5"]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err == (
+        "error: unknown model 'no-such-model'; choose from lazy-hash, pattern, pq, "
+        "priority-queue, queue, runs, runs-cyclic, runs-linear, runs-time\n"
+    )
+
+
 def test_max_pmf_cap_message_follows_the_dp_cap(capsys):
     code, _, err = run_cli(capsys, ["exact", "--n", str(MAX_DP_CELLS + 1), "--max-pmf"])
     assert code == 2
     assert err == f"error: --max-pmf supports n <= {MAX_DP_CELLS}\n" == "error: --max-pmf supports n <= 20\n"
+
+
+def test_pmf_cap_refuses_before_the_work(capsys):
+    code, out, _ = run_cli(capsys, ["exact", "--n", str(MAX_PMF_CELLS), "--m", "2", "--pmf"])
+    assert code == 0
+    assert parse_csv(out)["pmf-1"]["value"] == f"1/{MAX_PMF_CELLS // 2}"
+    # past the cap, and where printing the table would fail after the work
+    for n, m in ((MAX_PMF_CELLS + 1, 2), (14400, 7200)):
+        code, out, err = run_cli(capsys, ["exact", "--n", str(n), "--m", str(m), "--pmf"])
+        assert (code, out) == (2, "")
+        assert err == f"error: --pmf supports n <= {MAX_PMF_CELLS}\n" == "error: --pmf supports n <= 10000\n"
 
 
 def test_argparse_exits_are_propagated(capsys):

@@ -13,6 +13,7 @@ from runslab import combinatorics
 from runslab.combinatorics import (
     MAX_DP_CELLS,
     MAX_ORDER_CELLS,
+    MAX_PMF_CELLS,
     MAX_SUBSET_DP_CELLS,
     brute_force_max_pmf,
     count_runs,
@@ -303,6 +304,15 @@ def test_gap_dp_past_the_oracle_matches_a_sweep(n):
     exact = float(sum(k * p for k, p in pmf.items()))
     res = run_sweep(SimConfig(model="runs-linear", n=n, reps=200_000, base_seed=n))
     assert abs(res.max_stats.mean - exact) < 4 * res.max_stats.se()
+
+
+def test_run_count_pmf_cap():
+    # At the cap the largest denominator, C(n, n/2), still prints as text.
+    assert len(str(math.comb(MAX_PMF_CELLS, MAX_PMF_CELLS // 2))) == 3009
+    pmf = run_count_pmf(MAX_PMF_CELLS, 3)
+    assert sum(pmf.probs.values()) == 1 and pmf.mean() == mean_runs_discrete(MAX_PMF_CELLS, 3)
+    with pytest.raises(ValueError, match="capped"):
+        run_count_pmf(MAX_PMF_CELLS + 1, 3)
 
 
 def test_gap_dp_budget_enforced():

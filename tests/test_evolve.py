@@ -806,6 +806,12 @@ def test_sweep_rows_from_short_blocks_equal_one_row_blocks(monkeypatch, model):
             np.testing.assert_array_equal(a, b)
 
 
+def block_summary(config, keys, table, pts, ws):
+    """A sweep block of the reps keyed `keys`: their draws, then the kernel."""
+    block = evolve._draw_block(config, StreamPool(config.base_seed), keys, ws)
+    return evolve._kernel_summary(config, block, table, pts, ws)
+
+
 @pytest.mark.parametrize("model", MODELS)
 def test_block_paths_live_in_the_workspace(model):
     # A short block and a full one: no block allocates its own paths.
@@ -815,8 +821,7 @@ def test_block_paths_live_in_the_workspace(model):
     table = config.pattern.table_float() if config.pattern is not None else None
     steps = 2 * n if model in ("priority-queue", "lazy-hash") else n
     for lo, rows in ((0, 5), (5, 4)):
-        keys = mix_keys(config.base_seed, lo, rows)
-        paths = evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)[0]
+        paths = block_summary(config, mix_keys(config.base_seed, lo, rows), table, None, ws)[0]
         assert paths.shape == (rows, steps + 1)
         assert paths.base is not None and np.shares_memory(paths, ws["paths"])
 
@@ -826,14 +831,16 @@ def test_warmed_block_allocates_under_five_bytes_a_cell(model):
     # After a first block has run in the workspace, a block of 32 rows at
     # n = 1000 allocates only per-row results and window-sized tables.
     n, rows = 1000, 32
-    config = sweep_config(model, n, rows, 4, grid=(0.25, 0.5))
+    grid = (0.25, 0.5)
+    config = sweep_config(model, n, rows, 4, grid=grid)
     ws = evolve._workspace(config, rows)
     table = config.pattern.table_float() if config.pattern is not None else None
+    pts = np.array([250, 500]) if model in ("runs-linear", "runs-cyclic", "pattern") else grid
     keys = mix_keys(config.base_seed, 0, rows)
-    evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)
+    block_summary(config, keys, table, pts, ws)
     tracemalloc.start()
     try:
-        evolve._block_summary(config, StreamPool(config.base_seed), keys, table, ws)
+        block_summary(config, keys, table, pts, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

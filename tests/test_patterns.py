@@ -29,10 +29,10 @@ from runslab.patterns import (
     summarize,
     window_lag_covariance,
 )
-from runslab.polys import Polynomial, _cleared, real_roots_in_interval
+from runslab.polys import Polynomial, _cleared
 from runslab.verify import VerifyContext, _random_pattern
 
-from conftest import constant_pattern, format_pattern_text, save_pattern
+from conftest import constant_pattern, format_pattern_text, real_roots_in_interval, save_pattern
 
 
 # -- construction and the text format ----------------------------------------

@@ -21,9 +21,10 @@ from runslab.polys import (
     _primitive,
     _squarefree,
     _sturm_chain,
-    real_roots_in_interval,
 )
 from runslab.verify import _random_pattern
+
+from conftest import real_roots_in_interval
 
 
 def poly(cs):

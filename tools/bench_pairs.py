@@ -12,8 +12,9 @@ raw last two stdout lines of every run (the details record and the result)
 and, per end-to-end metric and for the raw (unscaled) pass time, each
 side's median and quartiles, the median ratio change/parent, and the pairs
 in which the change was better; per op, each side's median time and their
-ratio; and each side's line count under src/runslab/, so that a change's
-line delta comes from the same record as its timings.
+ratio; and each side's line counts under src/runslab/ and tests/, so that
+a change's line delta, and any code it moved into the tests, come from the
+same record as its timings.
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ def describe(checkout: Path):
     return proc.stdout.strip() or None
 
 
-def source_lines(checkout: Path) -> int:
-    """The number of lines in the checkout's src/runslab/ Python files."""
+def source_lines(checkout: Path, part: str = "src/runslab") -> int:
+    """The number of lines in the Python files under the checkout's `part`
+    (the package by default)."""
     return sum(
         len(path.read_text(encoding="utf-8").splitlines())
-        for path in (checkout / "src" / "runslab").rglob("*.py")
+        for path in (checkout / part).rglob("*.py")
     )
 
 
@@ -159,6 +161,7 @@ def main(argv=None) -> int:
         "summary": {
             **summarize(pairs, benchmark["end_to_end"]),
             "src_lines": {side: source_lines(path) for side, path in checkouts.items()},
+            "tests_lines": {side: source_lines(path, "tests") for side, path in checkouts.items()},
         },
         "pairs": pairs,
     }
