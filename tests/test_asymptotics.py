@@ -167,6 +167,42 @@ def test_pattern_mean_prediction_uses_summary_scale():
     assert via_pattern == pytest.approx(predict_max_mean("runs", n, v_mean=V), rel=1e-12)
 
 
+# Exact predictions at n = 1, 10^3 and 10^6, and the drift model, for each
+# family, recorded while each function still spelled its family's constants
+# out itself.  The pattern's come from the run-length-1 summary.
+PREDICTION_SIZES = (1, 10**3, 10**6)
+PREDICTION_PINS = {
+    "runs": (
+        (0.7480964999999999, 254.980965, 250049.80965),
+        (0.0625, 62.5, 62500.0),
+        (0.7071067811865475, 1.0),
+    ),
+    "queue": (
+        (1.4961929999999999, 509.96193, 500099.6193),
+        (0.25, 250.0, 250000.0),
+        (1.4142135623730951, 2.0),
+    ),
+    "pattern": (
+        (0.9323059466738762, 155.98972613340544, 148226.56392800072),
+        (0.10425240054869685, 104.25240054869684, 104252.40054869685),
+        (0.9938079899999065, 1.0),
+    ),
+}
+
+
+def test_predictions_match_pinned_values():
+    run_length_1 = summarize(run_length_pattern(1))
+    for name, tag in MODEL_ALIASES.items():
+        family = "pattern" if tag == "pattern" else "runs" if tag.startswith("runs") else "queue"
+        summary = run_length_1 if family == "pattern" else None
+        means, variances, drift = PREDICTION_PINS[family]
+        got = tuple(predict_max_mean(name, n, summary=summary, v_mean=V) for n in PREDICTION_SIZES)
+        assert got == means, name
+        got = tuple(predict_max_var(name, n, summary=summary) for n in PREDICTION_SIZES)
+        assert got == variances, name
+        assert local_drift_model(name, summary=summary) == drift, name
+
+
 # -- local drift models and the correction scale -----------------------------
 
 

@@ -778,6 +778,34 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
 
 
+def golden_chunks():
+    """`_sweep_chunk`'s per-rep rows for every model at n = 2 and 40, with
+    and without a grid.  1,000 reps: n = 2 takes the batch order pass, and
+    n = 40 spans two blocks.  Windows are of 1 and 3 cells, both ways."""
+    for model in MODELS:
+        for n in (2, 40):
+            for grid in (None, (0.25, 0.5, 0.75)):
+                for cyclic in (True, False) if model == "pattern" else (True,):
+                    pattern = eighths_pattern(1 if n == 2 else 3) if model == "pattern" else None
+                    config = SimConfig(model=model, n=n, reps=1000, base_seed=n + 3, grid=grid,
+                                       pattern=pattern, cyclic=cyclic)
+                    yield evolve._sweep_chunk(config, 0, config.reps)
+
+
+# SHA-256 over `golden_chunks`, recorded while each kernel still read its own
+# max, argmax, mid value and grid samples.
+CHUNK_DIGEST = "c34f18d6dc63095c15f4229005f37f605c0a54910a984eab12d715fccc039af6"
+
+
+def test_sweep_chunk_rows_match_golden_digest():
+    records = [
+        repr([None if a is None else (a.dtype.str, a.shape, a.tobytes().hex()) for a in chunk])
+        for chunk in golden_chunks()
+    ]
+    assert len(records) == 28
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CHUNK_DIGEST
+
+
 def sweep_config(model, n, reps, seed, grid=None):
     return SimConfig(
         model=model, n=n, reps=reps, base_seed=seed, grid=grid,

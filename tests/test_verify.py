@@ -5,6 +5,7 @@ only need the quick tier green, the override hook live, and the check
 registry stable.
 """
 
+import functools
 import hashlib
 from dataclasses import astuple, replace
 from fractions import Fraction
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from runslab import cli, patterns, verify
+from runslab.asymptotics import VSamplerConfig
 from runslab.evolve import run_sweep
 from runslab.patterns import run_length_pattern
 from runslab.verify import REFERENCES, run_checks
@@ -137,6 +139,19 @@ def test_monte_carlo_rows_match_golden_digest(monkeypatch):
     assert (exact_row.value, exact_row.se) == (quoted_row.value, quoted_row.se)
     assert exact_row.band == 4 * exact_row.se
     assert (exact_row.source, exact_row.n, exact_row.reps) == ("exact", 13, 1_000_000)
+
+
+def test_parabola_rows_match_golden_values(monkeypatch):
+    # The check's two rows on 2,000 paths at step 0.01 and horizon 3 (the
+    # fine run at step 0.005), recorded while asymptotics still ran the
+    # half-step sibling for verify: value, se, band, reps and seed.
+    small = functools.partial(VSamplerConfig, step=0.01, horizon=3.0, paths=2000)
+    monkeypatch.setattr(verify, "VSamplerConfig", small)
+    rows = verify._check_parabola_mean(verify.VerifyContext(base_seed=0))
+    assert [(r.quantity, r.value, r.se, r.band, r.reps, r.seed) for r in rows] == [
+        ("parabola-max-mean", 0.9618688410678716, 0.013190832114090934, 0.02, 2000, 0),
+        ("parabola-step-drift", 0.0011016675494652794, None, 0.07913810672662161, 2000, 0),
+    ]
 
 
 def _count_calls(monkeypatch, name):
