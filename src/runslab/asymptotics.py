@@ -5,9 +5,13 @@ Three ingredients:
 * a Monte Carlo sampler for the mean of max_t (B(t) - t^2/2) over two-sided
   Brownian motion -- the constant that multiplies every n^(1/3) second-order
   correction; the literature value 0.996193 is kept as a reference in
-  `verify.REFERENCES` and the sampler is the in-house oracle for it;
+  `verify.REFERENCES` and the sampler is the in-house oracle for it (verify
+  also runs it at half the step, its discretization self-check);
 * first- and second-order predictions for the mean and variance of the
-  maxima of the runs, queue, and general window-pattern processes;
+  maxima of the runs, queue, and general window-pattern processes, all read
+  off one limit law per family (`_limit_law`): peak mean, variance rate,
+  correction scale, and the diffusion and curvature of the local limit --
+  literals for runs and queues, a pattern's `AsymptoticSummary` otherwise;
 * the closed-form limit covariances of the centered processes, as
   comparison targets for empirical covariance grids.
 """
@@ -15,12 +19,12 @@ Three ingredients:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._rng import StreamPool, mix_key, mix_keys, ordered_map
+from ._rng import StreamPool, mix_keys, ordered_map
 from .evolve import MODEL_ALIASES
 from .patterns import AsymptoticSummary
 from .stats import MomentAccumulator
@@ -30,8 +34,6 @@ __all__ = [
     "VEstimate",
     "parabola_path_max",
     "sample_parabola_max",
-    "DiscretizationCheck",
-    "discretization_self_check",
     "predict_max_mean",
     "predict_max_var",
     "local_drift_model",
@@ -79,9 +81,6 @@ class VEstimate:
     mean: float
     sd: float
     se: float
-    paths: int
-    step: float
-    horizon: float
 
     def ci(self) -> Tuple[float, float]:
         """The mean plus and minus 3 SE."""
@@ -129,36 +128,7 @@ def sample_parabola_max(config: VSamplerConfig) -> VEstimate:
     for block in ordered_map(_path_maxima, args, config.jobs):
         for value in block:
             acc.add(value)
-    return VEstimate(
-        mean=acc.mean,
-        sd=acc.sd(),
-        se=acc.se(),
-        paths=config.paths,
-        step=config.step,
-        horizon=config.horizon,
-    )
-
-
-@dataclass(frozen=True)
-class DiscretizationCheck:
-    """Halved-step consistency: estimates must agree within summed CIs."""
-
-    coarse: VEstimate
-    fine: VEstimate
-    band: float
-
-
-def discretization_self_check(config: VSamplerConfig, coarse: VEstimate) -> DiscretizationCheck:
-    """Run the sampler at step/2 on a distinct stream family and set it
-    against `coarse`, the estimate from this exact config; the band is
-    3 times the summed SEs.
-    """
-    fine_config = replace(
-        config, step=config.step / 2.0, base_seed=mix_key(config.base_seed, 1)
-    )
-    fine = sample_parabola_max(fine_config)
-    band = 3.0 * (coarse.se + fine.se)
-    return DiscretizationCheck(coarse=coarse, fine=fine, band=band)
+    return VEstimate(mean=acc.mean, sd=acc.sd(), se=acc.se())
 
 
 # -- first/second-order predictions ------------------------------------------
@@ -172,6 +142,30 @@ def _family(model: str) -> str:
     return "runs" if tag.startswith("runs") else "pattern" if tag == "pattern" else "queue"
 
 
+# (peak mean, variance rate, correction scale, diffusion, curvature
+# coefficient) of the families whose limit law is known in closed form
+_LIMIT_LAWS = {
+    "runs": (0.25, 0.0625, 0.5, 1.0 / math.sqrt(2.0), 1.0),
+    "queue": (0.5, 0.25, 1.0, math.sqrt(2.0), 2.0),
+}
+
+
+def _limit_law(model: str, summary: Optional[AsymptoticSummary]):
+    """The model's (peak mean, variance rate, correction scale, diffusion,
+    curvature coefficient): the family's literals for runs and queues, the
+    summary's values for a pattern, which must come with its summary.  A
+    summary given with a runs or queue name is refused, not ignored."""
+    family = _family(model)
+    if family != "pattern":
+        if summary is not None:
+            raise ValueError(f"model {model!r} takes no AsymptoticSummary")
+        return _LIMIT_LAWS[family]
+    if summary is None:
+        raise ValueError("pattern predictions need an AsymptoticSummary")
+    return (summary.peak_mean, summary.variance_rate, summary.correction_scale,
+            math.sqrt(summary.jump_variance), abs(summary.peak_curvature) / 2.0)
+
+
 def predict_max_mean(
     model: str,
     n: int,
@@ -179,24 +173,17 @@ def predict_max_mean(
     summary: Optional[AsymptoticSummary] = None,
     v_mean: float,
 ) -> float:
-    """Leading term plus the n^(1/3) correction for the expected maximum.
+    """Leading term plus the n^(1/3) correction for the expected maximum:
+    peak mean * n + correction scale * v * n^(1/3).
 
-    runs: n/4 + (1/2) v n^(1/3); queue: n/2 + v n^(1/3); pattern: peak mean
-    times n plus correction_scale * v * n^(1/3) from the given summary.
-    `v_mean` is the parabola-max mean v, for instance
+    runs: n/4 + (1/2) v n^(1/3); queue: n/2 + v n^(1/3); pattern: from the
+    given summary.  `v_mean` is the parabola-max mean v, for instance
     `REFERENCES["brownian-parabola-mean"]` or a `sample_parabola_max` estimate.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    family = _family(model)
-    cube = float(n) ** (1.0 / 3.0)
-    if family == "runs":
-        return n / 4.0 + 0.5 * v_mean * cube
-    if family == "queue":
-        return n / 2.0 + v_mean * cube
-    if summary is None:
-        raise ValueError("pattern predictions need an AsymptoticSummary")
-    return summary.peak_mean * n + summary.correction_scale * v_mean * cube
+    peak_mean, _, scale, _, _ = _limit_law(model, summary)
+    return peak_mean * n + scale * v_mean * float(n) ** (1.0 / 3.0)
 
 
 def predict_max_var(
@@ -205,14 +192,7 @@ def predict_max_var(
     """Leading-order variance of the maximum: n/16, n/4, or variance_rate*n."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    family = _family(model)
-    if family == "runs":
-        return n / 16.0
-    if family == "queue":
-        return n / 4.0
-    if summary is None:
-        raise ValueError("pattern predictions need an AsymptoticSummary")
-    return summary.variance_rate * n
+    return _limit_law(model, summary)[1] * n
 
 
 def local_drift_model(model, *, summary: Optional[AsymptoticSummary] = None):
@@ -222,14 +202,7 @@ def local_drift_model(model, *, summary: Optional[AsymptoticSummary] = None):
     curvature_coefficient * x^2.  Accepts the family names; a pattern
     summary supplies the general case.
     """
-    if summary is not None:
-        return math.sqrt(summary.jump_variance), abs(summary.peak_curvature) / 2.0
-    family = _family(model)
-    if family == "runs":
-        return 1.0 / math.sqrt(2.0), 1.0
-    if family == "queue":
-        return math.sqrt(2.0), 2.0
-    raise ValueError("pattern drift models need an AsymptoticSummary")
+    return _limit_law(model, summary)[3:]
 
 
 def correction_scale_from_drift(diffusion: float, curvature_coefficient: float) -> float:

@@ -148,6 +148,15 @@ def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
         sys.stdout.write(text)
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out the run could not write, before any work is done."""
+    target = os.path.abspath(path)
+    if os.path.isdir(target) or not os.access(
+        target if os.path.exists(target) else os.path.dirname(target), os.W_OK
+    ):
+        raise UsageError(f"cannot write {path}")
+
+
 def _base_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -465,6 +474,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         seed = _base_seed(args) if hasattr(args, "seed") else DEFAULT_SEED
+        if args.out:
+            _check_out(args.out)
         manifest = RunManifest(command="runslab " + " ".join(argv), base_seed=seed)
         return args.func(args, manifest)
     except UsageError as exc:

@@ -23,8 +23,11 @@ draws ``stream(base_seed, rep)`` would give: for insertion orders of up to
 ``_BATCH_ORDER_MAX_N`` cells in blocks of at least ``_BATCH_ORDER_MIN_ROWS``
 rows, from every row's Philox words at once (``philox_words``) run through
 numpy's shuffle algorithm for all rows together; otherwise by re-keying one
-Philox instance per row.  It then runs the kernel once over the block and
-reads max, argmax, mid value and grid samples off the block of paths.
+Philox instance per row.  It then runs the kernel once over the block.
+Each kernel returns its block of paths, the time-ordered ones with their
+times in order; ``_kernel_summary`` reads every model's max, first argmax,
+mid value and grid samples off the paths in one place, at the steps the
+model names for each row.
 Blocks hold at most ``_BLOCK_CELL_BUDGET`` cells, so small-n sweeps
 amortize numpy's per-call cost over hundreds of repetitions while large-n
 sweeps keep one repetition, and one path, in memory at a time.
@@ -197,22 +200,6 @@ def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype, ws: dict) -> np.nd
     return _paths(gathered, dtype, ws)
 
 
-def _first_max(values: np.ndarray):
-    """Per row: the max and the first index attaining it."""
-    argmax = values.argmax(axis=1)
-    return values[np.arange(values.shape[0]), argmax], argmax
-
-
-def _step_summary(values: np.ndarray, step_idx: Optional[np.ndarray]):
-    """A step-indexed block of paths and, per row: max, first argmax, value
-    at step ceil(n/2), and the values at the grid steps (None without a
-    grid).  The per-row parts are copies: the next block reuses the paths."""
-    n = values.shape[1] - 1
-    maxv, argmax = _first_max(values)
-    samples = values[:, step_idx] if step_idx is not None else None
-    return values, maxv, argmax, values[:, (n + 1) // 2].copy(), samples
-
-
 # A time-sort key is a float64 time's bits shifted up past a 2-bit code.  For
 # non-negative doubles below 2.0 the bits increase with the value and stay
 # under 2^62, so the keys of distinct times sort exactly as the times do.
@@ -309,13 +296,9 @@ def _runs_values(orders: np.ndarray, cyclic: bool, ws: dict) -> np.ndarray:
     return _accumulate(delta, orders, _index_dtype(n), ws)
 
 
-def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: dict):
-    """Runs with independent arrival times, one row of `times` per rep.
-
-    Returns the step-indexed paths (in arrival order) and, per row: max,
-    first attaining arrival time, value at t = 1/2, and the values at the
-    fill fractions `pts` (None without them).
-    """
+def _runs_time_values(times: np.ndarray, ws: dict):
+    """Runs with independent arrival times, one row of `times` per rep: each
+    row's times in arrival order, and its step-indexed path in that order."""
     # Cell k fills before k+1 in stable time order when its time is earlier
     # or tied (index order), or when k+1's is a NaN, which sorts last.  Both
     # tests are dead before `_time_path` writes the codes and paths regions.
@@ -323,12 +306,7 @@ def _runs_time_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: di
     np.less_equal(times[:, :-1], times[:, 1:], out=ahead)
     ahead |= np.isnan(times[:, 1:], out=_scratch(ws, "paths", ahead.shape, np.bool_))
     steps = _runs_steps(ahead.view(np.int8), False, _scratch(ws, "steps", times.shape, np.int8))
-    sorted_times, values = _time_path(times, steps, ws)
-    maxv, argmax_step = _first_max(values)
-    rows = np.arange(times.shape[0])
-    argmax_t = np.where(argmax_step == 0, 0.0, sorted_times[rows, argmax_step - 1])
-    at = values[rows[:, None], _count_at_most(sorted_times, (0.5, *(pts or ())))]
-    return values, maxv, argmax_t, at[:, 0], (at[:, 1:] if pts is not None else None)
+    return _time_path(times, steps, ws)
 
 
 def runs_from_order(
@@ -460,25 +438,6 @@ def _queue_events_inverse(uv: np.ndarray, ws: dict) -> np.ndarray:
     return uv
 
 
-def _queue_summary(times: np.ndarray, pts: Optional[Sequence[float]], ws: dict):
-    """Occupancy paths over the 2n events in time order, one row per rep.
-
-    `times` holds each rep's n arrival times, then its n departure times.
-    Returns the paths and, per row: max, first attaining event index, value
-    after the n-th event, and the occupancy at times `pts` (None without
-    them).  The occupancy at t is the path after the events up to t.
-    """
-    rows, n = times.shape[0], times.shape[1] // 2
-    steps = np.repeat(np.array([1, -1], dtype=np.int8), n)  # arrivals, then departures
-    event_times, values = _time_path(times, steps, ws)
-    maxv, argmax = _first_max(values)
-    samples = None
-    if pts is not None:
-        counts = _count_at_most(event_times, pts)
-        samples = values[np.arange(rows)[:, None], counts]
-    return values, maxv, argmax, values[:, n].copy(), samples
-
-
 def simulate_priority_queue(
     n: int, seed: int, *, grid: Optional[Sequence[float]] = None, keep_values: bool = False,
 ) -> Trajectory:
@@ -511,8 +470,8 @@ class SimConfig:
     """One sweep: model, size, repetitions, seed, and what to collect.
 
     `grid` entries are fill fractions in (0, 1); step-indexed models sample
-    step round(t * n).  `cyclic` only affects the pattern model (the runs
-    flavor is in the model tag).
+    step round(t * n).  `cyclic` only applies to the pattern model (the runs
+    flavor is in the model tag); the other models refuse cyclic=False.
     """
 
     model: str
@@ -548,6 +507,8 @@ class SimConfig:
                 )
         elif self.pattern is not None:
             raise ValueError(f"model {self.model!r} does not take a pattern")
+        elif not self.cyclic:
+            raise ValueError(f"cyclic=False only applies to the pattern model, not {self.model!r}")
         if self.grid is not None:
             grid = tuple(float(t) for t in self.grid)
             if any(not 0.0 < t < 1.0 for t in grid):
@@ -742,17 +703,38 @@ def _kernel_summary(
     for the step-indexed models, times for the others; None for none).
     `table` is the pattern's float table (None for the other models); the
     kernel fills the block-sized arrays of the workspace `ws`, so the paths
-    live until the next block overwrites them."""
-    model = config.model
-    if model == "runs-time":
-        return _runs_time_summary(block, pts, ws)
-    if model in ("priority-queue", "lazy-hash"):
-        return _queue_summary(block, pts, ws)
-    if model == "pattern":
-        values = _pattern_values(table, config.pattern.length, block, config.cyclic, ws)
+    live until the next block overwrites them; the per-rep parts are copies.
+
+    The model names the steps to read: the insertion-order models the same
+    steps in every row, ceil(n/2) and `pts`; the queues step n and the
+    number of events up to each time of `pts`; runs-time the number of
+    arrivals up to 1/2 and up to each time of `pts`.  The argmax of
+    runs-time is the arrival time of the first step that attains the max
+    (0 for step 0).
+    """
+    model, n = config.model, config.n
+    grid = () if pts is None else pts
+    if model in _ORDER_MODELS:
+        values = (_pattern_values(table, config.pattern.length, block, config.cyclic, ws)
+                  if model == "pattern" else _runs_values(block, model == "runs-cyclic", ws))
+        # the same steps in every row: a column gather, not a per-row one
+        picked = values[:, np.array([(n + 1) // 2, *grid], dtype=np.intp)]
     else:
-        values = _runs_values(block, model == "runs-cyclic", ws)
-    return _step_summary(values, pts)
+        if model == "runs-time":
+            times, values = _runs_time_values(block, ws)
+            at = _count_at_most(times, (0.5, *grid))
+        else:  # a queue: each rep's n arrivals step up, then its n departures down
+            times, values = _time_path(block, np.repeat(np.array([1, -1], dtype=np.int8), n), ws)
+            at = np.full((len(block), 1 + len(grid)), n)
+            if grid:
+                at[:, 1:] = _count_at_most(times, grid)
+        picked = np.take_along_axis(values, at, axis=1)
+    rows = np.arange(len(values))
+    argmax = values.argmax(axis=1)  # the first step attaining each row's max
+    maxv = values[rows, argmax]
+    if model == "runs-time":
+        argmax = np.where(argmax == 0, 0.0, times[rows, argmax - 1])
+    return values, maxv, argmax, picked[:, 0], (picked[:, 1:] if pts is not None else None)
 
 
 def _trajectory(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -137,11 +137,6 @@ def jackknife_covariance(samples: np.ndarray, scale: float = 1.0):
 class CovarianceGridResult:
     """Empirical per-cell covariance of process values on a time grid."""
 
-    model: str
-    n: int
-    reps: int
-    seed: int
-    grid: Tuple[float, ...]
     covariance: np.ndarray  # n^-1 times the sample covariance across reps
     se: np.ndarray          # jackknife standard errors, same scaling
 
@@ -176,15 +171,7 @@ def empirical_covariance_grid(
     skew = float(np.abs(cov - cov.T).max())
     if skew > 1e-12:
         raise ArithmeticError(f"covariance grid asymmetric by {skew}")
-    return CovarianceGridResult(
-        model=model,
-        n=n,
-        reps=reps,
-        seed=seed,
-        grid=config.grid,
-        covariance=cov,
-        se=se,
-    )
+    return CovarianceGridResult(covariance=cov, se=se)
 
 
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -52,7 +52,6 @@ from .patterns import (
 from .asymptotics import (
     VSamplerConfig,
     correction_scale_from_drift,
-    discretization_self_check,
     limit_covariance,
     local_drift_model,
     sample_parabola_max,
@@ -417,10 +416,14 @@ def _check_desk_scale(ctx: VerifyContext) -> List[ComparisonReport]:
 
 
 def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
-    """Discretized drifted-path max mean, plus the half-step self-check."""
+    """Discretized drifted-path max mean, plus the half-step self-check: the
+    sampler again at step/2 on a stream family of its own, whose mean must
+    lie within 3 times the two estimates' summed SEs of the first."""
     config = VSamplerConfig(base_seed=ctx.base_seed, jobs=ctx.jobs)
     est = sample_parabola_max(config)
-    check = discretization_self_check(config, coarse=est)
+    fine = sample_parabola_max(
+        replace(config, step=config.step / 2, base_seed=mix_key(config.base_seed, 1))
+    )
     return [
         ComparisonReport(
             "parabola-max-mean",
@@ -434,9 +437,9 @@ def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
         ),
         ComparisonReport(
             "parabola-step-drift",
-            abs(check.coarse.mean - check.fine.mean),
+            abs(est.mean - fine.mean),
             0.0,
-            check.band,
+            3.0 * (est.se + fine.se),
             reps=config.paths,
             seed=config.base_seed,
         ),
@@ -464,14 +467,11 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
     """
     n, reps = 10_000, 10_000
     grid = tuple(k / 10 for k in range(2, 9))
+    tags = {"cov-runs-discrete": "runs-linear", "cov-runs-time": "runs-time"}
     results = {}
-    for label, model_tag in (
-        ("cov-runs-discrete", "runs-linear"),
-        ("cov-runs-time", "runs-time"),
-    ):
-        seed = ctx.seed(label)
+    for label, model_tag in tags.items():
         results[label] = empirical_covariance_grid(
-            model_tag, n=n, reps=reps, grid=grid, seed=seed, jobs=ctx.jobs
+            model_tag, n=n, reps=reps, grid=grid, seed=ctx.seed(label), jobs=ctx.jobs
         )
     references = {
         "cov-runs-discrete": limit_covariance("runs-discrete").grid_matrix(grid),
@@ -479,7 +479,7 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
     }
 
     out: List[ComparisonReport] = []
-    for label in ("cov-runs-discrete", "cov-runs-time"):
+    for label, model_tag in tags.items():
         res = results[label]
         violations, worst = _grid_violations(res.covariance, res.se, references[label])
         out.append(
@@ -489,14 +489,14 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
                 0,
                 0,
                 source="limit",
-                model=res.model,
+                model=model_tag,
                 n=n,
                 reps=reps,
-                seed=res.seed,
+                seed=ctx.seed(label),
             )
         )
         out.append(
-            ComparisonReport(f"{label}-worst-band-ratio", worst, 0.0, 1.0, model=res.model, n=n)
+            ComparisonReport(f"{label}-worst-band-ratio", worst, 0.0, 1.0, model=model_tag, n=n)
         )
 
     swap_detected = True

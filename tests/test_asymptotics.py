@@ -12,13 +12,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from runslab._rng import mix_key
 from runslab import asymptotics
 from runslab.asymptotics import (
     COVARIANCE_MODELS,
     VSamplerConfig,
     correction_scale_from_drift,
-    discretization_self_check,
     limit_covariance,
     local_drift_model,
     parabola_path_max,
@@ -58,7 +56,7 @@ def test_small_sample_lands_near_reference():
     # that the spread fields are coherent.
     est = sample_parabola_max(SMALL)
     assert 0.7 < est.mean < 1.3
-    assert est.se == pytest.approx(est.sd / math.sqrt(est.paths))
+    assert est.se == pytest.approx(est.sd / math.sqrt(SMALL.paths))
     lo, hi = est.ci()
     assert lo == pytest.approx(est.mean - 3 * est.se)
     assert hi == pytest.approx(est.mean + 3 * est.se)
@@ -89,18 +87,6 @@ def test_sampler_bit_identical_across_jobs():
     assert (serial.mean, serial.sd) == (0.9411636593014734, 0.5812356775771468)
     parallel = replace(config, jobs=2)
     assert sample_parabola_max(parallel) == serial
-    assert discretization_self_check(parallel, serial) == discretization_self_check(config, serial)
-
-
-def test_discretization_check_structure_and_reuse():
-    coarse = sample_parabola_max(SMALL)
-    check = discretization_self_check(SMALL, coarse=coarse)
-    assert check.coarse is coarse
-    assert check.fine.step == pytest.approx(SMALL.step / 2)
-    assert check.band == pytest.approx(3.0 * (check.coarse.se + check.fine.se))
-    # the fine run must come from the documented sibling stream family
-    sibling = replace(SMALL, step=SMALL.step / 2, base_seed=mix_key(SMALL.base_seed, 1))
-    assert check.fine == sample_parabola_max(sibling)
 
 
 # -- mean / variance predictions ---------------------------------------------
@@ -158,6 +144,12 @@ def test_pattern_predictions_require_summary():
         predict_max_mean("runs", 0, v_mean=V)
     with pytest.raises(ValueError):
         predict_max_var("runs", 0)
+    # a summary belongs to a pattern: with a runs or queue name it is refused
+    summary = summarize(runs_pattern())
+    with pytest.raises(ValueError, match=r"^model 'runs' takes no AsymptoticSummary$"):
+        predict_max_mean("runs", 100, summary=summary, v_mean=V)
+    with pytest.raises(ValueError, match=r"^model 'queue' takes no AsymptoticSummary$"):
+        predict_max_var("queue", 100, summary=summary)
 
 
 def test_pattern_mean_prediction_uses_summary_scale():
@@ -235,6 +227,8 @@ def test_drift_model_validation():
         local_drift_model("pattern")
     with pytest.raises(ValueError):
         local_drift_model("run-length-1")  # a pattern: pass its summary
+    with pytest.raises(ValueError, match=r"^model 'runs' takes no AsymptoticSummary$"):
+        local_drift_model("runs", summary=summarize(runs_pattern()))
     with pytest.raises(ValueError):
         correction_scale_from_drift(1.0, 0.0)
     with pytest.raises(ValueError):

@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from runslab import cli
 from runslab.cli import COLUMNS, main
 from runslab.combinatorics import MAX_DP_CELLS, MAX_PMF_CELLS
 from runslab.patterns import PatternFunctional, run_length_pattern
@@ -334,6 +335,20 @@ def test_out_flag_writes_file_not_stdout(capsys, tmp_path):
     assert out == ""
     rows = parse_csv(target.read_text())
     assert rows["max-mean"]["value"] == "4/3"
+
+
+@pytest.mark.parametrize("where", ["missing/rows.csv", "."])
+def test_unwritable_out_is_refused_before_the_work(capsys, tmp_path, monkeypatch, where):
+    # A missing directory or a directory itself: exit 2 with a message, and
+    # the subcommand never starts (it used to fail with a traceback after it).
+    def refuse(*args):
+        raise AssertionError("the subcommand ran")
+
+    monkeypatch.setattr(cli, "cmd_exact", refuse)
+    target = tmp_path / where
+    code, out, err = run_cli(capsys, ["exact", "--n", "5", "--m", "2", "--out", str(target)])
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}\n"
 
 
 # -- pattern reports ---------------------------------------------------------

@@ -19,8 +19,6 @@ from runslab.evolve import (
     MODELS,
     SimConfig,
     _pattern_values,
-    _queue_summary,
-    _runs_time_summary,
     _runs_values,
     _time_path,
     pattern_from_order,
@@ -319,6 +317,14 @@ def test_time_order_equals_stable_argsort_on_random_ties(columns):
     assert_stable_time_path(np.array(columns).T.copy())
 
 
+def time_summary(model, block, pts, ws):
+    """`_kernel_summary` of a block of runs-time arrival times, or of a
+    queue's arrival then departure times."""
+    n = block.shape[1] if model == "runs-time" else block.shape[1] // 2
+    config = SimConfig(model=model, n=n, reps=len(block), base_seed=0)
+    return evolve._kernel_summary(config, block, None, pts, ws)
+
+
 def test_runs_time_summary_follows_stable_order_on_ties():
     # Ties, NaNs, a signed zero, an infinity and a time past 2, each in its
     # own row of one block with rows the packed-key sort orders.
@@ -334,7 +340,7 @@ def test_runs_time_summary_follows_stable_order_on_ties():
     ])
     pts = (0.2, 0.5)
     ws = workspace("runs-time", times.shape[1], len(times) + 2)
-    values, maxv, argmax_t, mid, samples = _runs_time_summary(times, pts, ws)
+    values, maxv, argmax_t, mid, samples = time_summary("runs-time", times, pts, ws)
     for r, row in enumerate(times):
         order = np.argsort(row, kind="stable")
         path = runs_values_loop(order.tolist(), cyclic=False)
@@ -436,12 +442,13 @@ def test_queue_paths_are_excursions(simulate):
         assert 1 <= traj.max_value <= 30
 
 
-def test_queue_overlap_probability_two_jobs():
+def test_queue_overlap_probability_two_items():
     # two service intervals built from two uniform pairs overlap with
     # probability 2/3; both event constructions must agree with it
     reps = 30_000
-    for simulate in (simulate_priority_queue, simulate_lazy_hash):
-        hits = sum(simulate(2, seed=s).max_value == 2 for s in range(reps))
+    for model in ("priority-queue", "lazy-hash"):
+        config = SimConfig(model=model, n=2, reps=reps, base_seed=0, keep_max_samples=True)
+        hits = np.count_nonzero(run_sweep(config).max_samples == 2)
         assert abs(hits / reps - 2 / 3) < 5 * math.sqrt(2 / 9 / reps)
 
 
@@ -464,9 +471,9 @@ def queue_reference(arrive, depart, pts):
 
 
 def queue_summary(arrive, depart, pts):
-    """`_queue_summary` of the rows of arrive | depart times."""
+    """The kernel summary of the rows of arrive | depart times."""
     ws = workspace("priority-queue", arrive.shape[1], len(arrive) + 2)
-    return _queue_summary(np.concatenate([arrive, depart], axis=1), pts, ws)
+    return time_summary("priority-queue", np.concatenate([arrive, depart], axis=1), pts, ws)
 
 
 def assert_queue_rows_match_reference(arrive, depart, pts):
@@ -590,7 +597,8 @@ def test_trajectories_draw_from_the_seeds_stream(seed):
             pattern_from_order(pattern, order, cyclic=cyclic, grid=steps, keep_values=True))
     pts = (0.25, 0.5, 0.75)
     traj = simulate_runs_randomized_time(n, seed, grid=pts, keep_values=True)
-    summary = _runs_time_summary(stream(seed).random(n)[None, :], pts, workspace("runs-time", n, 1))
+    times = stream(seed).random(n)[None, :]
+    summary = time_summary("runs-time", times, pts, workspace("runs-time", n, 1))
     assert_summary_is_trajectory(summary, traj)
     u, v = stream(seed).random((2, n))
     arrive = {
@@ -653,13 +661,13 @@ def single_trajectories(case, n, seed, reps, grid):
         else:
             ws = workspace(case, n, 1)
             if case == "runs-time":
-                summary = _runs_time_summary(rng.random(n)[None, :], grid, ws)
+                summary = time_summary(case, rng.random(n)[None, :], grid, ws)
             else:
                 # The per-row protocol: all n draws of u, then all n of v.
                 u = rng.random(n)
                 v = rng.random(n)
                 uv = draws[case](np.concatenate([u, v])[None, :], ws)
-                summary = _queue_summary(uv, grid, ws)
+                summary = time_summary(case, uv, grid, ws)
             out.append(tuple(part[0] for part in summary[1:]))
             continue
         out.append((traj.max_value, traj.argmax, traj.mid_value, traj.samples))
@@ -1002,6 +1010,16 @@ def test_sweep_config_validation():
             model="runs-linear", n=10, reps=1, base_seed=0,
             pattern=run_length_pattern(1),
         )
+
+
+@pytest.mark.parametrize("model", [m for m in MODELS if m != "pattern"])
+def test_cyclic_false_is_refused_outside_the_pattern_model(model):
+    # The runs flavor is in the model tag; cyclic=False used to run cyclic
+    # runs without a word.
+    with pytest.raises(ValueError, match=f"^cyclic=False only applies to the pattern model, not '{model}'$"):
+        SimConfig(model=model, n=10, reps=1, base_seed=0, cyclic=False)
+    pattern = run_length_pattern(1)
+    assert not SimConfig(model="pattern", n=10, reps=1, base_seed=0, pattern=pattern, cyclic=False).cyclic
 
 
 def test_sweep_grid_stats_match_closed_form_loosely():

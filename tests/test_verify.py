@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from runslab import cli, patterns, verify
-from runslab.asymptotics import VSamplerConfig
+from runslab._rng import mix_key
+from runslab.asymptotics import VSamplerConfig, sample_parabola_max
 from runslab.evolve import run_sweep
 from runslab.patterns import run_length_pattern
 from runslab.verify import REFERENCES, run_checks
@@ -152,6 +153,21 @@ def test_parabola_rows_match_golden_values(monkeypatch):
         ("parabola-max-mean", 0.9618688410678716, 0.013190832114090934, 0.02, 2000, 0),
         ("parabola-step-drift", 0.0011016675494652794, None, 0.07913810672662161, 2000, 0),
     ]
+
+
+def test_parabola_step_drift_runs_the_half_step_sibling(monkeypatch):
+    # The fine run is the sampler at step/2 on the sibling stream family
+    # mix_key(seed, 1), and the band is 3 times the two SEs summed; two
+    # worker processes give the same rows as one.
+    small = functools.partial(VSamplerConfig, step=0.01, horizon=3.0, paths=150)
+    monkeypatch.setattr(verify, "VSamplerConfig", small)
+    rows = verify._check_parabola_mean(verify.VerifyContext(base_seed=7))
+    coarse = sample_parabola_max(small(base_seed=7))
+    fine = sample_parabola_max(small(step=0.005, base_seed=mix_key(7, 1)))
+    assert (rows[0].value, rows[0].se) == (coarse.mean, coarse.se)
+    assert rows[1].value == abs(coarse.mean - fine.mean)
+    assert rows[1].band == 3.0 * (coarse.se + fine.se)
+    assert verify._check_parabola_mean(verify.VerifyContext(base_seed=7, jobs=2)) == rows
 
 
 def _count_calls(monkeypatch, name):
