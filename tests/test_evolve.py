@@ -1016,10 +1016,12 @@ def test_sweep_config_validation():
 def test_cyclic_false_is_refused_outside_the_pattern_model(model):
     # The runs flavor is in the model tag; cyclic=False used to run cyclic
     # runs without a word.
-    with pytest.raises(ValueError, match=f"^cyclic=False only applies to the pattern model, not '{model}'$"):
+    message = f"^cyclic=False only applies to the pattern model, not '{model}'$"
+    with pytest.raises(ValueError, match=message):
         SimConfig(model=model, n=10, reps=1, base_seed=0, cyclic=False)
-    pattern = run_length_pattern(1)
-    assert not SimConfig(model="pattern", n=10, reps=1, base_seed=0, pattern=pattern, cyclic=False).cyclic
+    linear = SimConfig(model="pattern", n=10, reps=1, base_seed=0,
+                       pattern=run_length_pattern(1), cyclic=False)
+    assert not linear.cyclic
 
 
 def test_sweep_grid_stats_match_closed_form_loosely():

@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from runslab import cli, patterns, verify
+from runslab import asymptotics, cli, patterns, verify
 from runslab._rng import mix_key
 from runslab.asymptotics import VSamplerConfig, sample_parabola_max
 from runslab.evolve import run_sweep
@@ -158,9 +158,11 @@ def test_parabola_rows_match_golden_values(monkeypatch):
 def test_parabola_step_drift_runs_the_half_step_sibling(monkeypatch):
     # The fine run is the sampler at step/2 on the sibling stream family
     # mix_key(seed, 1), and the band is 3 times the two SEs summed; two
-    # worker processes give the same rows as one.
+    # worker processes give the same rows as one (64-path key blocks, so
+    # they really split the 150 paths).
     small = functools.partial(VSamplerConfig, step=0.01, horizon=3.0, paths=150)
     monkeypatch.setattr(verify, "VSamplerConfig", small)
+    monkeypatch.setattr(asymptotics, "_KEY_BLOCK", 64)
     rows = verify._check_parabola_mean(verify.VerifyContext(base_seed=7))
     coarse = sample_parabola_max(small(base_seed=7))
     fine = sample_parabola_max(small(step=0.005, base_seed=mix_key(7, 1)))
