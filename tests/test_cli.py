@@ -15,6 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import runslab
 from runslab import cli
 from runslab.cli import COLUMNS, main
 from runslab.combinatorics import MAX_DP_CELLS, MAX_PMF_CELLS
@@ -323,6 +324,23 @@ def test_json_mirrors_csv_cell_for_cell(capsys):
     assert manifest["base_seed"] == 5
     assert manifest["wall_time_seconds"] > 0
     assert "artifact_version" in manifest
+
+
+def test_verify_json_manifest(capsys, monkeypatch):
+    # every manifest key and value but the wall time
+    monkeypatch.delenv("RUNSLAB_SEED", raising=False)
+    argv = ["verify", "--scale", "quick", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    assert manifest.pop("wall_time_seconds") > 0
+    assert manifest == {
+        "command": "runslab verify --scale quick --format json",
+        "base_seed": 0,
+        "artifact_version": "0.1.0",
+        "outputs": {"scale": "quick", "checks_passed": "true"},
+    }
+    assert manifest["artifact_version"] == runslab.__version__
 
 
 def test_out_flag_writes_file_not_stdout(capsys, tmp_path):

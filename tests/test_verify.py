@@ -7,13 +7,13 @@ registry stable.
 
 import functools
 import hashlib
-from dataclasses import astuple, replace
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from runslab import asymptotics, cli, patterns, verify
+from runslab import asymptotics, cli, patterns, stats, verify
 from runslab._rng import mix_key
 from runslab.asymptotics import VSamplerConfig, sample_parabola_max
 from runslab.evolve import run_sweep
@@ -110,9 +110,18 @@ MC_CHECKS = (
     verify._check_pattern_max_mc,
 )
 
-# SHA-256 over the rows of MC_CHECKS (wall-time rows dropped), recorded
-# while each check still built its sweep and its cube-root term inline.
-MC_ROWS_DIGEST = "c41ffb5207b8463e469aa726f10f14e6cebc658673f2b73e0fbdc3ad7ded5aa0"
+# The report fields a row pin reads.
+ROW_FIELDS = ("quantity", "value", "reference", "band", "se", "model", "n", "reps", "seed")
+
+# SHA-256 over ROW_FIELDS of the rows of MC_CHECKS (wall-time rows dropped),
+# recorded while every report still carried a `source` tag.  The digest
+# before it, over whole reports, was recorded while each check still built
+# its sweep and its cube-root term inline; both read the same rows.
+MC_ROWS_DIGEST = "213f1322dbf8b7042752d0bec2d7ebf3a4d881acfff28dc0a0377d30cbfc6bad"
+
+
+def row_record(report):
+    return tuple(getattr(report, name) for name in ROW_FIELDS)
 
 
 def _shrunk_sweep(config):
@@ -130,7 +139,7 @@ def test_monte_carlo_rows_match_golden_digest(monkeypatch):
     ]
     # The MC-vs-exact row came after the digest; it is pinned on its own.
     added = {r.quantity: r for r in reports if r.quantity == "reference-max-mc-vs-exact-13"}
-    rows = [repr(astuple(r)) for r in reports if r.quantity not in added]
+    rows = [repr(row_record(r)) for r in reports if r.quantity not in added]
     assert len(rows) == 15
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == MC_ROWS_DIGEST
@@ -140,6 +149,28 @@ def test_monte_carlo_rows_match_golden_digest(monkeypatch):
     assert (exact_row.value, exact_row.se) == (quoted_row.value, quoted_row.se)
     assert exact_row.band == 4 * exact_row.se
     assert (exact_row.source, exact_row.n, exact_row.reps) == ("exact", 13, 1_000_000)
+
+
+def test_covariance_grid_rows_match_golden_values(monkeypatch):
+    # The check's rows with both grids swept at n = 400 over 300 reps,
+    # recorded while the check still named its grids in three places.
+    def small(model, *, n, reps, grid, seed, jobs=1):
+        return stats.empirical_covariance_grid(model, n=400, reps=300, grid=grid, seed=seed,
+                                               jobs=jobs)
+
+    monkeypatch.setattr(verify, "empirical_covariance_grid", small)
+    rows = verify._check_covariance_grids(verify.VerifyContext(base_seed=0))
+    assert [row_record(r) for r in rows] == [
+        ("cov-runs-discrete-violations", 0.0, 0.0, 0.0, None, "runs-linear", 10000, 10000,
+         9215069760937974895),
+        ("cov-runs-discrete-worst-band-ratio", 0.8394046555838568, 0.0, 1.0, None,
+         "runs-linear", 10000, None, None),
+        ("cov-runs-time-violations", 0.0, 0.0, 0.0, None, "runs-time", 10000, 10000,
+         7259628554680249319),
+        ("cov-runs-time-worst-band-ratio", 0.6833457008622904, 0.0, 1.0, None, "runs-time",
+         10000, None, None),
+        ("cov-swap-sensitivity-detected", 1.0, 1.0, 0.0, None, None, None, None, None),
+    ]
 
 
 def test_parabola_rows_match_golden_values(monkeypatch):
