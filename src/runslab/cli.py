@@ -117,7 +117,6 @@ class RunManifest:
 
     command: str
     base_seed: int
-    artifact_version: str = __version__
     wall_time_seconds: float = 0.0
     outputs: Dict[str, str] = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter)
@@ -134,7 +133,7 @@ def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
             "manifest": {
                 "command": manifest.command,
                 "base_seed": manifest.base_seed,
-                "artifact_version": manifest.artifact_version,
+                "artifact_version": __version__,
                 "wall_time_seconds": manifest.wall_time_seconds,
                 **({"outputs": manifest.outputs} if manifest.outputs else {}),
             },
@@ -208,6 +207,8 @@ def cmd_exact(args, manifest: RunManifest) -> int:
         raise UsageError("exact needs --n >= 1")
     rows: List[Dict[str, str]] = []
     if args.max_pmf:
+        if args.m is not None or args.pmf:
+            raise UsageError("--max-pmf takes neither --m nor --pmf")
         if n > MAX_DP_CELLS:
             raise UsageError(f"--max-pmf supports n <= {MAX_DP_CELLS}")
         pmf = max_pmf_gap_dp(n)
@@ -240,7 +241,7 @@ def cmd_simulate(args, manifest: RunManifest) -> int:
     model = _resolve_model(args.model)
     seed = manifest.base_seed
     pattern = _load_cli_pattern(args) if model == "pattern" else None
-    if model != "pattern" and (args.psi_file or args.run_length):
+    if model != "pattern" and (args.psi_file is not None or args.run_length is not None):
         raise UsageError("--psi-file/--run-length only apply to --model pattern")
     if model != "pattern" and args.linear:
         raise UsageError("--linear only applies to --model pattern (use runs or runs-cyclic)")
@@ -378,7 +379,7 @@ def cmd_verify(args, manifest: RunManifest) -> int:
         )
         for r in result.reports
     ]
-    manifest.outputs["scale"] = result.scale
+    manifest.outputs["scale"] = args.scale
     manifest.outputs["checks_passed"] = _fmt(result.passed)
     _emit(rows, manifest, args)
     if not result.passed:

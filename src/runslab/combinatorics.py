@@ -69,8 +69,6 @@ _ORDER_BLOCK_TAIL = 8
 class RunCountPmf:
     """Exact distribution of the run count after m of n cells are filled."""
 
-    n: int
-    m: int
     probs: Dict[int, Fraction]
 
     def mean(self) -> Fraction:
@@ -99,7 +97,7 @@ def run_count_pmf(n: int, m: int) -> RunCountPmf:
     if n > MAX_PMF_CELLS:
         raise ValueError(f"run-count pmf capped at n <= {MAX_PMF_CELLS}, got {n}")
     if m == 0:
-        return RunCountPmf(n, m, {0: Fraction(1)})
+        return RunCountPmf({0: Fraction(1)})
     total = comb(n, m)
     probs: Dict[int, Fraction] = {}
     for k in range(1, min(m, n - m + 1) + 1):
@@ -107,7 +105,7 @@ def run_count_pmf(n: int, m: int) -> RunCountPmf:
         if c:
             probs[k] = Fraction(c, total)
     assert sum(probs.values()) == 1
-    return RunCountPmf(n, m, probs)
+    return RunCountPmf(probs)
 
 
 def count_runs(cells: Sequence[int], cyclic: bool = False) -> int:
@@ -149,7 +147,7 @@ def run_count_pmf_enumerated(n: int, m: int, cyclic: bool = False) -> RunCountPm
         k = count_runs(row, cyclic=cyclic)
         counts[k] = counts.get(k, 0) + 1
     total = comb(n, m)
-    return RunCountPmf(n, m, {k: Fraction(c, total) for k, c in counts.items()})
+    return RunCountPmf({k: Fraction(c, total) for k, c in counts.items()})
 
 
 def mean_runs_discrete(n: int, m: int) -> Fraction:

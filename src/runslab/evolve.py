@@ -40,8 +40,11 @@ Every kernel writes its block-sized arrays into one workspace
 (``_workspace``) made for a sweep chunk's first block, so later blocks
 allocate none and, below the size `_workspace` states, fault in no pages.
 A single trajectory runs in a one-row workspace and copies what it keeps.
-Runs paths are int32 while n fits, since no run count
-exceeds ceil(n/2); a `Trajectory` widens them to int64.
+Every integer path (runs, runs-time and the queues) is int32 while its
+step count fits, since no run count exceeds ceil(n/2) and no queue holds
+more than n; a `Trajectory` widens them to int64.  What a kernel reads
+beyond its block (a pattern's jump tables, a queue's step row) is made
+once a chunk (``_sweep_tables``).
 
 The time-ordered models (runs-time and the queues) sweep each row in
 ascending time, ties broken by index, which is the order a stable argsort
@@ -162,8 +165,8 @@ def _scratch(ws: dict, region: str, shape: Tuple[int, ...], dtype) -> np.ndarray
 
 
 def _index_dtype(n: int):
-    """32 bits while they hold 0..n (steps, and run counts, which never
-    exceed ceil(n/2)): half the bytes of int64 to scatter, gather and scan."""
+    """32 bits while they hold 0..n (steps, and the values of an integer
+    path of n steps): half the bytes of int64 to scatter, gather and scan."""
     return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
@@ -178,9 +181,11 @@ def _filled_at(orders: np.ndarray, ws: dict) -> np.ndarray:
     return filled_at
 
 
-def _paths(steps: np.ndarray, dtype, ws: dict) -> np.ndarray:
-    """Per row, the path from 0 that adds its steps in turn, in `dtype`."""
+def _paths(steps: np.ndarray, ws: dict) -> np.ndarray:
+    """Per row, the path from 0 that adds its steps in turn: float64 for
+    float steps, `_index_dtype` of the row length for integer ones."""
     rows, m = steps.shape
+    dtype = np.float64 if steps.dtype.kind == "f" else _index_dtype(m)
     values = _scratch(ws, "paths", (rows, m + 1), dtype)
     values[:, 0] = 0
     # Widen into the paths, then sum them in place: a cumsum that casts
@@ -190,14 +195,14 @@ def _paths(steps: np.ndarray, dtype, ws: dict) -> np.ndarray:
     return values
 
 
-def _accumulate(delta: np.ndarray, orders: np.ndarray, dtype, ws: dict) -> np.ndarray:
+def _accumulate(delta: np.ndarray, orders: np.ndarray, ws: dict) -> np.ndarray:
     """Paths from 0 along each row's order: value after m steps is the sum
     of the increments of the first m cells filled."""
     gathered = _scratch(ws, "gathered", delta.shape, delta.dtype)
     # mode="clip" writes straight into `gathered`; the default mode buffers
     # through a fresh array.  Every index is in range, so nothing is clipped.
     np.take(delta.reshape(-1), orders, out=gathered, mode="clip")
-    return _paths(gathered, dtype, ws)
+    return _paths(gathered, ws)
 
 
 # A time-sort key is a float64 time's bits shifted up past a 2-bit code.  For
@@ -240,7 +245,7 @@ def _time_path(times: np.ndarray, steps: np.ndarray, ws: dict):
         ranked[redo] = np.take_along_axis(times[redo], order, axis=1)
         redo_steps = np.broadcast_to(steps, times.shape)[redo]
         ranked_steps[redo] = np.take_along_axis(redo_steps, order, axis=1)
-    return ranked, _paths(ranked_steps, np.int64, ws)
+    return ranked, _paths(ranked_steps, ws)
 
 
 def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
@@ -279,11 +284,7 @@ def _runs_steps(e: np.ndarray, cyclic: bool, out: np.ndarray) -> np.ndarray:
 
 
 def _runs_values(orders: np.ndarray, cyclic: bool, ws: dict) -> np.ndarray:
-    """Run counts after 0..n insertions, one row per (flat) insertion order.
-
-    The paths are int32 while n fits (`_index_dtype`).
-    """
-    n = orders.shape[1]
+    """Run counts after 0..n insertions, one row per (flat) insertion order."""
     filled_at = _filled_at(orders, ws)
     # [cell k fills before cell k+1], written as bools into int8 bytes; read
     # before the gather, so it shares the gathered increments' region
@@ -293,7 +294,7 @@ def _runs_values(orders: np.ndarray, cyclic: bool, ws: dict) -> np.ndarray:
         np.less(filled_at[:, -1:], filled_at[:, :1], out=ahead[:, -1:].view(np.bool_))
     e = ahead if cyclic else ahead[:, :-1]
     delta = _runs_steps(e, cyclic, _scratch(ws, "steps", orders.shape, np.int8))
-    return _accumulate(delta, orders, _index_dtype(n), ws)
+    return _accumulate(delta, orders, ws)
 
 
 def _runs_time_values(times: np.ndarray, ws: dict):
@@ -345,10 +346,12 @@ def simulate_runs_randomized_time(
 
 
 def _pattern_values(
-    table: np.ndarray, ell: int, orders: np.ndarray, cyclic: bool, ws: dict
+    empty: float, jumps: np.ndarray, orders: np.ndarray, cyclic: bool, ws: dict
 ) -> np.ndarray:
-    """Windowed sums after 0..n insertions, one row per (flat) insertion order."""
+    """Windowed sums after 0..n insertions, one row per (flat) insertion
+    order, from the empty window's value and the jump tables (`_sweep_tables`)."""
     rows, n = orders.shape
+    ell = len(jumps)
     filled_at = _filled_at(orders, ws)
     # earlier[ell - 1 + d] = [cell k+d (mod n) occupied before cell k's own
     # insertion], once a block for each offset d != 0, then for the wrap.
@@ -367,14 +370,9 @@ def _pattern_values(
     mask = _scratch(ws, "gathered", (rows, width), np.uint8 if ell <= 8 else np.uint16)
     index = _scratch(ws, "paths", (rows, width), np.intp)
     gathered = _scratch(ws, "gathered", (rows, width), np.float64)
-    windows = np.arange(table.size)
     delta = _scratch(ws, "steps", orders.shape, np.float64)
     delta.fill(0.0)
-    for o in range(ell):
-        inserted_bit = 1 << (ell - 1 - o)
-        # the jump of every window value when cell o fills: the float
-        # subtraction the loop makes per cell, made once per value
-        jump = table[windows | inserted_bit] - table[windows]
+    for o, jump in enumerate(jumps):
         cells = slice(0, n) if cyclic else slice(o, o + width)
         mask.fill(0)
         for i in range(ell):
@@ -384,8 +382,8 @@ def _pattern_values(
         np.copyto(index, mask)
         np.take(jump, index, out=gathered, mode="clip")  # as in `_accumulate`
         delta[:, cells] += gathered
-    values = _accumulate(delta, orders, np.float64, ws)
-    values += table[0] * (n if cyclic else n - ell + 1)
+    values = _accumulate(delta, orders, ws)
+    values += empty * (n if cyclic else n - ell + 1)
     return values
 
 
@@ -645,9 +643,15 @@ def _draw_uniforms(pool: StreamPool, keys: np.ndarray, n: int, ws: dict) -> np.n
     return times
 
 
+_ORDER_MODELS = ("runs-linear", "runs-cyclic", "pattern")  # step-indexed, on insertion orders
+_QUEUE_MODELS = ("priority-queue", "lazy-hash")
+
+
 def _workspace(config: SimConfig, rows: int) -> dict:
     """Byte regions for `rows` rows of the model's kernel, by name, with the
     ramp filled in.  Each kernel says which of its arrays share a region.
+    Every integer-path model's `paths` region holds `_index_dtype` of the
+    steps in a row (n, or 2n for a queue), as `_paths` writes them.
 
     The regions are carved from one allocation.  When glibc frees a mapped
     block it raises its mmap threshold to that size and its trim threshold
@@ -660,14 +664,14 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     against none at 10^6.
     """
     n, model = config.n, config.model
-    index = np.dtype(_index_dtype(n)).itemsize
-    if model in ("runs-time", "priority-queue", "lazy-hash"):
-        m = n if model == "runs-time" else 2 * n  # times in a row
-        sizes = {"times": 8 * m, "keys": 8 * m, "codes": m, "steps": m, "paths": 8 * (m + 1)}
+    m = 2 * n if model in _QUEUE_MODELS else n  # steps in a row
+    index = np.dtype(_index_dtype(m)).itemsize
+    if model in ("runs-time", *_QUEUE_MODELS):  # integer paths, like the runs models'
+        sizes = {"times": 8 * m, "keys": 8 * m, "codes": m, "steps": m, "paths": index * (m + 1)}
     elif model == "pattern":  # float64 increments and paths
         sizes = {"orders": 8 * n, "ramp": index * n, "paths": 8 * (n + 1), "steps": 8 * n,
                  "gathered": 8 * n, "bits": (2 * config.pattern.length - 1) * n}
-    else:  # int8 increments, paths in `_index_dtype(n)`
+    else:  # int8 increments
         sizes = {"orders": 8 * n, "ramp": index * n, "paths": index * (n + 1), "steps": n,
                  "gathered": n}
     # each region starts on a 64-byte boundary, so every view is aligned
@@ -679,7 +683,22 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     return ws
 
 
-_ORDER_MODELS = ("runs-linear", "runs-cyclic", "pattern")  # step-indexed, on insertion orders
+def _sweep_tables(config: SimConfig):
+    """What the model's kernel reads beyond its block, made once a sweep
+    chunk: the pattern's empty-window value and, per window cell, every
+    window value's jump when that cell fills (the float subtraction the
+    loop makes, once per value; tens of ms for 16 cells); a queue's step
+    row, its n arrivals up then its n departures down; None for runs."""
+    if config.model == "pattern":
+        table, ell = config.pattern.table_float(), config.pattern.length
+        windows = np.arange(table.size)
+        jumps = np.empty((ell, table.size))
+        for o, jump in enumerate(jumps):
+            np.subtract(table[windows | 1 << (ell - 1 - o)], table, out=jump)
+        return table[0], jumps
+    if config.model in _QUEUE_MODELS:
+        return np.repeat(np.array([1, -1], dtype=np.int8), config.n)
+    return None
 
 
 def _draw_block(config: SimConfig, pool: StreamPool, keys: np.ndarray, ws: dict) -> np.ndarray:
@@ -695,15 +714,13 @@ def _draw_block(config: SimConfig, pool: StreamPool, keys: np.ndarray, ws: dict)
     return (_queue_events_minmax if model == "priority-queue" else _queue_events_inverse)(uv, ws)
 
 
-def _kernel_summary(
-    config: SimConfig, block: np.ndarray, table: Optional[np.ndarray], pts, ws: dict,
-):
+def _kernel_summary(config: SimConfig, block: np.ndarray, tables, pts, ws: dict):
     """The model's kernel over a block of draws, then the block of paths and
     their per-rep max, argmax, mid value and values at `pts` (step indices
     for the step-indexed models, times for the others; None for none).
-    `table` is the pattern's float table (None for the other models); the
-    kernel fills the block-sized arrays of the workspace `ws`, so the paths
-    live until the next block overwrites them; the per-rep parts are copies.
+    `tables` is what `_sweep_tables` gives for the model; the kernel fills
+    the block-sized arrays of the workspace `ws`, so the paths live until
+    the next block overwrites them; the per-rep parts are copies.
 
     The model names the steps to read: the insertion-order models the same
     steps in every row, ceil(n/2) and `pts`; the queues step n and the
@@ -715,8 +732,8 @@ def _kernel_summary(
     model, n = config.model, config.n
     grid = () if pts is None else pts
     if model in _ORDER_MODELS:
-        values = (_pattern_values(table, config.pattern.length, block, config.cyclic, ws)
-                  if model == "pattern" else _runs_values(block, model == "runs-cyclic", ws))
+        values = (_pattern_values(*tables, block, config.cyclic, ws) if model == "pattern"
+                  else _runs_values(block, model == "runs-cyclic", ws))
         # the same steps in every row: a column gather, not a per-row one
         picked = values[:, np.array([(n + 1) // 2, *grid], dtype=np.intp)]
     else:
@@ -724,7 +741,7 @@ def _kernel_summary(
             times, values = _runs_time_values(block, ws)
             at = _count_at_most(times, (0.5, *grid))
         else:  # a queue: each rep's n arrivals step up, then its n departures down
-            times, values = _time_path(block, np.repeat(np.array([1, -1], dtype=np.int8), n), ws)
+            times, values = _time_path(block, tables, ws)
             at = np.full((len(block), 1 + len(grid)), n)
             if grid:
                 at[:, 1:] = _count_at_most(times, grid)
@@ -759,8 +776,8 @@ def _trajectory(
     ws = _workspace(config, 1)
     block = (order[None, :] if order is not None
              else _draw_block(config, StreamPool(seed), mix_keys(seed, 0, 1), ws))
-    table = pattern.table_float() if pattern is not None else None
-    values, maxv, argmax, mid, samples = _kernel_summary(config, block, table, pts, ws)
+    values, maxv, argmax, mid, samples = _kernel_summary(config, block, _sweep_tables(config),
+                                                         pts, ws)
     dtype = np.promote_types(values.dtype, np.int64)
     return Trajectory(
         model=model, n=n, max_value=maxv[0].item(), argmax=argmax[0].item(),
@@ -773,8 +790,7 @@ def _trajectory(
 def _sweep_chunk(config: SimConfig, start: int, count: int):
     """Run reps start..start+count-1 and return their per-rep summaries."""
     pool = StreamPool(config.base_seed)
-    # A 16-cell window's table takes tens of ms to build: once a chunk.
-    table = config.pattern.table_float() if config.pattern is not None else None
+    tables = _sweep_tables(config)
     pts = config.grid  # fill fractions; step-indexed models sample step round(t * n)
     if pts is not None and config.model in _ORDER_MODELS:
         pts = np.asarray([int(round(t * config.n)) for t in pts], dtype=np.int64)
@@ -785,12 +801,11 @@ def _sweep_chunk(config: SimConfig, start: int, count: int):
     for lo in range(start, stop, rows):
         keys = mix_keys(config.base_seed, lo, min(rows, stop - lo))
         block = _draw_block(config, pool, keys, ws)
-        blocks.append(_kernel_summary(config, block, table, pts, ws)[1:])
-    maxes, argmaxes, mids, grid_rows = (
+        blocks.append(_kernel_summary(config, block, tables, pts, ws)[1:])
+    return tuple(  # maxes, argmaxes, mids, grid rows
         None if parts[0] is None else np.concatenate(parts).astype(np.float64)
         for parts in zip(*blocks)
     )
-    return maxes, argmaxes, mids, grid_rows
 
 
 def run_sweep(config: SimConfig) -> SweepResult:
@@ -806,8 +821,6 @@ def run_sweep(config: SimConfig) -> SweepResult:
         argmax_stats=MomentAccumulator(),
         mid_stats=MomentAccumulator(),
         grid_stats=CoMomentAccumulator(len(config.grid)) if config.grid else None,
-        max_samples=None,
-        grid_samples=None,
     )
     kept_max = [] if config.keep_max_samples else None
     kept_grid = [] if config.keep_grid_samples and config.grid else None

@@ -207,7 +207,6 @@ class ComparisonReport:
     reference: float
     band: float
     se: Optional[float] = None
-    source: str = "exact"  # exact | limit | quoted-constant
     model: Optional[str] = None
     n: Optional[int] = None
     reps: Optional[int] = None

@@ -131,7 +131,6 @@ class VerifyContext:
 
 @dataclass
 class VerificationResult:
-    scale: str
     reports: List[ComparisonReport]
 
     @property
@@ -345,18 +344,17 @@ def _limit_rows(
     n = meta["n"]
     correction = ctx.reference(scale) * ctx.reference("brownian-parabola-mean") * n ** (1.0 / 3.0)
     rows = [ComparisonReport(f"{label}-mean", res.max_stats.mean, leading + correction,
-                             0.15 * correction, se=res.max_stats.se(), source="limit", **meta)]
+                             0.15 * correction, se=res.max_stats.se(), **meta)]
     if var_ref is not None:
         rows.append(ComparisonReport(f"{label}-variance", res.max_stats.variance(), var_ref,
-                                     0.05 * var_ref, source="limit", **meta))
+                                     0.05 * var_ref, **meta))
     return rows
 
 
 def _mc_vs_exact(quantity: str, res, exact: float, meta: dict) -> ComparisonReport:
     """The sweep's mean max against an exact value, within 4 SE."""
     se = res.max_stats.se()
-    return ComparisonReport(quantity, res.max_stats.mean, exact, 4.0 * se, se=se, source="exact",
-                            **meta)
+    return ComparisonReport(quantity, res.max_stats.mean, exact, 4.0 * se, se=se, **meta)
 
 
 def _exact_max_mean(n: int) -> Fraction:
@@ -391,7 +389,6 @@ def _check_reference_maxima(ctx: VerifyContext) -> List[ComparisonReport]:
                 ctx.reference(ref_name),
                 band,
                 se=res.max_stats.se(),
-                source="quoted-constant",
                 **meta,
             )
         )
@@ -431,7 +428,6 @@ def _check_parabola_mean(ctx: VerifyContext) -> List[ComparisonReport]:
             ctx.reference("brownian-parabola-mean"),
             0.02,
             se=est.se,
-            source="quoted-constant",
             reps=config.paths,
             seed=config.base_seed,
         ),
@@ -467,47 +463,31 @@ def _check_covariance_grids(ctx: VerifyContext) -> List[ComparisonReport]:
     """
     n, reps = 10_000, 10_000
     grid = tuple(k / 10 for k in range(2, 9))
-    tags = {"cov-runs-discrete": "runs-linear", "cov-runs-time": "runs-time"}
-    results = {}
-    for label, model_tag in tags.items():
-        results[label] = empirical_covariance_grid(
-            model_tag, n=n, reps=reps, grid=grid, seed=ctx.seed(label), jobs=ctx.jobs
-        )
-    references = {
-        "cov-runs-discrete": limit_covariance("runs-discrete").grid_matrix(grid),
-        "cov-runs-time": limit_covariance("runs-time").grid_matrix(grid),
-    }
+    # label -> (swept model, limit covariance it is held to)
+    grids = {"cov-runs-discrete": ("runs-linear", "runs-discrete"),
+             "cov-runs-time": ("runs-time", "runs-time")}
+    swept = [
+        (label, model_tag,
+         empirical_covariance_grid(model_tag, n=n, reps=reps, grid=grid, seed=ctx.seed(label),
+                                   jobs=ctx.jobs),
+         limit_covariance(kernel).grid_matrix(grid))
+        for label, (model_tag, kernel) in grids.items()
+    ]
 
     out: List[ComparisonReport] = []
-    for label, model_tag in tags.items():
-        res = results[label]
-        violations, worst = _grid_violations(res.covariance, res.se, references[label])
-        out.append(
-            ComparisonReport(
-                f"{label}-violations",
-                violations,
-                0,
-                0,
-                source="limit",
-                model=model_tag,
-                n=n,
-                reps=reps,
-                seed=ctx.seed(label),
-            )
-        )
+    for label, model_tag, res, reference in swept:
+        violations, worst = _grid_violations(res.covariance, res.se, reference)
+        out.append(ComparisonReport(f"{label}-violations", violations, 0, 0, model=model_tag,
+                                    n=n, reps=reps, seed=ctx.seed(label)))
         out.append(
             ComparisonReport(f"{label}-worst-band-ratio", worst, 0.0, 1.0, model=model_tag, n=n)
         )
 
-    swap_detected = True
-    for label, other in (
-        ("cov-runs-discrete", "cov-runs-time"),
-        ("cov-runs-time", "cov-runs-discrete"),
-    ):
-        res = results[label]
-        violations, _ = _grid_violations(res.covariance, res.se, references[other])
-        if violations == 0:
-            swap_detected = False
+    # each grid against the other grid's reference
+    swap_detected = all(
+        _grid_violations(res.covariance, res.se, other)[0] > 0
+        for (_, _, res, _), (_, _, _, other) in zip(swept, reversed(swept))
+    )
     out.append(
         ComparisonReport("cov-swap-sensitivity-detected", 1.0 if swap_detected else 0.0, 1.0, 0.0)
     )
@@ -598,4 +578,4 @@ def run_checks(
         reports.extend(rows)
         if progress is not None:
             progress(name, rows)
-    return VerificationResult(scale=scale, reports=reports)
+    return VerificationResult(reports)

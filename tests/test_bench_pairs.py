@@ -151,9 +151,35 @@ def test_record_holds_both_sides_source_and_test_lines(tmp_path, monkeypatch):
         (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": 1, "end_to_end": DECLARED}))
         sides[side] = root
     monkeypatch.setattr(bench_pairs, "run_once", lambda *a: run_lines(1.0, 2.0))
+    monkeypatch.setattr(bench_pairs, "describe", lambda checkout: checkout.name + "-commit")
     argv = ["--parent", str(sides["parent"]), "--change", str(sides["change"]),
             "--workload", "w", "--seeds", "1-2", "--label", "x", "--out-dir", str(tmp_path)]
     assert bench_pairs.main(argv) == 0
-    summary = json.loads((tmp_path / "BENCH_x.json").read_text())["summary"]
+    record = json.loads((tmp_path / "BENCH_x.json").read_text())
+    assert (record["parent_commit"], record["change_commit"]) == ("parent-commit", "change-commit")
+    summary = record["summary"]
     assert summary["src_lines"] == {"parent": 3, "change": 1}
     assert summary["tests_lines"] == {"parent": 1, "change": 3}
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_a_side_git_cannot_describe_is_refused_before_any_run(tmp_path, monkeypatch, capsys, side):
+    # `side` is a plain directory, as an unpacked archive would be; git
+    # describes the other one.
+    plain = (tmp_path / "plain").resolve()
+    other = tmp_path / "other"
+    for path in (plain, other):
+        path.mkdir()
+    describe = bench_pairs.describe
+    monkeypatch.setattr(bench_pairs, "describe", lambda c: describe(c) if c == plain else "abc1234")
+    runs = []
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *a: runs.append(a) or run_lines(1.0, 2.0))
+    paths = {"parent": other, "change": other, side: plain}
+    argv = ["--parent", str(paths["parent"]), "--change", str(paths["change"]),
+            "--workload", "w", "--seeds", "1-2", "--label", "x", "--out-dir", str(tmp_path)]
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(argv)
+    assert exit_info.value.code == 2
+    assert f"--{side} {plain} is not a git checkout" in capsys.readouterr().err
+    assert runs == []
+    assert not (tmp_path / "BENCH_x.json").exists()

@@ -509,6 +509,23 @@ def test_usage_errors_exit_2(capsys, argv):
     assert "error" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        # a given flag is refused whatever its value, falsy ones too
+        (["simulate", "--model", "runs", "--n", "10", "--reps", "5", "--run-length", "0"],
+         "--psi-file/--run-length only apply to --model pattern"),
+        (["simulate", "--model", "runs", "--n", "10", "--reps", "5", "--psi-file", ""],
+         "--psi-file/--run-length only apply to --model pattern"),
+        (["exact", "--n", "5", "--max-pmf", "--m", "2"], "--max-pmf takes neither --m nor --pmf"),
+        (["exact", "--n", "5", "--max-pmf", "--pmf"], "--max-pmf takes neither --m nor --pmf"),
+    ],
+)
+def test_flags_the_command_would_ignore_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("model", ["runs", "runs-cyclic", "pq", "runs-time"])
 def test_linear_outside_pattern_model_is_a_usage_error(capsys, model):
     argv = ["simulate", "--model", model, "--n", "20", "--reps", "5", "--seed", "1", "--linear"]

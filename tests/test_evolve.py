@@ -18,7 +18,6 @@ from runslab._rng import StreamPool, mix_keys, stream
 from runslab.evolve import (
     MODELS,
     SimConfig,
-    _pattern_values,
     _runs_values,
     _time_path,
     pattern_from_order,
@@ -322,7 +321,7 @@ def time_summary(model, block, pts, ws):
     queue's arrival then departure times."""
     n = block.shape[1] if model == "runs-time" else block.shape[1] // 2
     config = SimConfig(model=model, n=n, reps=len(block), base_seed=0)
-    return evolve._kernel_summary(config, block, None, pts, ws)
+    return evolve._kernel_summary(config, block, evolve._sweep_tables(config), pts, ws)
 
 
 def test_runs_time_summary_follows_stable_order_on_ties():
@@ -412,12 +411,16 @@ def test_pattern_float_tables_loop_equals_vectorized():
         if table is None:
             table = rng.standard_normal(1 << (sizes[0] // 2))
         ell = table.size.bit_length() - 1
+        pattern = PatternFunctional(ell, tuple(table))  # floats convert exactly
         for n in sizes:
             for rows in (1, 3):
                 orders, flat = random_block(rng, rows, n)
                 for cyclic in (True, False):
+                    config = SimConfig(model="pattern", n=n, reps=rows, base_seed=0,
+                                       pattern=pattern, cyclic=cyclic)
                     ws = workspace("pattern", n, rows + 2, ell)
-                    block = _pattern_values(table, ell, flat, cyclic, ws)
+                    tables = evolve._sweep_tables(config)
+                    block = evolve._kernel_summary(config, flat, tables, None, ws)[0]
                     for order, values in zip(orders, block):
                         np.testing.assert_array_equal(
                             pattern_values_loop(table, ell, order.tolist(), cyclic),
@@ -842,10 +845,10 @@ def test_sweep_rows_from_short_blocks_equal_one_row_blocks(monkeypatch, model):
             np.testing.assert_array_equal(a, b)
 
 
-def block_summary(config, keys, table, pts, ws):
+def block_summary(config, keys, tables, pts, ws):
     """A sweep block of the reps keyed `keys`: their draws, then the kernel."""
     block = evolve._draw_block(config, StreamPool(config.base_seed), keys, ws)
-    return evolve._kernel_summary(config, block, table, pts, ws)
+    return evolve._kernel_summary(config, block, tables, pts, ws)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -854,10 +857,10 @@ def test_block_paths_live_in_the_workspace(model):
     n = 40
     config = sweep_config(model, n, 9, 2)
     ws = evolve._workspace(config, 5)
-    table = config.pattern.table_float() if config.pattern is not None else None
+    tables = evolve._sweep_tables(config)
     steps = 2 * n if model in ("priority-queue", "lazy-hash") else n
     for lo, rows in ((0, 5), (5, 4)):
-        paths = block_summary(config, mix_keys(config.base_seed, lo, rows), table, None, ws)[0]
+        paths = block_summary(config, mix_keys(config.base_seed, lo, rows), tables, None, ws)[0]
         assert paths.shape == (rows, steps + 1)
         assert paths.base is not None and np.shares_memory(paths, ws["paths"])
 
@@ -870,13 +873,13 @@ def test_warmed_block_allocates_under_five_bytes_a_cell(model):
     grid = (0.25, 0.5)
     config = sweep_config(model, n, rows, 4, grid=grid)
     ws = evolve._workspace(config, rows)
-    table = config.pattern.table_float() if config.pattern is not None else None
+    tables = evolve._sweep_tables(config)
     pts = np.array([250, 500]) if model in ("runs-linear", "runs-cyclic", "pattern") else grid
     keys = mix_keys(config.base_seed, 0, rows)
-    block_summary(config, keys, table, pts, ws)
+    block_summary(config, keys, tables, pts, ws)
     tracemalloc.start()
     try:
-        block_summary(config, keys, table, pts, ws)
+        block_summary(config, keys, tables, pts, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -911,21 +914,60 @@ def test_trajectory_value_dtypes(monkeypatch):
             assert not np.shares_memory(traj.samples, region)
 
 
+def wide_path_outputs(model, n):
+    """The dtype of a block's paths, `_sweep_chunk`'s rows and one
+    `Trajectory`'s record, with a grid."""
+    grid = (0.25, 0.5, 0.75)
+    config = SimConfig(model=model, n=n, reps=300, base_seed=n + 5, grid=grid)
+    ws = evolve._workspace(config, 3)
+    paths = block_summary(config, mix_keys(0, 0, 3), evolve._sweep_tables(config), None, ws)[0]
+    if model in ("runs-linear", "runs-cyclic"):
+        steps = [int(round(t * n)) for t in grid]
+        traj = simulate_runs(n, 6, cyclic=model == "runs-cyclic", grid=steps, keep_values=True)
+    else:
+        simulate = {"runs-time": simulate_runs_randomized_time,
+                    "priority-queue": simulate_priority_queue, "lazy-hash": simulate_lazy_hash}
+        traj = simulate[model](n, 6, grid=grid, keep_values=True)
+    return paths.dtype, evolve._sweep_chunk(config, 0, config.reps), trajectory_record(traj)
+
+
+@pytest.mark.parametrize("n", [2, 40])
+@pytest.mark.parametrize(
+    "model", ["runs-linear", "runs-cyclic", "runs-time", "priority-queue", "lazy-hash"]
+)
+def test_wide_paths_equal_the_int32_ones(monkeypatch, model, n):
+    # Past n = 2^31 - 1 the steps, ramps and integer paths are int64; forced
+    # here at small n, every sweep row and trajectory is the int32 one.
+    dtype, rows, record = wide_path_outputs(model, n)
+    monkeypatch.setattr(evolve, "_index_dtype", lambda n: np.int64)
+    wide_dtype, wide_rows, wide_record = wide_path_outputs(model, n)
+    assert (dtype, wide_dtype) == (np.int32, np.int64)
+    assert wide_record == record
+    for got, want in zip(wide_rows, rows):
+        assert got.dtype == want.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
+
+
 def test_pattern_table_built_once_per_chunk(monkeypatch):
-    # 2 chunks of 20 reps, each 5 blocks of 4 rows at n = 52.
+    # 2 chunks of 20 reps, each 5 blocks of 4 rows at n = 52: the float
+    # table and the jump tables made from it are built once a chunk.
     monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
     monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 4 * 52)
-    calls = []
+    calls, tables = [], []
     table_float = PatternFunctional.table_float
+    sweep_tables = evolve._sweep_tables
 
     def counted(pattern):
         calls.append(pattern)
         return table_float(pattern)
 
     monkeypatch.setattr(PatternFunctional, "table_float", counted)
+    monkeypatch.setattr(evolve, "_sweep_tables", lambda config: tables.append(config) or
+                        sweep_tables(config))
     config = SimConfig(model="pattern", n=52, reps=40, base_seed=3, pattern=run_length_pattern(1))
     run_sweep(config)
     assert len(calls) == 2
+    assert tables == [config, config]
 
 
 def test_trajectory_scalars_are_python_numbers():

@@ -289,7 +289,7 @@ def test_comparison_report_pass_logic():
 
 def test_compare_coerces_and_records_context():
     report = ComparisonReport(
-        "mean", 3, 2, 1, se=0, source="limit", model="runs-linear", n=10, reps=5, seed=1
+        "mean", 3, 2, 1, se=0, model="runs-linear", n=10, reps=5, seed=1
     )
     assert all(
         type(x) is float for x in (report.value, report.reference, report.band, report.se)
@@ -297,4 +297,3 @@ def test_compare_coerces_and_records_context():
     assert ComparisonReport("q", 1, 1, 0).se is None
     assert math.isnan(report.z_score)  # se of zero cannot normalise
     assert (report.model, report.n, report.reps, report.seed) == ("runs-linear", 10, 5, 1)
-    assert report.source == "limit"

@@ -15,6 +15,11 @@ in which the change was better; per op, each side's median time and their
 ratio; and each side's line counts under src/runslab/ and tests/, so that
 a change's line delta, and any code it moved into the tests, come from the
 same record as its timings.
+
+Both checkouts must be git checkouts, so that the record names their
+commits; the tool refuses a side that git cannot describe before any run.
+Make the parent side with ``git worktree add DIR PARENT`` (or a ``git
+clone`` checked out at the parent), not from an archive.
 """
 
 from __future__ import annotations
@@ -137,9 +142,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if len(args.seeds) < 2:
         parser.error("need at least two seeds for quartiles")
+    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    commits = {side: describe(path) for side, path in checkouts.items()}
+    for side, commit in commits.items():
+        if commit is None:
+            parser.error(f"--{side} {checkouts[side]} is not a git checkout; no commit to record")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = benchmark["run_seconds"]
-    checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs = []
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -155,8 +164,8 @@ def main(argv=None) -> int:
         "workload": args.workload,
         "command": (f"python3 perfbench/run.py --workload {args.workload}"
                     f" --seconds {seconds:g} --trace 0 --seed SEED"),
-        "parent_commit": describe(checkouts["parent"]),
-        "change_commit": describe(checkouts["change"]),
+        "parent_commit": commits["parent"],
+        "change_commit": commits["change"],
         "seeds": args.seeds,
         "summary": {
             **summarize(pairs, benchmark["end_to_end"]),
