@@ -222,6 +222,52 @@ def test_queue_grids_match_golden_digest(model, cov_digest, se_digest):
     assert hashlib.sha256(result.se.tobytes()).hexdigest() == se_digest
 
 
+# The next three digests were recorded while every model's grid values were
+# read off its sorted path: they pin the grid reads bit for bit.
+
+
+def test_runs_time_grid_at_benchmark_shape_matches_golden_digest():
+    # n = 10^4 on the benchmark's seven points: 20 blocks of 3 rows
+    grid = tuple(k / 10 for k in range(2, 9))
+    result = empirical_covariance_grid("runs-time", 10_000, 60, grid, seed=21)
+    assert hashlib.sha256(result.covariance.tobytes()).hexdigest() == (
+        "14ee910ac1094e42b039fb2fb92d16649f5f1fd94ea122d82a456be64eabaa16"
+    )
+    assert hashlib.sha256(result.se.tobytes()).hexdigest() == (
+        "080d40b684ae91b115f5f0e916460f73e11408489fcfd002d8ce4e01507206ae"
+    )
+
+
+@pytest.mark.parametrize(
+    "model,cov_digest,se_digest",
+    [
+        (
+            "runs-linear",
+            "065f6fed812644f9f9261b54817c95743932b4793cd01878377fd6ebce131810",
+            "62826f2fe75b52ef67f3ef82262c27d19cb94a323b2006dbf0f83327b2c1d416",
+        ),
+        (
+            "runs-cyclic",
+            "6dcdc0e54576bafc7a0537b5cb019334d835686f0c356af90733b6ef5deac168",
+            "b81c05145f04c78465d685c62938dbe2632dec9e4e17934616fef12d79e50260",
+        ),
+    ],
+)
+def test_insertion_order_grids_match_golden_digest(model, cov_digest, se_digest):
+    result = empirical_covariance_grid(model, 1000, 300, (0.2, 0.4, 0.6, 0.8), seed=23)
+    assert hashlib.sha256(result.covariance.tobytes()).hexdigest() == cov_digest
+    assert hashlib.sha256(result.se.tobytes()).hexdigest() == se_digest
+
+
+def test_runs_time_grid_on_two_workers_equals_one():
+    # 900 reps at n = 10^4 are three chunks (419, 419 and 62 reps)
+    args = ("runs-time", 10_000, 900, (0.25, 0.5, 0.75))
+    serial = empirical_covariance_grid(*args, seed=25)
+    parallel = empirical_covariance_grid(*args, seed=25, jobs=2)
+    np.testing.assert_array_equal(parallel.covariance, serial.covariance)
+    np.testing.assert_array_equal(parallel.se, serial.se)
+
+
 # -- Kolmogorov-Smirnov ------------------------------------------------------
 
 
