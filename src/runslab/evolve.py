@@ -55,6 +55,12 @@ whose times are tied, or not all in [0, 2), are sorted again stably.  A
 row of distinct times has exactly one ascending order, so the result is
 the stable order bit for bit whatever algorithm numpy's default sort
 uses: its SIMD integer sort gives the speed, not the correctness.
+
+Covariance grids (``grid_samples``) need only each rep's values at the
+grid times, which the time-ordered models count off their unsorted draws
+(``_count_read``): a queue's arrivals up to t less its departures up to t,
+or the runs of a runs-time row's cells with times up to t.  This count read
+and the path read are a deliberate dual route, pinned equal bit for bit.
 """
 
 from __future__ import annotations
@@ -86,6 +92,7 @@ __all__ = [
     "simulate_priority_queue",
     "simulate_lazy_hash",
     "run_sweep",
+    "grid_samples",
 ]
 
 MODELS = (
@@ -754,6 +761,35 @@ def _kernel_summary(config: SimConfig, block: np.ndarray, tables, pts, ws: dict)
     return values, maxv, argmax, picked[:, 0], (picked[:, 1:] if pts is not None else None)
 
 
+def _count_read(config: SimConfig, block: np.ndarray, pts, ws: dict) -> np.ndarray:
+    """Per row of a time-ordered model's draws, its values at the times
+    `pts` as `_kernel_summary` reads them off the path, but counted off the
+    unsorted draws: the "up" draws <= t less the "down" draws <= t.  A
+    queue's ups are its arrivals and its downs its departures.  A runs-time
+    run up to t starts at each cell up to t whose left neighbor is not, so
+    its ups are the times and its downs the later time of each neighbor
+    pair.  Comparisons meet ties, -0.0 and times >= 2 as the sort does; a
+    NaN, or a pair holding one, is never <= t.
+    """
+    rows, m = block.shape
+    if config.model == "runs-time":
+        up = block
+        down = np.maximum(block[:, 1:], block[:, :-1],
+                          out=_scratch(ws, "keys", (rows, m - 1), np.float64))
+    else:  # a queue: each rep's n arrival times, then its n departure times
+        up, down = block[:, :m // 2], block[:, m // 2:]
+    up_mask = _scratch(ws, "codes", up.shape, np.bool_)
+    down_mask = _scratch(ws, "steps", down.shape, np.bool_)
+    values = np.empty((rows, len(pts)), dtype=np.int64)
+    for j, t in enumerate(pts):
+        np.less_equal(up, t, out=up_mask)
+        np.less_equal(down, t, out=down_mask)
+        # one count a row: count_nonzero along an axis is a slower sum
+        values[:, j] = [np.count_nonzero(a) - np.count_nonzero(b)
+                        for a, b in zip(up_mask, down_mask)]
+    return values
+
+
 def _trajectory(
     model: str, n: int, seed: int, grid: Optional[Sequence], keep_values: bool,
     order: Optional[np.ndarray] = None, pattern: Optional[PatternFunctional] = None,
@@ -787,25 +823,49 @@ def _trajectory(
     )
 
 
-def _sweep_chunk(config: SimConfig, start: int, count: int):
-    """Run reps start..start+count-1 and return their per-rep summaries."""
+def _sweep_chunk(config: SimConfig, start: int, count: int, grid_only: bool = False):
+    """Run reps start..start+count-1 and return their per-rep summaries
+    (maxes, argmaxes, mids, grid rows); with `grid_only`, their grid rows
+    alone, which the time-ordered models count off their draws
+    (`_count_read`) and the others read off their paths."""
     pool = StreamPool(config.base_seed)
     tables = _sweep_tables(config)
     pts = config.grid  # fill fractions; step-indexed models sample step round(t * n)
     if pts is not None and config.model in _ORDER_MODELS:
         pts = np.asarray([int(round(t * config.n)) for t in pts], dtype=np.int64)
     rows = max(1, _BLOCK_CELL_BUDGET // config.n)
-    stop = start + count
+    keys = mix_keys(config.base_seed, start, count)  # the chunk's, sliced per block
     ws = _workspace(config, min(rows, count))
+    counted = grid_only and config.model not in _ORDER_MODELS
     blocks = []
-    for lo in range(start, stop, rows):
-        keys = mix_keys(config.base_seed, lo, min(rows, stop - lo))
-        block = _draw_block(config, pool, keys, ws)
-        blocks.append(_kernel_summary(config, block, tables, pts, ws)[1:])
-    return tuple(  # maxes, argmaxes, mids, grid rows
+    for lo in range(0, count, rows):
+        block = _draw_block(config, pool, keys[lo:lo + rows], ws)
+        if counted:
+            blocks.append((_count_read(config, block, pts, ws),))
+        else:
+            summary = _kernel_summary(config, block, tables, pts, ws)[1:]
+            blocks.append(summary[3:] if grid_only else summary)
+    return tuple(  # maxes, argmaxes, mids, grid rows; or grid rows
         None if parts[0] is None else np.concatenate(parts).astype(np.float64)
         for parts in zip(*blocks)
     )
+
+
+def _chunk_args(config: SimConfig, grid_only: bool):
+    """`_sweep_chunk`'s arguments for each chunk of the sweep, in order."""
+    size = _chunk_size(config.n, config.reps)
+    return [(config, lo, min(size, config.reps - lo), grid_only)
+            for lo in range(0, config.reps, size)]
+
+
+def grid_samples(config: SimConfig) -> np.ndarray:
+    """Every rep's values at `config.grid`, one row per rep in rep order:
+    the rows `run_sweep` keeps with `keep_grid_samples`, bit for bit, for
+    any `jobs`.  Runs-time and the queues count them off their draws."""
+    if not config.grid:
+        raise ValueError("grid_samples needs a grid")
+    chunks = ordered_map(_sweep_chunk, _chunk_args(config, grid_only=True), config.jobs)
+    return np.concatenate([grid_rows for grid_rows, in chunks])
 
 
 def run_sweep(config: SimConfig) -> SweepResult:
@@ -825,9 +885,8 @@ def run_sweep(config: SimConfig) -> SweepResult:
     kept_max = [] if config.keep_max_samples else None
     kept_grid = [] if config.keep_grid_samples and config.grid else None
 
-    size = _chunk_size(config.n, config.reps)
-    args = [(config, lo, min(size, config.reps - lo)) for lo in range(0, config.reps, size)]
-    for maxes, argmaxes, mids, grid_rows in ordered_map(_sweep_chunk, args, config.jobs):
+    chunks = ordered_map(_sweep_chunk, _chunk_args(config, grid_only=False), config.jobs)
+    for maxes, argmaxes, mids, grid_rows in chunks:
         result.max_stats.add_batch(maxes)
         result.argmax_stats.add_batch(argmaxes)
         result.mid_stats.add_batch(mids)

@@ -155,7 +155,7 @@ def empirical_covariance_grid(
     Grid entries are fill fractions in (0, 1); discrete-step models sample
     at step round(t * n).  Standard errors are jackknife-over-reps.
     """
-    from .evolve import SimConfig, run_sweep  # deferred: evolve depends on stats
+    from .evolve import SimConfig, grid_samples  # deferred: evolve depends on stats
 
     config = SimConfig(
         model=model,
@@ -164,10 +164,8 @@ def empirical_covariance_grid(
         base_seed=seed,
         grid=tuple(float(t) for t in grid),
         jobs=jobs,
-        keep_grid_samples=True,
     )
-    result = run_sweep(config)
-    cov, se = jackknife_covariance(result.grid_samples, scale=1.0 / n)
+    cov, se = jackknife_covariance(grid_samples(config), scale=1.0 / n)
     skew = float(np.abs(cov - cov.T).max())
     if skew > 1e-12:
         raise ArithmeticError(f"covariance grid asymmetric by {skew}")

@@ -51,6 +51,19 @@ def test_path_max_nonnegative_and_monotone_in_horizon():
         assert 0.0 <= short <= long
 
 
+def test_path_max_equals_the_step_major_formula():
+    # The sampler sums each side as a row of the draw's transpose against a
+    # drift table made once per grid; the (steps, 2) column form must give
+    # the same bits, whatever grid came before.
+    for seed, steps, step in ((0, 300, 0.01), (1, 4000, 1e-3), (2, 300, 0.01), (3, 301, 0.005)):
+        increments = np.random.default_rng(seed).standard_normal((steps, 2)) * math.sqrt(step)
+        both_sides = np.cumsum(increments, axis=0)
+        t = step * np.arange(1, steps + 1)
+        both_sides -= (0.5 * t * t)[:, None]
+        expected = max(0.0, float(both_sides.max()))
+        assert parabola_path_max(np.random.default_rng(seed), steps, step) == expected
+
+
 def test_small_sample_lands_near_reference():
     # 150 paths is deliberately rough; just confirm the right ballpark and
     # that the spread fields are coherent.

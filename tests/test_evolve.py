@@ -507,6 +507,86 @@ def test_queue_summary_on_many_tied_event_times():
     assert_queue_rows_match_reference(pairs.min(axis=0), pairs.max(axis=0), (0.25, 0.5, 0.75))
 
 
+# -- count read --------------------------------------------------------------
+#
+# Covariance grids read the time-ordered models' grid values by counting
+# each rep's unsorted draws (`_count_read`); `_kernel_summary` reads them off
+# the sorted path.  The two routes must agree bit for bit.
+
+TIME_MODELS = ("runs-time", "priority-queue", "lazy-hash")
+
+
+def time_block(model, times):
+    """A block of `times` as the model's kernel takes it: runs-time arrival
+    times, or a queue's rows whose items arrive at `times` and depart at
+    them in reverse order (ties between arrivals and departures)."""
+    return times if model == "runs-time" else np.concatenate([times, times[:, ::-1]], axis=1)
+
+
+def assert_count_read_is_path_read(model, block, pts):
+    # grid points equal to drawn times too, each time's own included
+    drawn = block[~np.isnan(block)]
+    pts = (*pts, *drawn[:: max(1, drawn.size // 16)].tolist())
+    n = block.shape[1] if model == "runs-time" else block.shape[1] // 2
+    config = SimConfig(model=model, n=n, reps=len(block), base_seed=0)
+    counted = evolve._count_read(config, block, pts, workspace(model, n, len(block) + 2))
+    read = time_summary(model, block.copy(), pts, workspace(model, n, len(block) + 2))[4]
+    assert counted.shape == read.shape == (len(block), len(pts))
+    np.testing.assert_array_equal(counted, read)
+
+
+@pytest.mark.parametrize("model", TIME_MODELS)
+@pytest.mark.parametrize("name", sorted(tie_blocks()))
+def test_count_read_equals_path_read(model, name):
+    # all-equal rows, k/8 times, NaNs, signed zeros, infinities, times >= 2,
+    # and rows of 1 and 2 cells (a queue of 1 and 2 items)
+    assert_count_read_is_path_read(model, time_block(model, tie_blocks()[name]), (0.25, 0.5))
+
+
+@given(
+    st.sampled_from(TIME_MODELS),
+    st.integers(1, 4).flatmap(
+        lambda rows: st.lists(
+            st.lists(tie_prone, min_size=rows, max_size=rows), min_size=1, max_size=40
+        )
+    ),
+    st.lists(tie_prone.filter(lambda t: not math.isnan(t)), min_size=1, max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_count_read_equals_path_read_on_random_ties(model, columns, pts):
+    times = np.array(columns).T.copy()
+    assert_count_read_is_path_read(model, time_block(model, times), tuple(pts))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_grid_samples_equal_the_sweeps_kept_rows(monkeypatch, model):
+    # Chunks of 20 reps in blocks of 3 rows at n = 52, so each chunk ends on
+    # a 2-row block; the last chunk has 10 reps.
+    monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 3 * 52)
+    config = sweep_config(model, 52, 50, seed=31, grid=(0.1, 0.5, 0.9))
+    kept = run_sweep(replace(config, keep_grid_samples=True)).grid_samples
+    samples = evolve.grid_samples(config)
+    assert samples.dtype == kept.dtype == np.float64
+    np.testing.assert_array_equal(samples, kept)
+    with pytest.raises(ValueError, match="needs a grid"):
+        evolve.grid_samples(replace(config, grid=None))
+
+
+@pytest.mark.parametrize("model", TIME_MODELS)
+def test_time_model_grids_make_no_path(monkeypatch, model):
+    from runslab.stats import empirical_covariance_grid
+
+    def no_path(*args):
+        raise AssertionError("the count read sorts no times")
+
+    monkeypatch.setattr(evolve, "_time_path", no_path)
+    result = empirical_covariance_grid(model, 300, 40, (0.25, 0.5, 0.75), seed=3)
+    assert result.covariance.shape == (3, 3)
+    with pytest.raises(AssertionError, match="sorts no times"):  # the patch is in force
+        run_sweep(SimConfig(model=model, n=300, reps=2, base_seed=3))
+
+
 def test_queue_events_in_place_match_the_out_of_place_formulas():
     # The draws overwrite the u | v block; each element must get the bits
     # the out-of-place expressions give.
@@ -880,6 +960,24 @@ def test_warmed_block_allocates_under_five_bytes_a_cell(model):
     tracemalloc.start()
     try:
         block_summary(config, keys, tables, pts, ws)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * rows * n
+
+
+@pytest.mark.parametrize("model", TIME_MODELS)
+def test_warmed_count_read_allocates_under_five_bytes_a_cell(model):
+    # The count read's masks and neighbor maxima live in the workspace; what
+    # it allocates is numpy's fixed-size ufunc buffers and per-row counts.
+    n, rows = 1000, 32
+    config = sweep_config(model, n, rows, 4, grid=(0.25, 0.5))
+    ws = evolve._workspace(config, rows)
+    block = evolve._draw_block(config, StreamPool(config.base_seed), mix_keys(4, 0, rows), ws)
+    evolve._count_read(config, block, config.grid, ws)
+    tracemalloc.start()
+    try:
+        evolve._count_read(config, block, config.grid, ws)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
