@@ -58,9 +58,8 @@ uses: its SIMD integer sort gives the speed, not the correctness.
 
 Covariance grids (``grid_samples``) need only each rep's values at the
 grid times, which the time-ordered models count off their unsorted draws
-(``_count_read``): a queue's arrivals up to t less its departures up to t,
-or the runs of a runs-time row's cells with times up to t.  This count read
-and the path read are a deliberate dual route, pinned equal bit for bit.
+(``_count_read``): no sort and no path.  This count read and the path read
+are a deliberate dual route, pinned equal bit for bit.
 """
 
 from __future__ import annotations
@@ -763,13 +762,12 @@ def _kernel_summary(config: SimConfig, block: np.ndarray, tables, pts, ws: dict)
 
 def _count_read(config: SimConfig, block: np.ndarray, pts, ws: dict) -> np.ndarray:
     """Per row of a time-ordered model's draws, its values at the times
-    `pts` as `_kernel_summary` reads them off the path, but counted off the
-    unsorted draws: the "up" draws <= t less the "down" draws <= t.  A
-    queue's ups are its arrivals and its downs its departures.  A runs-time
-    run up to t starts at each cell up to t whose left neighbor is not, so
-    its ups are the times and its downs the later time of each neighbor
-    pair.  Comparisons meet ties, -0.0 and times >= 2 as the sort does; a
-    NaN, or a pair holding one, is never <= t.
+    `pts` (those `_kernel_summary` reads off the path) as the "up" draws
+    <= t less the "down" draws <= t.  A queue's ups are its arrivals, its
+    downs its departures.  A runs-time run up to t starts at each cell up
+    to t whose left neighbor is not, so the ups are the times and the downs
+    each neighbor pair's later time.  Comparisons meet ties, -0.0 and times
+    >= 2 as the sort does; a NaN, or a pair holding one, is never <= t.
     """
     rows, m = block.shape
     if config.model == "runs-time":
@@ -780,13 +778,16 @@ def _count_read(config: SimConfig, block: np.ndarray, pts, ws: dict) -> np.ndarr
         up, down = block[:, :m // 2], block[:, m // 2:]
     up_mask = _scratch(ws, "codes", up.shape, np.bool_)
     down_mask = _scratch(ws, "steps", down.shape, np.bool_)
+    # A row's count is the sum of its mask bytes, in 16 bits while a row
+    # fits: about twice as fast as in 64 bits, as `count_nonzero` sums, for
+    # rows of 10^3 to 10^4 cells.
+    total = np.uint16 if m < 1 << 16 else np.int64
     values = np.empty((rows, len(pts)), dtype=np.int64)
     for j, t in enumerate(pts):
         np.less_equal(up, t, out=up_mask)
         np.less_equal(down, t, out=down_mask)
-        # one count a row: count_nonzero along an axis is a slower sum
-        values[:, j] = [np.count_nonzero(a) - np.count_nonzero(b)
-                        for a, b in zip(up_mask, down_mask)]
+        values[:, j] = up_mask.view(np.uint8).sum(axis=1, dtype=total)
+        values[:, j] -= down_mask.view(np.uint8).sum(axis=1, dtype=total)
     return values
 
 

@@ -543,6 +543,16 @@ def test_count_read_equals_path_read(model, name):
     assert_count_read_is_path_read(model, time_block(model, tie_blocks()[name]), (0.25, 0.5))
 
 
+@pytest.mark.parametrize("model", TIME_MODELS)
+def test_count_read_equals_path_read_past_16_bit_counts(model):
+    # 70,000 cells or items a row, so counts pass 2^16, and at t = 0.94
+    # (runs-time) or 0.8 (a queue's min | max times) only the ups do.
+    u, v = np.random.default_rng(6).random((2, 2, 70_000))
+    u[1, ::7] = u[1, 3]  # ties
+    block = u if model == "runs-time" else np.concatenate([np.minimum(u, v), np.maximum(u, v)], 1)
+    assert_count_read_is_path_read(model, block, (0.5, 0.8, 0.94, 0.99))
+
+
 @given(
     st.sampled_from(TIME_MODELS),
     st.integers(1, 4).flatmap(
