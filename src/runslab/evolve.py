@@ -779,7 +779,7 @@ def _count_read(config: SimConfig, block: np.ndarray, pts, ws: dict) -> np.ndarr
     up_mask = _scratch(ws, "codes", up.shape, np.bool_)
     down_mask = _scratch(ws, "steps", down.shape, np.bool_)
     # A row's count is the sum of its mask bytes, in 16 bits while a row
-    # fits: about twice as fast as in 64 bits, as `count_nonzero` sums, for
+    # fits: 2-3 times as fast as in 64 bits, as `count_nonzero` sums, for
     # rows of 10^3 to 10^4 cells.
     total = np.uint16 if m < 1 << 16 else np.int64
     values = np.empty((rows, len(pts)), dtype=np.int64)

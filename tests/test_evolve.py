@@ -30,7 +30,7 @@ from runslab.evolve import (
     simulate_runs_randomized_time,
 )
 from runslab.patterns import PatternFunctional, run_length_pattern, runs_pattern
-from runslab.stats import MomentAccumulator
+from runslab.stats import MomentAccumulator, empirical_covariance_grid
 
 
 perms = st.permutations(range(8))
@@ -530,7 +530,7 @@ def assert_count_read_is_path_read(model, block, pts):
     n = block.shape[1] if model == "runs-time" else block.shape[1] // 2
     config = SimConfig(model=model, n=n, reps=len(block), base_seed=0)
     counted = evolve._count_read(config, block, pts, workspace(model, n, len(block) + 2))
-    read = time_summary(model, block.copy(), pts, workspace(model, n, len(block) + 2))[4]
+    read = time_summary(model, block, pts, workspace(model, n, len(block) + 2))[4]
     assert counted.shape == read.shape == (len(block), len(pts))
     np.testing.assert_array_equal(counted, read)
 
@@ -585,8 +585,6 @@ def test_grid_samples_equal_the_sweeps_kept_rows(monkeypatch, model):
 
 @pytest.mark.parametrize("model", TIME_MODELS)
 def test_time_model_grids_make_no_path(monkeypatch, model):
-    from runslab.stats import empirical_covariance_grid
-
     def no_path(*args):
         raise AssertionError("the count read sorts no times")
 
