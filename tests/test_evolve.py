@@ -30,7 +30,7 @@ from runslab.evolve import (
     simulate_runs_randomized_time,
 )
 from runslab.patterns import PatternFunctional, run_length_pattern, runs_pattern
-from runslab.stats import MomentAccumulator, empirical_covariance_grid
+from runslab.stats import CoMomentAccumulator, MomentAccumulator, empirical_covariance_grid
 
 
 perms = st.permutations(range(8))
@@ -581,6 +581,34 @@ def test_grid_samples_equal_the_sweeps_kept_rows(monkeypatch, model):
     np.testing.assert_array_equal(samples, kept)
     with pytest.raises(ValueError, match="needs a grid"):
         evolve.grid_samples(replace(config, grid=None))
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_grid_samples_in_the_sweeps_chunks_accumulate_to_its_grid_stats(monkeypatch, model):
+    # The count read against the sweep's own (path-read) accumulator: 50
+    # reps in chunks of 20 and 20 and 10, each made of 3-row blocks, so
+    # every chunk ends on a short block.
+    monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
+    monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 3 * 52)
+    config = sweep_config(model, 52, 50, seed=31, grid=(0.1, 0.5, 0.9))
+    samples = evolve.grid_samples(config)
+    assert samples.dtype == np.float64 and samples.shape == (50, 3)
+    expected = CoMomentAccumulator(3)
+    for _, lo, count, _ in evolve._chunk_args(config, grid_only=True):
+        expected.add_batch(samples[lo:lo + count])
+    assert expected.count == 50
+    stats = run_sweep(config).grid_stats
+    assert stats.count == expected.count
+    np.testing.assert_array_equal(stats.mean, expected.mean)
+    np.testing.assert_array_equal(stats.comoment, expected.comoment)
+
+
+@pytest.mark.parametrize("model", ["runs-linear", "priority-queue"])
+def test_grid_samples_on_two_workers_equal_one(model):
+    # 900 reps at n = 10^4 are three chunks (419, 419 and 62 reps).
+    config = sweep_config(model, 10_000, 900, seed=25, grid=(0.25, 0.5, 0.75))
+    np.testing.assert_array_equal(
+        evolve.grid_samples(replace(config, jobs=2)), evolve.grid_samples(config))
 
 
 @pytest.mark.parametrize("model", TIME_MODELS)
