@@ -81,14 +81,10 @@ class UsageError(Exception):
 
 def _fmt(value) -> str:
     """One cell: '' for missing, p/q for rationals, %.17g for floats."""
-    if value is None or value == "":
+    if value is None:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, Fraction):
-        return str(value)  # p/q, or bare p when the denominator is 1
-    if isinstance(value, int):
-        return str(value)
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
@@ -117,13 +113,12 @@ class RunManifest:
 
     command: str
     base_seed: int
-    wall_time_seconds: float = 0.0
     outputs: Dict[str, str] = field(default_factory=dict)
     started: float = field(default_factory=time.perf_counter)
 
 
 def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
-    manifest.wall_time_seconds = time.perf_counter() - manifest.started
+    wall_time_seconds = time.perf_counter() - manifest.started
     if args.format == "csv":
         lines = [",".join(COLUMNS)]
         lines.extend(",".join(row[c] for c in COLUMNS) for row in rows)
@@ -134,7 +129,7 @@ def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
                 "command": manifest.command,
                 "base_seed": manifest.base_seed,
                 "artifact_version": __version__,
-                "wall_time_seconds": manifest.wall_time_seconds,
+                "wall_time_seconds": wall_time_seconds,
                 **({"outputs": manifest.outputs} if manifest.outputs else {}),
             },
             "rows": rows,

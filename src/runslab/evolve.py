@@ -59,7 +59,7 @@ uses: its SIMD integer sort gives the speed, not the correctness.
 Covariance grids (``grid_samples``) need only each rep's values at the
 grid times, which the time-ordered models count off their unsorted draws
 (``_count_read``): no sort and no path.  This count read and the path read
-are a deliberate dual route, pinned equal bit for bit.
+(``run_sweep``'s ``grid_stats``) are a deliberate dual route, pinned equal.
 """
 
 from __future__ import annotations
@@ -487,7 +487,6 @@ class SimConfig:
     cyclic: bool = True
     jobs: int = 1
     keep_max_samples: bool = False
-    keep_grid_samples: bool = False
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -530,7 +529,6 @@ class SweepResult:
     mid_stats: MomentAccumulator
     grid_stats: Optional[CoMomentAccumulator] = None
     max_samples: Optional[np.ndarray] = None
-    grid_samples: Optional[np.ndarray] = None
 
 
 def _chunk_size(n: int, reps: int) -> int:
@@ -860,9 +858,9 @@ def _chunk_args(config: SimConfig, grid_only: bool):
 
 
 def grid_samples(config: SimConfig) -> np.ndarray:
-    """Every rep's values at `config.grid`, one row per rep in rep order:
-    the rows `run_sweep` keeps with `keep_grid_samples`, bit for bit, for
-    any `jobs`.  Runs-time and the queues count them off their draws."""
+    """Every rep's values at `config.grid`, one row per rep in rep order, for
+    any `jobs`: the rows `run_sweep` reads off the paths into `grid_stats`,
+    bit for bit.  Runs-time and the queues count them off their draws."""
     if not config.grid:
         raise ValueError("grid_samples needs a grid")
     chunks = ordered_map(_sweep_chunk, _chunk_args(config, grid_only=True), config.jobs)
@@ -884,22 +882,17 @@ def run_sweep(config: SimConfig) -> SweepResult:
         grid_stats=CoMomentAccumulator(len(config.grid)) if config.grid else None,
     )
     kept_max = [] if config.keep_max_samples else None
-    kept_grid = [] if config.keep_grid_samples and config.grid else None
 
     chunks = ordered_map(_sweep_chunk, _chunk_args(config, grid_only=False), config.jobs)
     for maxes, argmaxes, mids, grid_rows in chunks:
         result.max_stats.add_batch(maxes)
         result.argmax_stats.add_batch(argmaxes)
         result.mid_stats.add_batch(mids)
-        if result.grid_stats is not None and grid_rows is not None:
+        if result.grid_stats is not None:
             result.grid_stats.add_batch(grid_rows)
         if kept_max is not None:
             kept_max.append(maxes)
-        if kept_grid is not None and grid_rows is not None:
-            kept_grid.append(grid_rows)
 
     if kept_max is not None:
         result.max_samples = np.concatenate(kept_max)
-    if kept_grid is not None:
-        result.grid_samples = np.concatenate(kept_grid)
     return result

@@ -466,16 +466,13 @@ def window_lag_covariance(pattern: PatternFunctional, s: Rational, t: Rational) 
     return Fraction(pairs - (2 * ell - 1) * means[0] * means[1], den * den * m ** (2 * ell))
 
 
-def fluctuation_covariance(
-    source: Union[PatternFunctional, FluctuationDecomposition], s: Rational, t: Rational
-) -> Fraction:
+def fluctuation_covariance(dec: FluctuationDecomposition, s: Rational, t: Rational) -> Fraction:
     """The same covariance rate from the centered decomposition.
 
     Sum over patterns a of terms[a](s) * terms[a](t) * (min(s,t)(1-max(s,t)))^nu(a).
     Agrees with `window_lag_covariance` identically; the pair is kept as a
     deliberate cross-check.
     """
-    dec = source if isinstance(source, FluctuationDecomposition) else decompose_fluctuations(source)
     sf = _as_fraction(s)
     tf = _as_fraction(t)
     ell = dec.window_length

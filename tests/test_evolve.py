@@ -570,12 +570,14 @@ def test_count_read_equals_path_read_on_random_ties(model, columns, pts):
 
 @pytest.mark.parametrize("model", MODELS)
 def test_grid_samples_equal_the_sweeps_kept_rows(monkeypatch, model):
-    # Chunks of 20 reps in blocks of 3 rows at n = 52, so each chunk ends on
-    # a 2-row block; the last chunk has 10 reps.
+    # The rows each of run_sweep's chunks reads off its paths and keeps for
+    # grid_stats.  Chunks of 20 reps in blocks of 3 rows at n = 52, so each
+    # chunk ends on a 2-row block; the last chunk has 10 reps.
     monkeypatch.setattr(evolve, "_CHUNK_CELL_BUDGET", 20 * 52)
     monkeypatch.setattr(evolve, "_BLOCK_CELL_BUDGET", 3 * 52)
     config = sweep_config(model, 52, 50, seed=31, grid=(0.1, 0.5, 0.9))
-    kept = run_sweep(replace(config, keep_grid_samples=True)).grid_samples
+    kept = np.concatenate([evolve._sweep_chunk(*args)[3]
+                           for args in evolve._chunk_args(config, grid_only=False)])
     samples = evolve.grid_samples(config)
     assert samples.dtype == kept.dtype == np.float64
     np.testing.assert_array_equal(samples, kept)
@@ -887,22 +889,30 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
     config = SimConfig(
         model="pattern" if pattern else case, n=n, reps=reps, base_seed=seed, grid=grid,
         pattern=run_length_pattern(1) if pattern else None, cyclic=case != "pattern-linear",
-        keep_max_samples=True, keep_grid_samples=True,
+        keep_max_samples=True,
     )
     result = run_sweep(config)
     maxes, argmaxes, mids, samples = zip(*single_trajectories(case, n, seed, reps, grid))
     np.testing.assert_array_equal(result.max_samples, maxes)
-    np.testing.assert_array_equal(result.grid_samples, samples)
-    # One chunk holds every rep, so its per-rep argmax and mid value are the
-    # ones run_sweep accumulated.
+    # The trajectories read their paths; runs-time and the queues' grid_samples
+    # count off their draws.
+    np.testing.assert_array_equal(evolve.grid_samples(config), samples)
+    # One chunk holds every rep, so its per-rep argmax, mid value and grid
+    # row are the ones run_sweep accumulated.
     assert evolve._chunk_size(n, reps) == reps
-    _, chunk_argmaxes, chunk_mids, _ = evolve._sweep_chunk(config, 0, reps)
+    _, chunk_argmaxes, chunk_mids, chunk_rows = evolve._sweep_chunk(config, 0, reps)
     np.testing.assert_array_equal(chunk_argmaxes, argmaxes)
     np.testing.assert_array_equal(chunk_mids, mids)
+    np.testing.assert_array_equal(chunk_rows, samples)
     for stats, field in ((result.argmax_stats, argmaxes), (result.mid_stats, mids)):
         expected = MomentAccumulator()
         expected.add_batch(np.asarray(field, dtype=np.float64))
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
+    expected = CoMomentAccumulator(len(grid))
+    expected.add_batch(np.asarray(samples, dtype=np.float64))
+    assert result.grid_stats.count == expected.count
+    np.testing.assert_array_equal(result.grid_stats.mean, expected.mean)
+    np.testing.assert_array_equal(result.grid_stats.comoment, expected.comoment)
 
 
 def golden_chunks():
@@ -1128,11 +1138,11 @@ def test_sweep_models_all_run():
             base_seed=3,
             pattern=pat if model == "pattern" else None,
             grid=(0.25, 0.75),
-            keep_grid_samples=True,
         )
         result = run_sweep(config)
         assert result.max_stats.count == 5
-        assert result.grid_samples.shape == (5, 2)
+        assert result.grid_stats.count == 5 and result.grid_stats.mean.shape == (2,)
+        assert evolve.grid_samples(config).shape == (5, 2)
 
 
 def test_sweep_jobs_bit_identical():
@@ -1154,14 +1164,16 @@ def test_sweep_jobs_bit_identical_at_desk_scale():
     # workers: n = 10^6 puts 4 reps in a chunk, so 12 reps make 3 chunks.
     config = SimConfig(
         model="runs-linear", n=10**6, reps=12, base_seed=0, grid=(0.25, 0.5),
-        keep_max_samples=True, keep_grid_samples=True,
+        keep_max_samples=True,
     )
     a = run_sweep(config)
     b = run_sweep(replace(config, jobs=2))
     np.testing.assert_array_equal(a.max_samples, b.max_samples)
-    np.testing.assert_array_equal(a.grid_samples, b.grid_samples)
     for name in ("max_stats", "argmax_stats", "mid_stats"):
         assert getattr(a, name) == getattr(b, name)
+    assert a.grid_stats.count == b.grid_stats.count == 12
+    np.testing.assert_array_equal(a.grid_stats.mean, b.grid_stats.mean)
+    np.testing.assert_array_equal(a.grid_stats.comoment, b.grid_stats.comoment)
 
 
 def test_sweep_seed_changes_results():

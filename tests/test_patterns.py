@@ -561,7 +561,8 @@ def test_route_disagreement_raises(monkeypatch, route, quantity):
 def test_covariance_routes_agree_everywhere(s, t):
     # pattern-sum route vs joint-fill lag enumeration, exact rationals
     for pat in (runs_pattern(), run_length_pattern(1)):
-        assert fluctuation_covariance(pat, s, t) == window_lag_covariance(pat, s, t)
+        dec = decompose_fluctuations(pat)
+        assert fluctuation_covariance(dec, s, t) == window_lag_covariance(pat, s, t)
 
 
 def pair_expectation_oracle(values, ell, lag, tl, tr):
@@ -773,20 +774,20 @@ def test_window_lag_covariance_matches_oracle_at_the_peak(d):
 
 
 def test_covariance_symmetric_and_diagonal():
-    pat = run_length_pattern(1)
+    dec = decompose_fluctuations(run_length_pattern(1))
     s, t = Fraction(1, 3), Fraction(2, 3)
-    assert fluctuation_covariance(pat, s, t) == fluctuation_covariance(pat, t, s)
-    assert fluctuation_covariance(pat, s, s) > 0
+    assert fluctuation_covariance(dec, s, t) == fluctuation_covariance(dec, t, s)
+    assert fluctuation_covariance(dec, s, s) > 0
 
 
 def test_runs_covariance_closed_form():
     # s(1-t)(1-s-2t+3st) for s <= t
-    pat = runs_pattern()
+    dec = decompose_fluctuations(runs_pattern())
     for num_s in range(1, 10):
         for num_t in range(num_s, 10):
             s, t = Fraction(num_s, 10), Fraction(num_t, 10)
             closed = s * (1 - t) * (1 - s - 2 * t + 3 * s * t)
-            assert fluctuation_covariance(pat, s, t) == closed
+            assert fluctuation_covariance(dec, s, t) == closed
 
 
 # -- golden digest of summaries ----------------------------------------------

@@ -166,19 +166,17 @@ def test_jackknife_input_validation():
 
 
 def test_empirical_grid_is_jackknife_of_sweep_samples():
-    from runslab.evolve import SimConfig, run_sweep
+    # The rows read another way: one trajectory a rep, each off its own
+    # stream, as test_evolve's sweep-against-trajectories test reads them.
+    # They go in column-major, as the sweep hands its rows over: the
+    # jackknife sums over reps in memory order, so the SE's last bit
+    # follows the layout.
+    from test_evolve import single_trajectories
 
     grid = (0.3, 0.6)
     result = empirical_covariance_grid("runs-linear", 100, 200, grid, seed=42)
-    config = SimConfig(
-        model="runs-linear",
-        n=100,
-        reps=200,
-        base_seed=42,
-        grid=grid,
-        keep_grid_samples=True,
-    )
-    cov, se = jackknife_covariance(run_sweep(config).grid_samples, scale=1.0 / 100)
+    samples = [row[3] for row in single_trajectories("runs-linear", 100, 42, 200, grid)]
+    cov, se = jackknife_covariance(np.asfortranarray(samples, dtype=np.float64), scale=1.0 / 100)
     np.testing.assert_array_equal(result.covariance, cov)
     np.testing.assert_array_equal(result.se, se)
     assert result.covariance.shape == (2, 2)
