@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+# A path holds about 40 bytes a step (draws, both sides, drift table): 170 MB.
+MAX_PATH_STEPS = 1 << 22
+
+
 @dataclass(frozen=True)
 class VSamplerConfig:
     """Discretization and sampling plan for the parabola-max constant.
@@ -52,8 +56,9 @@ class VSamplerConfig:
     The negative quadratic drift confines the argmax; with horizon >= 3 the
     mass beyond the truncation is negligible next to the +-0.02 use case,
     and the step bound keeps the discretization bias O(sqrt(step)) small.
-    Both limits are validated, not silently accepted.  `jobs` worker
-    processes share the paths; the estimate does not depend on it.
+    Both limits are validated, not silently accepted, and so is the path's
+    size (MAX_PATH_STEPS).  `jobs` worker processes share the paths; the
+    estimate does not depend on it.
     """
 
     step: float = 1e-3
@@ -67,6 +72,8 @@ class VSamplerConfig:
             raise ValueError(f"step must be in (0, 0.01], got {self.step}")
         if not 3.0 <= self.horizon < math.inf:  # refuses nan and inf too
             raise ValueError(f"horizon must be finite and >= 3, got {self.horizon}")
+        if self.horizon / self.step > MAX_PATH_STEPS:
+            raise ValueError(f"need horizon/step <= {MAX_PATH_STEPS}, got {self.horizon / self.step:.6g}")
         if self.paths < 2:
             raise ValueError(f"need at least 2 paths, got {self.paths}")
         if self.jobs < 1:

@@ -87,6 +87,13 @@ def test_sampler_config_validation():
         VSamplerConfig(paths=1)
     with pytest.raises(ValueError):
         VSamplerConfig(jobs=0)
+    # paths of 4e9 and 1e12 steps, refused before any is drawn
+    with pytest.raises(ValueError, match=r"horizon/step <= 4194304, got 4e\+09"):
+        VSamplerConfig(step=1e-9)
+    with pytest.raises(ValueError, match=r"horizon/step <= 4194304, got 1e\+12"):
+        VSamplerConfig(horizon=1e9)
+    assert asymptotics.MAX_PATH_STEPS == 1 << 22
+    assert VSamplerConfig(step=4.0 / (1 << 22)).steps == 1 << 22  # the cap itself
     assert VSamplerConfig(step=1e-3, horizon=4.0).steps == 4000
     assert SMALL.steps == 300
 

@@ -501,6 +501,8 @@ def test_verify_jobs_below_one_is_a_usage_error(capsys, scale, jobs):
         ["verify", "--override-constant", "runs-variance-rate=abc"],
         ["vconst", "--horizon", "nan", "--paths", "10"],  # not refused by >= 3 alone
         ["vconst", "--horizon", "inf", "--paths", "10"],
+        ["vconst", "--step", "1e-9"],  # 4e9 steps a path
+        ["vconst", "--horizon", "1e9"],  # 1e12 steps a path
     ],
 )
 def test_usage_errors_exit_2(capsys, argv):
