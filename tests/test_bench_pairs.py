@@ -124,6 +124,44 @@ def test_raw_pass_times_are_compared_next_to_the_scaled_ones():
     assert raw["change_better_pairs"] == "0/3"
 
 
+def test_a_median_past_the_bound_reads_worse():
+    # wall_s (lower is better, bound 0.2): +25% is worse, +20% is not;
+    # cells_per_s (higher is better): -25% is worse, -20% is not.
+    for change_wall, change_cells, worse in ((1.25, 75.0, True), (1.2, 80.0, False)):
+        summary = bench_pairs.summarize(
+            pairs([(1.0, 100.0)] * 4, [(change_wall, change_cells)] * 4), DECLARED
+        )
+        for name in ("wall_s", "cells_per_s"):
+            metric = summary[name]
+            assert metric["bound"] == 0.2
+            assert metric["parent_rel_iqr"] == 0.0
+            assert metric["worse"] is worse
+            assert metric["unresolved"] is False
+    # a better change is never worse, however far it moves
+    summary = bench_pairs.summarize(pairs([(1.0, 100.0)] * 4, [(0.1, 1000.0)] * 4), DECLARED)
+    assert summary["wall_s"]["worse"] is summary["cells_per_s"]["worse"] is False
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_separated():
+    # Parent walls 1.0..2.5: inclusive quartiles 1.375, 1.75, 2.125, so a
+    # relative IQR of 0.75 / 1.75, past the 0.2 bound.
+    parent = [(1.0, 4.0), (1.5, 3.0), (2.0, 2.0), (2.5, 1.0)]
+    overlapping = [(1.1, 4.5), (1.4, 3.5), (1.9, 2.5), (2.4, 1.5)]
+    summary = bench_pairs.summarize(pairs(parent, overlapping), DECLARED)
+    wall = summary["wall_s"]
+    assert wall["parent_rel_iqr"] == pytest.approx(0.75 / 1.75)
+    assert (wall["worse"], wall["unresolved"]) == (False, True)
+    # cells 1..4: relative IQR 1.5 / 2.5; every change run beats every
+    # parent run, so the spread does not hide the direction
+    separated = [(0.5, 5.0), (0.6, 6.0), (0.7, 7.0), (0.8, 8.0)]
+    summary = bench_pairs.summarize(pairs(parent, separated), DECLARED)
+    for name in ("wall_s", "cells_per_s"):
+        assert summary[name]["parent_rel_iqr"] > 0.2
+        assert summary[name]["unresolved"] is False
+    # the raw pass time has no declared bound, so no verdict either
+    assert "bound" not in summary["raw_wall_s"] and "worse" not in summary["raw_wall_s"]
+
+
 def test_source_lines_counts_python_files_under_src_runslab(tmp_path):
     package = tmp_path / "src" / "runslab"
     (package / "sub").mkdir(parents=True)

@@ -11,7 +11,10 @@ of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
 and, per end-to-end metric and for the raw (unscaled) pass time, each
 side's median and quartiles, the median ratio change/parent, and the pairs
-in which the change was better; per op, each side's median time and their
+in which the change was better; per declared metric also its bound, the
+parent's relative IQR, whether the change's median is worse than the
+parent's by more than the bound, and whether the parent's spread is too
+wide for the bound to tell (`unresolved`); per op, each side's median time and their
 ratio; and each side's line counts under src/runslab/ and tests/, so that
 a change's line delta, and any code it moved into the tests, come from the
 same record as its timings.
@@ -71,18 +74,35 @@ def quartiles(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(sides, unit, better):
-    """Both sides' quartiles and the paired comparison of one metric."""
+def compare(sides, unit, better, bound=None):
+    """Both sides' quartiles and the paired comparison of one metric.
+
+    With a `bound` (a relative change, as BENCHMARK.json declares it), also:
+    the parent's IQR over its median; `worse`, whether the change's median
+    is worse than the parent's by more than the bound; and `unresolved`,
+    whether the parent's relative IQR is wider than the bound while some
+    change run fails to beat every parent run.
+    """
     lower = better == "lower"
-    wins = sum((c < p) if lower else (c > p) for p, c in zip(sides["parent"], sides["change"]))
-    return {
+    parent, change = sides["parent"], sides["change"]
+    wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+    out = {
         "unit": unit,
         "better": better,
-        "parent": quartiles(sides["parent"]),
-        "change": quartiles(sides["change"]),
-        "median_ratio": statistics.median(sides["change"]) / statistics.median(sides["parent"]),
-        "change_better_pairs": f"{wins}/{len(sides['parent'])}",
+        "parent": quartiles(parent),
+        "change": quartiles(change),
+        "median_ratio": statistics.median(change) / statistics.median(parent),
+        "change_better_pairs": f"{wins}/{len(parent)}",
     }
+    if bound is not None:
+        p = out["parent"]
+        ratio = out["median_ratio"]
+        separated = max(change) < min(parent) if lower else min(change) > max(parent)
+        out["bound"] = bound
+        out["parent_rel_iqr"] = (p["q3"] - p["q1"]) / p["median"]
+        out["worse"] = ratio > 1 + bound if lower else ratio < 1 - bound
+        out["unresolved"] = out["parent_rel_iqr"] > bound and not separated
+    return out
 
 
 def summarize(pairs, declared):
@@ -100,7 +120,7 @@ def summarize(pairs, declared):
             side: [json.loads(p[side][1])["metrics"][name]["value"] for p in pairs]
             for side in ("parent", "change")
         }
-        summary[name] = compare(sides, metric["unit"], metric["better"])
+        summary[name] = compare(sides, metric["unit"], metric["better"], metric.get("bound"))
     raw = {
         side: [statistics.median(json.loads(p[side][0])["details"]["raw_passes"]) for p in pairs]
         for side in ("parent", "change")
