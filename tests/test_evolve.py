@@ -599,10 +599,7 @@ def test_grid_samples_in_the_sweeps_chunks_accumulate_to_its_grid_stats(monkeypa
     for _, lo, count, _ in evolve._chunk_args(config, grid_only=True):
         expected.add_batch(samples[lo:lo + count])
     assert expected.count == 50
-    stats = run_sweep(config).grid_stats
-    assert stats.count == expected.count
-    np.testing.assert_array_equal(stats.mean, expected.mean)
-    np.testing.assert_array_equal(stats.comoment, expected.comoment)
+    assert_same_comoments(run_sweep(config).grid_stats, expected)
 
 
 @pytest.mark.parametrize("model", ["runs-linear", "priority-queue"])
@@ -910,9 +907,7 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
         assert (stats.count, stats.mean, stats.m2) == (expected.count, expected.mean, expected.m2)
     expected = CoMomentAccumulator(len(grid))
     expected.add_batch(np.asarray(samples, dtype=np.float64))
-    assert result.grid_stats.count == expected.count
-    np.testing.assert_array_equal(result.grid_stats.mean, expected.mean)
-    np.testing.assert_array_equal(result.grid_stats.comoment, expected.comoment)
+    assert_same_comoments(result.grid_stats, expected)
 
 
 def golden_chunks():
@@ -948,6 +943,13 @@ def sweep_config(model, n, reps, seed, grid=None):
         model=model, n=n, reps=reps, base_seed=seed, grid=grid,
         pattern=run_length_pattern(1) if model == "pattern" else None,
     )
+
+
+def assert_same_comoments(got, want):
+    """Two CoMomentAccumulators hold the same count, mean and comoment bits."""
+    assert got.count == want.count
+    np.testing.assert_array_equal(got.mean, want.mean)
+    np.testing.assert_array_equal(got.comoment, want.comoment)
 
 
 @pytest.mark.parametrize("model", MODELS)
@@ -1171,9 +1173,8 @@ def test_sweep_jobs_bit_identical_at_desk_scale():
     np.testing.assert_array_equal(a.max_samples, b.max_samples)
     for name in ("max_stats", "argmax_stats", "mid_stats"):
         assert getattr(a, name) == getattr(b, name)
-    assert a.grid_stats.count == b.grid_stats.count == 12
-    np.testing.assert_array_equal(a.grid_stats.mean, b.grid_stats.mean)
-    np.testing.assert_array_equal(a.grid_stats.comoment, b.grid_stats.comoment)
+    assert a.grid_stats.count == 12
+    assert_same_comoments(a.grid_stats, b.grid_stats)
 
 
 def test_sweep_seed_changes_results():
