@@ -118,7 +118,6 @@ class RunManifest:
 
 
 def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
-    wall_time_seconds = time.perf_counter() - manifest.started
     if args.format == "csv":
         lines = [",".join(COLUMNS)]
         lines.extend(",".join(row[c] for c in COLUMNS) for row in rows)
@@ -129,7 +128,7 @@ def _emit(rows: List[Dict[str, str]], manifest: RunManifest, args) -> None:
                 "command": manifest.command,
                 "base_seed": manifest.base_seed,
                 "artifact_version": __version__,
-                "wall_time_seconds": wall_time_seconds,
+                "wall_time_seconds": time.perf_counter() - manifest.started,
                 **({"outputs": manifest.outputs} if manifest.outputs else {}),
             },
             "rows": rows,

@@ -14,10 +14,10 @@ side's median and quartiles, the median ratio change/parent, and the pairs
 in which the change was better; per declared metric also its bound, the
 parent's relative IQR, whether the change's median is worse than the
 parent's by more than the bound, and whether the parent's spread is too
-wide for the bound to tell (`unresolved`); per op, each side's median time and their
-ratio; and each side's line counts under src/runslab/ and tests/, so that
-a change's line delta, and any code it moved into the tests, come from the
-same record as its timings.
+wide for the bound to tell (`unresolved`); per op, each side's median
+time and their ratio; and each side's line counts under src/runslab/ and
+tests/, so that a change's line delta, and any code it moved into the
+tests, come from the same record as its timings.
 
 Both checkouts must be git checkouts, so that the record names their
 commits; the tool refuses a side that git cannot describe before any run.
