@@ -171,6 +171,14 @@ GOLDEN_STDOUT = {
         "31760d8776e846f5e7b30a84b624f463dc3327ac7da05d61f1da1c03bc4cf9ad",
     "simulate --model pattern --run-length 1 --n 12 --reps 5000":
         "822a395db7498265ae3f75f3c34212bb478de618becea918e59a3d4dd89d85cd",
+    # More quick verify seeds, each with its own random windows, recorded
+    # while each window's values were made one Fraction at a time.
+    "verify --scale quick --seed 1":
+        "5c30b2e6124846cae64737df4fbe3d279894a10e777ba53b0bc21fe8bb8547ce",
+    "verify --scale quick --seed 2":
+        "b23dbc03287a8197c4e90551d6034bb3bc479ef3d4ff11324c6b293137d355b4",
+    "verify --scale quick --seed 3":
+        "2c7bf09252fa3128a8f9ba631a87772c9f9e97a2f7df72f0403a62c2a40947cc",
 }
 
 # Rows that report wall time, the one kind of cell that changes from run to
@@ -190,11 +198,14 @@ def test_simulate_stdout_matches_golden_digest(capsys, tmp_path, command):
     save_pattern(PatternFunctional(9, tuple(dense)), dense9)
     code, out, _ = run_cli(capsys, command.format(psi=psi, dense9=dense9).split())
     assert code == 0
-    kept = [
+    assert hashlib.sha256(without_runtime(out).encode()).hexdigest() == GOLDEN_STDOUT[command]
+
+
+def without_runtime(out):
+    return "".join(
         line for line in out.splitlines(keepends=True)
         if not any(f",{q}," in line for q in RUNTIME_QUANTITIES)
-    ]
-    assert hashlib.sha256("".join(kept).encode()).hexdigest() == GOLDEN_STDOUT[command]
+    )
 
 
 def random_psi_windows(seed):
@@ -570,3 +581,65 @@ def test_argparse_exits_are_propagated(capsys):
     code, out, _ = run_cli(capsys, ["--help"])
     assert code == 0
     assert "runslab" in out
+
+
+# SHA-256 of the help text at 80 columns, recorded while main() built a
+# fresh parser on every call.
+HELP_DIGESTS = {
+    "": "7eb43e83fc57c29fdef8406a7da88f97da2f3bc38b6c001c84215f7f2851827e",
+    "exact": "d07b5f3b87f39100526a598c8454892c4f89e41e23008865f4254f70c8fba8ac",
+    "simulate": "cefaed9854be9cf6a47374a7713409e7d0afe84023fd9c8f5eb27021a88684f5",
+    "pattern": "a1f7594a408d73119a60de2708f62b2c97890429d56d5992bd6783b33d34f3f5",
+    "vconst": "35b167264e475b4a6c7f27b3b295f157130dd46447f4902f2791b4f6246fa33a",
+    "verify": "704fee6a7db3a004dfa34b5eed75e69f9faa51b0765eb1235e07af26c81462c8",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_matches_golden_digest(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    for _ in range(2):  # and again from the same process's parser
+        code, out, _ = run_cli(capsys, [*command.split(), "--help"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_DIGESTS[command]
+
+
+# One parser serves every call in a process: no call may leave anything in
+# it for the next.
+SESSION = (
+    ["exact", "--n", "6", "--m", "3", "--pmf"],
+    ["simulate", "--model", "pattern", "--run-length", "1", "--n", "20", "--reps", "30",
+     "--linear", "--seed", "4", "--grid", "0.5"],
+    ["simulate", "--model", "runs", "--n", "20", "--reps", "30", "--seed", "4"],
+    ["pattern", "--run-length", "2", "--report"],
+    ["vconst", "--paths", "20", "--step", "0.01", "--horizon", "3", "--seed", "1"],
+)
+
+
+def test_repeated_calls_in_one_process_give_the_same_bytes(capsys):
+    first = [run_cli(capsys, argv)[:2] for argv in SESSION]
+    again = [run_cli(capsys, argv)[:2] for argv in reversed(SESSION)]
+    assert all(code == 0 for code, _ in first)
+    assert again[::-1] == first
+
+
+def test_an_override_reaches_only_its_own_call(capsys):
+    argv = ["verify", "--scale", "quick", "--seed", "1"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    override = argv + ["--override-constant", "runs-variance-rate=0.125"]
+    assert run_cli(capsys, override)[0] == 1
+    code, again, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert without_runtime(again) == without_runtime(out)
+    assert cli._build_parser().parse_args(["verify"]).override_constant == []
+
+
+@pytest.mark.parametrize("interrupt", [["--version"], ["exact", "--n", "x"], ["verify", "--bad"],
+                                       ["simulate", "--help"]])
+def test_argparse_exits_leave_the_next_call_unchanged(capsys, interrupt):
+    argv = ["exact", "--n", "5", "--m", "2", "--pmf"]
+    before = run_cli(capsys, argv)
+    code = run_cli(capsys, interrupt)[0]
+    assert code == (0 if interrupt[-1] in ("--version", "--help") else 2)
+    assert run_cli(capsys, argv) == before
