@@ -35,6 +35,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -386,6 +387,9 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
+# Built on the first call and kept: parse_args leaves the parser as it
+# found it, and `append` copies its default before adding to it.
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="runslab",

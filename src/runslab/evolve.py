@@ -352,42 +352,49 @@ def simulate_runs_randomized_time(
 
 
 def _pattern_values(
-    empty: float, jumps: np.ndarray, orders: np.ndarray, cyclic: bool, ws: dict
+    empty: float, head: np.ndarray, jumps: np.ndarray, orders: np.ndarray, cyclic: bool, ws
 ) -> np.ndarray:
     """Windowed sums after 0..n insertions, one row per (flat) insertion
-    order, from the empty window's value and the jump tables (`_sweep_tables`)."""
+    order, from the empty window's value and the tables of `_sweep_tables`,
+    each cell's increment summed as the loop sums it: from +0.0, its
+    windows in offset order."""
     rows, n = orders.shape
     ell = len(jumps)
+    g = head.size.bit_length() + 1 - ell  # the offsets the head table sums
     filled_at = _filled_at(orders, ws)
-    # earlier[ell - 1 + d] = [cell k+d (mod n) occupied before cell k's own
-    # insertion], once a block for each offset d != 0, then for the wrap.
-    earlier = _scratch(ws, "bits", (2 * ell - 1, rows, n), np.bool_)
-    for d in range(1 - ell, ell):
-        if d:
-            j = d % n
-            np.less(filled_at[:, j:], filled_at[:, :n - j], out=earlier[ell - 1 + d, :, :n - j])
-            np.less(filled_at[:, :j], filled_at[:, n - j:], out=earlier[ell - 1 + d, :, n - j:])
-    # A linear row's window start k-o must stay within 0..n-ell.
-    width = n if cyclic else n - ell + 1
-    # The masks are window values, so 8 bits hold them up to 8 cells and 16
-    # bits up to MAX_WINDOW_LEN: an eighth or a quarter of int64's traffic.
-    # Each is widened, before the gather overwrites it, into the intp indices
-    # np.take would otherwise copy it to (filled_at's region, now dead).
-    mask = _scratch(ws, "gathered", (rows, width), np.uint8 if ell <= 8 else np.uint16)
-    index = _scratch(ws, "paths", (rows, width), np.intp)
-    gathered = _scratch(ws, "gathered", (rows, width), np.float64)
-    delta = _scratch(ws, "steps", orders.shape, np.float64)
-    delta.fill(0.0)
-    for o, jump in enumerate(jumps):
-        cells = slice(0, n) if cyclic else slice(o, o + width)
-        mask.fill(0)
-        for i in range(ell):
-            mask <<= 1
-            if i != o:
-                mask |= earlier[ell - 1 + i - o, :, cells]
-        np.copyto(index, mask)
-        np.take(jump, index, out=gathered, mode="clip")  # as in `_accumulate`
-        delta[:, cells] += gathered
+    # Bit 2*ell - 3 - i of a cell's code: [cell k+d (mod n) filled before
+    # cell k], for the i-th offset d of 1-ell..-1, 1..ell-1.  Offset o reads
+    # bits o..o+ell-2, the window's cells but its own.
+    code = _scratch(ws, "code", (rows, n), np.uint16 if ell <= 9 else np.uint32)
+    earlier = _scratch(ws, "gathered", (rows, n), np.bool_)
+    code.fill(0)
+    for d in (*range(1 - ell, 0), *range(1, ell)):
+        j = d % n
+        np.less(filled_at[:, j:], filled_at[:, :n - j], out=earlier[:, :n - j])
+        np.less(filled_at[:, :j], filled_at[:, n - j:], out=earlier[:, n - j:])
+        code <<= 1
+        code |= earlier
+    # The indices np.take would otherwise copy to, in filled_at's dead region.
+    index = _scratch(ws, "paths", (rows, n), np.intp)
+    delta = _scratch(ws, "steps", (rows, n), np.float64)
+    np.bitwise_and(code, head.size - 1, out=index)
+    np.take(head, index, out=delta, mode="clip")  # as in `_accumulate`
+    gathered = _scratch(ws, "gathered", (rows, n), np.float64)
+    low = (1 << (ell - 1)) - 1
+    for o in range(g, ell):
+        np.right_shift(code, o, out=index)
+        index &= low
+        np.take(jumps[o], index, out=gathered, mode="clip")
+        delta += gathered
+    if not cyclic:
+        # A linear row's window start k-o must stay within 0..n-ell, so its
+        # first and last ell-1 cells sum only their own offsets.
+        edge = np.r_[0:ell - 1, n - ell + 1:n]
+        sums = np.zeros((rows, edge.size))
+        for o, jump in enumerate(jumps):
+            cols = (o <= edge) & (edge <= n - ell + o)
+            sums[:, cols] += jump[(code[:, edge[cols]] >> o) & low]
+        delta[:, edge] = sums
     values = _accumulate(delta, orders, ws)
     values += empty * (n if cyclic else n - ell + 1)
     return values
@@ -663,9 +670,9 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     and stays there for the next chunk's (with one allocation per array, the
     largest set a trim threshold below their sum).  The threshold is capped
     at 32 MB, so runs sweeps above n = 1.8e6 (18 bytes a cell) and
-    run-length-1 pattern sweeps above n = 8.2e5 (41 bytes) map it afresh
-    each chunk: a warmed 8-rep runs sweep took 412 minor faults at n = 2e6,
-    against none at 10^6.
+    pattern sweeps above n = 8.8e5 (38 bytes; 40 past 9-cell windows) map
+    it afresh each chunk: a warmed 8-rep runs sweep took 412 minor faults
+    at n = 2e6, against none at 10^6.
     """
     n, model = config.n, config.model
     m = 2 * n if model in _QUEUE_MODELS else n  # steps in a row
@@ -674,7 +681,7 @@ def _workspace(config: SimConfig, rows: int) -> dict:
         sizes = {"times": 8 * m, "keys": 8 * m, "codes": m, "steps": m, "paths": index * (m + 1)}
     elif model == "pattern":  # float64 increments and paths
         sizes = {"orders": 8 * n, "ramp": index * n, "paths": 8 * (n + 1), "steps": 8 * n,
-                 "gathered": 8 * n, "bits": (2 * config.pattern.length - 1) * n}
+                 "gathered": 8 * n, "code": (2 if config.pattern.length <= 9 else 4) * n}
     else:  # int8 increments
         sizes = {"orders": 8 * n, "ramp": index * n, "paths": index * (n + 1), "steps": n,
                  "gathered": n}
@@ -689,17 +696,26 @@ def _workspace(config: SimConfig, rows: int) -> dict:
 
 def _sweep_tables(config: SimConfig):
     """What the model's kernel reads beyond its block, made once a sweep
-    chunk: the pattern's empty-window value and, per window cell, every
-    window value's jump when that cell fills (the float subtraction the
-    loop makes, once per value; tens of ms for 16 cells); a queue's step
-    row, its n arrivals up then its n departures down; None for runs."""
+    chunk: the pattern's empty-window value, its head table, and per window
+    cell its jump when it fills, for each value of the other cells (the
+    float subtraction the loop makes, once per value); a queue's step row,
+    its n arrivals up then its n departures down; None for runs."""
     if config.model == "pattern":
         table, ell = config.pattern.table_float(), config.pattern.length
-        windows = np.arange(table.size)
-        jumps = np.empty((ell, table.size))
+        others = np.arange(1 << (ell - 1))
+        jumps = np.empty((ell, others.size))
         for o, jump in enumerate(jumps):
-            np.subtract(table[windows | 1 << (ell - 1 - o)], table, out=jump)
-        return table[0], jumps
+            cell = 1 << (ell - 1 - o)  # the window bit of the cell at offset o
+            windows = (others & (cell - 1)) | (others & -cell) << 1
+            np.subtract(table[windows | cell], table[windows], out=jump)
+        # The head table sums the first g offsets' jumps, from +0.0, for
+        # each value of the ell + g - 2 code bits they read: all ell offsets
+        # while that fits 16 bits, so it never holds more than 2^16 sums.
+        codes = np.arange(1 << (ell + min(ell, 18 - ell) - 2))
+        head = np.zeros(codes.size)
+        for o in range(min(ell, 18 - ell)):
+            head += jumps[o][(codes >> o) & (others.size - 1)]
+        return table[0], head, jumps
     if config.model in _QUEUE_MODELS:
         return np.repeat(np.array([1, -1], dtype=np.int8), config.n)
     return None

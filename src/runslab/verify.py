@@ -246,9 +246,12 @@ def _check_pattern_closed_forms(ctx: VerifyContext) -> List[ComparisonReport]:
     return out
 
 
+_EIGHTHS = tuple(Fraction(k, 8) for k in range(-8, 9))  # a random window's values
+
+
 def _random_pattern(rng: np.random.Generator) -> PatternFunctional:
     ell = int(rng.integers(1, 5))
-    values = tuple(Fraction(int(k), 8) for k in rng.integers(-8, 9, size=1 << ell))
+    values = tuple(_EIGHTHS[k + 8] for k in rng.integers(-8, 9, size=1 << ell).tolist())
     return PatternFunctional(ell, values)
 
 

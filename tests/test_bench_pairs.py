@@ -122,6 +122,19 @@ def test_raw_pass_times_are_compared_next_to_the_scaled_ones():
     assert raw["change"] == {"median": 2.4, "q1": 2.2, "q3": 2.5}
     assert raw["median_ratio"] == pytest.approx(1.2)
     assert raw["change_better_pairs"] == "0/3"
+    assert summary["raw_agrees"] is False
+
+
+@pytest.mark.parametrize("change_raw,agrees", [(1.5, True), (2.0, False), (2.5, False)])
+def test_raw_agrees_when_both_ratios_fall_on_one_side_of_one(change_raw, agrees):
+    # scaled 1.0 -> 0.8 against raw 2.0 -> 1.5 (faster), 2.0 (flat), 2.5 (slower)
+    summary = bench_pairs.summarize(
+        pairs([(1.0, 1.0, 0, {}, [2.0])] * 3, [(0.8, 1.0, 0, {}, [change_raw])] * 3), DECLARED
+    )
+    assert summary["raw_agrees"] is agrees
+    # both flat agree
+    summary = bench_pairs.summarize(pairs([(1.0, 1.0)] * 3, [(1.0, 1.0)] * 3), DECLARED)
+    assert summary["raw_agrees"] is True
 
 
 def test_a_median_past_the_bound_reads_worse():

@@ -403,10 +403,11 @@ def test_pattern_needs_room_for_windows():
 
 def test_pattern_float_tables_loop_equals_vectorized():
     rng = np.random.default_rng(8)
-    # run-length 1, then dense random tables on both sides of the 8/16-bit
-    # mask boundary and at the window cap
+    # run-length 1, then dense random tables: one- and two-cell windows,
+    # and on both sides of the 16/32-bit code boundary (at 10 cells the
+    # head table sums only 8 of the offsets) and at the window cap
     cases = [(run_length_pattern(1).table_float(), (6, 127, 128, 200))]
-    cases += [(None, (2 * ell, 61)) for ell in (8, 9, 16)]
+    cases += [(None, (2 * ell, 61)) for ell in (1, 2, 8, 9, 10, 16)]
     for table, sizes in cases:
         if table is None:
             table = rng.standard_normal(1 << (sizes[0] // 2))
@@ -426,6 +427,29 @@ def test_pattern_float_tables_loop_equals_vectorized():
                             pattern_values_loop(table, ell, order.tolist(), cyclic),
                             values,
                         )
+
+
+@pytest.mark.parametrize("ell", [2, 3, 9, 10])
+def test_linear_boundary_cells_sum_only_their_own_windows(ell):
+    # A linear row's first and last ell-1 cells sit in fewer than ell
+    # windows.  Fill them first, then last, with jumps of widely spread
+    # magnitudes, so that a sum over another set of offsets, or in another
+    # order, would round differently.
+    rng = np.random.default_rng(ell)
+    table = rng.choice([-1.0, 1.0], 1 << ell) * 2.0 ** rng.integers(-60, 60, 1 << ell)
+    pattern = PatternFunctional(ell, tuple(table))
+    for n in (2 * ell, 2 * ell + 5):
+        edge = [*range(ell - 1), *range(n - ell + 1, n)]
+        inner = list(range(ell - 1, n - ell + 1))
+        orders = [rng.permutation(edge).tolist() + rng.permutation(inner).tolist(),
+                  rng.permutation(inner).tolist() + rng.permutation(edge).tolist()]
+        config = SimConfig(model="pattern", n=n, reps=2, base_seed=0, pattern=pattern,
+                           cyclic=False)
+        flat = np.array(orders) + n * np.arange(2)[:, None]
+        block = evolve._kernel_summary(config, flat, evolve._sweep_tables(config), None,
+                                       workspace("pattern", n, 2, ell))[0]
+        for order, values in zip(orders, block):
+            np.testing.assert_array_equal(pattern_values_loop(table, ell, order, False), values)
 
 
 # -- queue models ------------------------------------------------------------

@@ -14,7 +14,8 @@ side's median and quartiles, the median ratio change/parent, and the pairs
 in which the change was better; per declared metric also its bound, the
 parent's relative IQR, whether the change's median is worse than the
 parent's by more than the bound, and whether the parent's spread is too
-wide for the bound to tell (`unresolved`); per op, each side's median
+wide for the bound to tell (`unresolved`); whether the scaled and raw
+times moved the same way (`raw_agrees`); per op, each side's median
 time and their ratio; and each side's line counts under src/runslab/ and
 tests/, so that a change's line delta, and any code it moved into the
 tests, come from the same record as its timings.
@@ -112,6 +113,8 @@ def summarize(pairs, declared):
     unscaled: a scaled time divides by a calibration kernel that runs in the
     same worker heap as the program, so a change to how the program uses
     the allocator can move the kernel, and the scaled times with it.
+    `raw_agrees` says whether the two median ratios fall on the same side
+    of 1.
     """
     summary = {}
     for metric in declared:
@@ -126,6 +129,9 @@ def summarize(pairs, declared):
         for side in ("parent", "change")
     }
     summary["raw_wall_s"] = compare(raw, "s", "lower")
+    # both median ratios below 1, both above, or both exactly 1
+    ratios = (summary["wall_s"]["median_ratio"], summary["raw_wall_s"]["median_ratio"])
+    summary["raw_agrees"] = len({(r > 1) - (r < 1) for r in ratios}) == 1
     for side in ("parent", "change"):
         summary[f"failed_ops_{side}"] = sum(json.loads(p[side][1])["failed"] for p in pairs)
     summary["ops"] = op_medians(pairs)
