@@ -352,7 +352,8 @@ def simulate_runs_randomized_time(
 
 
 def _pattern_values(
-    empty: float, head: np.ndarray, jumps: np.ndarray, orders: np.ndarray, cyclic: bool, ws
+    empty: float, head: np.ndarray, jumps: np.ndarray, orders: np.ndarray, cyclic: bool,
+    ws: dict,
 ) -> np.ndarray:
     """Windowed sums after 0..n insertions, one row per (flat) insertion
     order, from the empty window's value and the tables of `_sweep_tables`,
@@ -711,9 +712,10 @@ def _sweep_tables(config: SimConfig):
         # The head table sums the first g offsets' jumps, from +0.0, for
         # each value of the ell + g - 2 code bits they read: all ell offsets
         # while that fits 16 bits, so it never holds more than 2^16 sums.
-        codes = np.arange(1 << (ell + min(ell, 18 - ell) - 2))
+        g = min(ell, 18 - ell)
+        codes = np.arange(1 << (ell + g - 2))
         head = np.zeros(codes.size)
-        for o in range(min(ell, 18 - ell)):
+        for o in range(g):
             head += jumps[o][(codes >> o) & (others.size - 1)]
         return table[0], head, jumps
     if config.model in _QUEUE_MODELS:
