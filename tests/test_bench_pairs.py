@@ -125,16 +125,18 @@ def test_raw_pass_times_are_compared_next_to_the_scaled_ones():
     assert summary["raw_agrees"] is False
 
 
-@pytest.mark.parametrize("change_raw,agrees", [(1.5, True), (2.0, False), (2.5, False)])
-def test_raw_agrees_when_both_ratios_fall_on_one_side_of_one(change_raw, agrees):
-    # scaled 1.0 -> 0.8 against raw 2.0 -> 1.5 (faster), 2.0 (flat), 2.5 (slower)
+@pytest.mark.parametrize(
+    "change_wall,change_raw,agrees",
+    # scaled 1.0 -> 0.8 against raw 2.0 -> 1.5 (faster), 2.0 (flat), 2.5
+    # (slower); then both flat
+    [(0.8, 1.5, True), (0.8, 2.0, False), (0.8, 2.5, False), (1.0, 2.0, True)],
+)
+def test_raw_agrees_when_both_ratios_fall_on_one_side_of_one(change_wall, change_raw, agrees):
     summary = bench_pairs.summarize(
-        pairs([(1.0, 1.0, 0, {}, [2.0])] * 3, [(0.8, 1.0, 0, {}, [change_raw])] * 3), DECLARED
+        pairs([(1.0, 1.0, 0, {}, [2.0])] * 3, [(change_wall, 1.0, 0, {}, [change_raw])] * 3),
+        DECLARED,
     )
     assert summary["raw_agrees"] is agrees
-    # both flat agree
-    summary = bench_pairs.summarize(pairs([(1.0, 1.0)] * 3, [(1.0, 1.0)] * 3), DECLARED)
-    assert summary["raw_agrees"] is True
 
 
 def test_a_median_past_the_bound_reads_worse():
