@@ -387,8 +387,11 @@ def cmd_verify(args, manifest: RunManifest) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-# Built on the first call and kept: parse_args leaves the parser as it
-# found it, and `append` copies its default before adding to it.
+# Built on the first call and kept for the next calls in the process (a
+# program or test that imports main, the benchmark's op loop); the
+# `runslab` script calls main once.  parse_args leaves the parser as it
+# found it, `append` copies its default before adding to it, and main
+# looks the command's function up when it runs, so the parser holds none.
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -417,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-pmf", action="store_true", help="distribution of the running max"
     )
     common(p, seeded=False)
-    p.set_defaults(func=cmd_exact)
 
     p = sub.add_parser("simulate", help="Monte Carlo sweep of one model")
     p.add_argument("--model", required=True, help="runs, pq, runs-time, pattern, ...")
@@ -429,7 +431,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--psi-file", help="window table file (pattern model)")
     p.add_argument("--run-length", type=int, help="isolated-run window of this length")
     common(p)
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("pattern", help="exact asymptotic report for one window")
     p.add_argument("--psi-file", help="window table file")
@@ -438,14 +439,12 @@ def _build_parser() -> argparse.ArgumentParser:
         "--report", action="store_true", help="add per-pattern variance shares"
     )
     common(p, seeded=False)
-    p.set_defaults(func=cmd_pattern)
 
     p = sub.add_parser("vconst", help="estimate the drifted-path max constant")
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--horizon", type=float, default=4.0)
     p.add_argument("--paths", type=int, default=100_000)
     common(p)
-    p.set_defaults(func=cmd_vconst)
 
     p = sub.add_parser("verify", help="run the acceptance checks")
     p.add_argument("--scale", choices=("quick", "full"), default="quick")
@@ -458,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="replace a reference constant (sensitivity testing)",
     )
     common(p)
-    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -476,7 +474,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.out:
             _check_out(args.out)
         manifest = RunManifest(command="runslab " + " ".join(argv), base_seed=seed)
-        return args.func(args, manifest)
+        return globals()[f"cmd_{args.command}"](args, manifest)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

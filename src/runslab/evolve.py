@@ -710,9 +710,11 @@ def _sweep_tables(config: SimConfig):
             windows = (others & (cell - 1)) | (others & -cell) << 1
             np.subtract(table[windows | cell], table[windows], out=jump)
         # The head table sums the first g offsets' jumps, from +0.0, for
-        # each value of the ell + g - 2 code bits they read: all ell offsets
-        # while that fits 16 bits, so it never holds more than 2^16 sums.
-        g = min(ell, 18 - ell)
+        # each value of the ell + g - 2 code bits they read.  A sum costs
+        # about what a later offset costs a cell, so g is the most offsets
+        # that keep it to a sum per 8 cells of the chunk, 2^8 to 2^16 sums.
+        cells = config.n * _chunk_size(config.n, config.reps)
+        g = max(1, min(ell, min(max(cells.bit_length() - 4, 8), 16) + 2 - ell))
         codes = np.arange(1 << (ell + g - 2))
         head = np.zeros(codes.size)
         for o in range(g):

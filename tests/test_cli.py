@@ -380,6 +380,18 @@ def test_unwritable_out_is_refused_before_the_work(capsys, tmp_path, monkeypatch
     assert err == f"error: cannot write {target}\n"
 
 
+
+def test_a_patched_command_is_run_after_an_earlier_call(capsys, monkeypatch):
+    # main() looks the subcommand's function up on every call, so a parser
+    # built by an earlier call neither misses a patch nor keeps one.
+    argv = ["exact", "--n", "5", "--m", "2"]
+    before = run_cli(capsys, argv)
+    assert before[0] == 0
+    monkeypatch.setattr(cli, "cmd_exact", lambda args, manifest: print("patched") or 7)
+    assert run_cli(capsys, argv)[:2] == (7, "patched\n")
+    monkeypatch.undo()
+    assert run_cli(capsys, argv) == before
+
 # -- pattern reports ---------------------------------------------------------
 
 

@@ -404,8 +404,7 @@ def test_pattern_needs_room_for_windows():
 def test_pattern_float_tables_loop_equals_vectorized():
     rng = np.random.default_rng(8)
     # run-length 1, then dense random tables: one- and two-cell windows,
-    # and on both sides of the 16/32-bit code boundary (at 10 cells the
-    # head table sums only 8 of the offsets) and at the window cap
+    # and on both sides of the 16/32-bit code boundary and at the window cap
     cases = [(run_length_pattern(1).table_float(), (6, 127, 128, 200))]
     cases += [(None, (2 * ell, 61)) for ell in (1, 2, 8, 9, 10, 16)]
     for table, sizes in cases:
@@ -427,6 +426,33 @@ def test_pattern_float_tables_loop_equals_vectorized():
                             pattern_values_loop(table, ell, order.tolist(), cyclic),
                             values,
                         )
+
+
+@pytest.mark.parametrize("ell", [3, 9, 10, 16])
+def test_every_head_width_gives_the_loop_bits(ell):
+    # The head table sums as many of the first offsets as keep it to one
+    # sum per 8 cells of a chunk, 2^8 to 2^16 sums: from a single offset up
+    # to all ell of them (8 of 10, 2 of 16) as the chunk grows.  Each width
+    # gives the loop's bits, in both row flavours.
+    rng = np.random.default_rng(ell)
+    table = rng.standard_normal(1 << ell)
+    pattern = PatternFunctional(ell, tuple(table))
+    widths = set()
+    for n in (2 * ell, 61):
+        orders, flat = random_block(rng, 2, n)
+        for cyclic in (True, False):
+            expected = [pattern_values_loop(table, ell, order.tolist(), cyclic) for order in orders]
+            for reps in sorted({-(-(1 << b) // n) for b in range(21)}):
+                config = SimConfig(model="pattern", n=n, reps=reps, base_seed=0,
+                                   pattern=pattern, cyclic=cyclic)
+                tables = evolve._sweep_tables(config)
+                cells = n * evolve._chunk_size(n, reps)
+                assert tables[1].size <= max(1 << (ell - 1), min(max(1 << 8, cells // 8), 1 << 16))
+                widths.add(tables[1].size.bit_length() + 1 - ell)
+                block = evolve._kernel_summary(config, flat, tables, None,
+                                               workspace("pattern", n, 2, ell))[0]
+                np.testing.assert_array_equal(np.array(expected), block)
+    assert widths == set(range(min(ell, max(1, 10 - ell)), min(ell, 18 - ell) + 1))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 9, 10])
