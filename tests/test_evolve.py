@@ -440,18 +440,19 @@ def test_every_head_width_gives_the_loop_bits(ell):
     widths = set()
     for n in (2 * ell, 61):
         orders, flat = random_block(rng, 2, n)
-        for cyclic in (True, False):
-            expected = [pattern_values_loop(table, ell, order.tolist(), cyclic) for order in orders]
-            for reps in sorted({-(-(1 << b) // n) for b in range(21)}):
-                config = SimConfig(model="pattern", n=n, reps=reps, base_seed=0,
-                                   pattern=pattern, cyclic=cyclic)
-                tables = evolve._sweep_tables(config)
-                cells = n * evolve._chunk_size(n, reps)
-                assert tables[1].size <= max(1 << (ell - 1), min(max(1 << 8, cells // 8), 1 << 16))
-                widths.add(tables[1].size.bit_length() + 1 - ell)
-                block = evolve._kernel_summary(config, flat, tables, None,
-                                               workspace("pattern", n, 2, ell))[0]
-                np.testing.assert_array_equal(np.array(expected), block)
+        expected = {cyclic: np.array([pattern_values_loop(table, ell, order.tolist(), cyclic)
+                                      for order in orders]) for cyclic in (True, False)}
+        ws = workspace("pattern", n, 4, ell)
+        # one rep (a trajectory), then chunks of about 2^11 to 2^19 cells
+        for reps in sorted({1, *(-(-(1 << b) // n) for b in range(11, 20))}):
+            config = SimConfig(model="pattern", n=n, reps=reps, base_seed=0, pattern=pattern)
+            tables = evolve._sweep_tables(config)
+            for cyclic in (True, False):
+                values = evolve._pattern_values(*tables, flat, cyclic, ws)
+                np.testing.assert_array_equal(expected[cyclic], values)
+            cells = n * evolve._chunk_size(n, reps)
+            assert tables[1].size <= max(1 << (ell - 1), min(max(1 << 8, cells // 8), 1 << 16))
+            widths.add(tables[1].size.bit_length() + 1 - ell)
     assert widths == set(range(min(ell, max(1, 10 - ell)), min(ell, 18 - ell) + 1))
 
 
