@@ -140,6 +140,17 @@ GOLDEN_STDOUT = {
         "53e2d893d961f754c012cc593de3534f27b176218fb98051958ee11cd992d934",
     "exact --n 16 --max-pmf":
         "3bf8fb676811abf14bbb1d3b6a74493cd1480564e931a6e1b7782ed3943499a6",
+    # The gap DP past the subset-DP oracle's reach, recorded while it made
+    # every move of every state afresh: per-interior move tables must give
+    # the same tables.
+    "exact --n 17 --max-pmf":
+        "b96e73e68b815a4cd3c11fec79b716e95455dcf7be63252b81140cbd87ec8baf",
+    "exact --n 18 --max-pmf":
+        "5d79e31ce8d6d6283f7000992a1715641b30c2008a8b4eb6c483eefbb950bc7d",
+    "exact --n 19 --max-pmf":
+        "c97e33b629ccb47c08b9bd8bf440c3e3bbf768a02e5820329a151500f3782d00",
+    "exact --n 20 --max-pmf":
+        "ff836cd85cee565105af1c9ac00aeba73a93e97d9b8c4d5ef4ded08ba5020e48",
     "pattern --run-length 4 --report":
         "9db48ef1972876d6055c518255f2ad859e29337cc874fb923fca87e2a0ce8e30",
     "pattern --run-length 5 --report":

@@ -6,14 +6,18 @@ from coefficient lists: `poly` for one list, `times` for a product of
 lists.  The Fraction oracles below work on the `coeffs` tuples.
 """
 
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from runslab.patterns import mean_rate
+from runslab import patterns
+from runslab.cli import main
+from runslab.patterns import PatternFunctional, mean_rate
 from runslab.polys import (
     Polynomial,
     _bisect,
@@ -443,3 +447,89 @@ def test_mean_rate_derivatives_match_fraction_pipeline():
             continue
         width = Fraction(1, 10**24)
         assert real_roots_in_interval(d1, 0, 1, width) == real_roots_oracle(d1, 0, 1, width)
+
+
+# -- the brackets the exact layer requests -------------------------------------
+
+
+def requested_brackets(monkeypatch, capsys):
+    """Every (ints, a, b, width) that the peak search hands to `_bisect`, with
+    its result, over one `verify --scale quick --seed 0` run, the six
+    run-length reports and 8 admissible random windows of each length 2, 3
+    and 4 drawn as the exact benchmark workload draws them at seed 2331
+    (values k/8, k uniform in -8..8)."""
+    calls = []
+    bisect = patterns._bisect
+
+    def recorded(ints, a, b, width):
+        got = bisect(ints, a, b, width)
+        calls.append((tuple(ints), a, b, width, got))
+        return got
+
+    monkeypatch.setattr(patterns, "_bisect", recorded)
+    assert main(["verify", "--scale", "quick", "--seed", "0"]) == 0
+    capsys.readouterr()
+    for d in range(1, 7):
+        patterns.summarize(patterns.run_length_pattern(d))
+    rng = random.Random("exact:2331")
+    for ell in (2, 3, 4):
+        found = 0
+        while found < 8:
+            values = tuple(Fraction(rng.randint(-8, 8), 8) for _ in range(1 << ell))
+            try:
+                patterns.summarize(PatternFunctional(ell, values))
+                found += 1
+            except patterns.NoInteriorPeakError:
+                pass
+    return calls
+
+
+def test_bisect_keeps_its_results_on_the_brackets_the_exact_layer_requests(monkeypatch, capsys):
+    # Recorded from the halving loop: 447 brackets, 310 narrowed to 2^-16
+    # and 137 to 1e-24; each also equals the Fraction bisection.
+    calls = requested_brackets(monkeypatch, capsys)
+    widths = [width for _, _, _, width, _ in calls]
+    assert (len(calls), widths.count(Fraction(1, 2**16)), widths.count(Fraction(1, 10**24))) == (447, 310, 137)
+    assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
+        "5e4a7e57c9439abd3a21930af0bb728f3e7075a53577dd4e8f3fe5bef87a6b3d"
+    )
+    for ints, a, b, width, got in calls:
+        assert got == refine_root_oracle(Polynomial(ints), a, b, width)
+
+
+@pytest.mark.parametrize(
+    "a,b,width,root",
+    [
+        # 3/8 is a point of the third halving of (0, 1), the last one a
+        # width of 1/8 asks for
+        (0, 1, Fraction(1, 8), Fraction(3, 8)),
+        # 3/4 = 1/3 + 5 * (2/3) / 8 on the bracket's own grid, not a dyadic one
+        (Fraction(1, 3), 1, Fraction(1, 12), Fraction(3, 4)),
+        # a point of the fourth halving only: the third leaves it inside a cell
+        (0, 1, Fraction(1, 8), Fraction(5, 16)),
+    ],
+)
+def test_a_root_on_the_last_grid_is_returned_exactly_only_when_the_grid_has_it(a, b, width, root):
+    p = times([-root, 1], [2, 1])
+    got = refine_root(p, a, b, width)
+    assert got == refine_root_oracle(p, a, b, width)
+    on_grid = ((root - a) / (b - a) * 8).denominator == 1
+    assert (got == (root, root)) is on_grid
+
+
+@pytest.mark.parametrize("width", [Fraction(1, 10**6), Fraction(1, 10**24)])
+def test_a_flat_point_inside_the_bracket_is_stepped_over(width):
+    # x^3 - 3x - 1 has one root in (0, 2), near 1.8794, and p'(1) = 0 at the
+    # bracket's midpoint, where a Newton step has no direction.  The other
+    # roots, near -1.532 and -0.347, lie outside.
+    p = poly([-1, -3, 0, 1])
+    got = refine_root(p, 0, 2, width)
+    assert got == refine_root_oracle(p, 0, 2, width)
+    assert Fraction(18793, 10000) < got[1] and got[0] < Fraction(18794, 10000)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (Fraction(1, 3), Fraction(2, 3))])
+def test_a_bracket_already_narrower_than_the_width_is_returned_as_it_is(a, b):
+    p = times([Fraction(-1, 2) + Fraction(1, 7), 1], [2, 1])  # root 5/14
+    for width in (Fraction(b) - Fraction(a), Fraction(1)):
+        assert refine_root(p, a, b, width) == (Fraction(a), Fraction(b))
