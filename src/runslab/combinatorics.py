@@ -301,12 +301,12 @@ def max_pmf_subset_dp(n: int) -> Dict[int, Fraction]:
     return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}
 
 
-def _gap_moves(interior: tuple, a: int, b: int) -> list:
-    """Every way to fill one empty cell of a gap state, as (state, weight).
+def _interior_fills(interior: tuple) -> list:
+    """Every way to fill one cell of an interior gap, as (interior, weight).
 
-    A state is the sorted tuple of interior gap lengths and the sorted pair
-    (a, b) of boundary gaps.  The weight counts the cells that lead to the
-    same state; the same state may appear more than once.
+    `interior` is the sorted tuple of interior gap lengths.  The weight
+    counts the cells that lead to the same multiset; the same multiset may
+    appear more than once.
     """
     moves = []
     prev = 0
@@ -317,22 +317,13 @@ def _gap_moves(interior: tuple, a: int, b: int) -> list:
         c = interior.count(g)
         rest = interior[:i] + interior[i + 1 :]
         if g == 1:  # two runs merge
-            moves.append(((rest, a, b), c))
+            moves.append((rest, c))
             continue
         # either end cell shrinks the gap; an inner cell splits it (one more run)
-        moves.append(((tuple(sorted(rest + (g - 1,))), a, b), 2 * c))
+        moves.append((tuple(sorted(rest + (g - 1,))), 2 * c))
         for left in range(1, (g + 1) // 2):
             right = g - 1 - left
-            moves.append(((tuple(sorted(rest + (left, right))), a, b),
-                          c if left == right else 2 * c))
-    for side, other in ((a, b), (b, a)):
-        if side:
-            # the cell next to the run shrinks the gap; cell p < side - 1
-            # leaves a boundary gap p and a new interior gap (one more run)
-            moves.append(((interior, *sorted((side - 1, other))), 1))
-            for p in range(side - 1):
-                moves.append(((tuple(sorted(interior + (side - 1 - p,))),
-                               *sorted((p, other))), 1))
+            moves.append((tuple(sorted(rest + (left, right))), c if left == right else 2 * c))
     return moves
 
 
@@ -346,7 +337,15 @@ def max_pmf_gap_dp(n: int) -> Dict[int, Fraction]:
     n = 16, 746 at n = 20), one insertion layer at a time.  Row i of a
     layer's int64 histogram counts the insertion orders that reach its i-th
     state by running max, as in `max_pmf_subset_dp`, which it equals for
-    every n both accept.  Nothing is kept between calls.
+    every n both accept.
+
+    A state is one int, interior id * (n + 1)^2 + the boundary pair's code,
+    and its moves come from two tables made once per distinct interior and
+    shared by every boundary pair: the interior's own fills, and the
+    interior with a gap g added (g = 0: unchanged).  Boundary gap x, beside
+    the other boundary gap o, has x cells: the one p from the end leaves
+    boundary gaps (p, o) and the interior with a gap x - 1 - p added.
+    Nothing is kept between calls.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -354,28 +353,53 @@ def max_pmf_gap_dp(n: int) -> Dict[int, Fraction]:
         raise ValueError(f"gap DP capped at n <= {MAX_DP_CELLS}, got {n}")
 
     heights = np.arange((n + 1) // 2 + 1)
+    side = n + 1
+    stride = side * side
+    pairs = [[min(p, o) * side + max(p, o) for o in range(side)] for p in range(side)]
+    ids: Dict[tuple, int] = {}  # interior -> id, in order of first sight
+    tables: Dict[int, tuple] = {}
+
+    def code(interior: tuple) -> int:
+        return ids.setdefault(interior, len(ids)) * stride
+
     # the first cell i leaves boundary gaps i - 1 and n - i and one run
-    layer = [((), *sorted((i - 1, n - i))) for i in range(1, n + 1)]
+    layer = [code(()) + pairs[i - 1][n - i] for i in range(1, n + 1)]
     hist = np.zeros((n, heights.size), dtype=np.int64)
     hist[:, 1] = 1
     for _ in range(1, n):
-        index: Dict[tuple, int] = {}
-        src, dst, weight = [], [], []
-        for s, state in enumerate(layer):
-            for key, w in _gap_moves(*state):
-                src.append(s)
-                dst.append(index.setdefault(key, len(index)))
-                weight.append(w)
-        r = np.array([len(key[0]) + 1 for key in index])[dst][:, None]
+        interiors = list(ids)
+        keys, weight, counts = [], [], []
+        for state in layer:
+            base, pair = divmod(state, stride)
+            if base not in tables:
+                interior = interiors[base]
+                fills = _interior_fills(interior)
+                tables[base] = ([code(t) for t, _ in fills], [w for _, w in fills],
+                                [base * stride] + [code(tuple(sorted(interior + (g,))))
+                                                   for g in range(1, n - sum(interior))])
+            fill_codes, fill_weights, grown = tables[base]
+            moves = [f + pair for f in fill_codes]
+            weight += fill_weights
+            a, b = divmod(pair, side)
+            for x, other in ((a, b), (b, a)):
+                row = pairs[other]
+                moves += [grown[x - 1 - p] + row[p] for p in range(x)]
+                weight += [1] * x
+            keys += moves
+            counts.append(len(moves))
+        index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+        dst = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+        src = np.repeat(np.arange(len(layer)), counts)
+        layer = list(index)
+        runs = [len(interior) + 1 for interior in ids]
+        r = np.array([runs[key // stride] for key in layer])[dst][:, None]
         # mass at a running max h <= r moves to r; above r it stays
         moved = hist[src] * np.array(weight, dtype=np.int64)[:, None]
         at_most = np.cumsum(moved, axis=1)
         moved[heights < r] = 0
         np.copyto(moved, at_most, where=heights == r)
-        hist = np.zeros((len(index), heights.size), dtype=np.int64)
+        hist = np.zeros((len(layer), heights.size), dtype=np.int64)
         np.add.at(hist, dst, moved)
-        layer = list(index)
     total = math.factorial(n)
     assert hist.sum() == total
     return {h: Fraction(int(c), total) for h, c in enumerate(hist[0]) if c}
-

@@ -83,6 +83,7 @@ class PatternFunctional:
 
     length: int
     values: Tuple[Fraction, ...]
+    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.length <= MAX_WINDOW_LEN:
@@ -92,9 +93,13 @@ class PatternFunctional:
                 f"need {1 << self.length} window values for length {self.length}, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
+        floats = np.array([float(v) for v in self.values], dtype=np.float64)
+        floats.flags.writeable = False
+        object.__setattr__(self, "_floats", floats)
 
     def table_float(self) -> np.ndarray:
-        return np.array([float(v) for v in self.values], dtype=np.float64)
+        """The values as a read-only float64 array, converted once."""
+        return self._floats
 
 
 def runs_pattern() -> PatternFunctional:
@@ -279,8 +284,8 @@ def _peak_point(g: Polynomial) -> Tuple[Fraction, Fraction]:
 
     The critical points are first bracketed to `_COARSE_WIDTH` only, and the
     uniqueness and boundary tests decided there when they can be
-    (`_coarse_peak`); then only the winning bracket is refined, by
-    continuing the same bisection, so the point is the one that refining
+    (`_coarse_peak`); then only the winning bracket is refined, on
+    the same halving grid, so the point is the one that refining
     every bracket would give.  A test too close to call on the coarse
     brackets is made on every point refined to 1e-24.
     """

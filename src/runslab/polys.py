@@ -6,7 +6,7 @@ decomposition, the mean rate) works on integers already, so it hands them
 over as they are.  Evaluation at an int or a Fraction N/M runs Horner's rule
 on the integers, den * M^d * p(N/M), and builds a single Fraction from the
 result.  Root isolation uses a Sturm chain on the squarefree part plus exact
-bisection -- enough machinery to certify that a polynomial has exactly one
+bisection, narrowed by Newton steps on bisection's own grid -- enough machinery to certify that a polynomial has exactly one
 critical point of interest inside (0, 1) and to pin it to any requested
 width.  It needs only signs, so it works on integer coefficient lists from
 start to finish and builds no Fraction to count.
@@ -268,13 +268,34 @@ def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fra
     return ints, brackets
 
 
-def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a bracketing interval (p(a)p(b) < 0) below `width` by bisection,
-    for the polynomial p with integer coefficients `ints`.
+def _taylor_shift(ints: Sequence[int], s: int) -> list[int]:
+    """The coefficients of p(z + s)."""
+    c = list(ints)
+    for i in range(len(c) - 1):
+        for j in range(len(c) - 2, i - 1, -1):
+            c[j] += s * c[j + 1]
+    return c
 
-    Exact rational roots hit by a bisection point are returned as (r, r).
-    The bracket is kept as integer numerators lo, hi over one denominator q,
-    which doubles with each halving, and only the sign of p is tested.
+
+def _one_root(ints: Sequence[int], start: int, span: int, q: int) -> bool:
+    """Whether Descartes' rule of signs counts one root of p in (start/q,
+    (start + span)/q), which is then exact: p mapped onto (0, 1), then
+    y -> 1/(1 + y), has one sign variation."""
+    d = len(ints) - 1
+    at = _taylor_shift([c * q ** (d - i) for i, c in enumerate(ints)], start)  # q^d p((start + z)/q)
+    signs = [c > 0 for c in _taylor_shift([c * span**i for i, c in enumerate(at)][::-1], 1) if c]
+    return sum(s != t for s, t in zip(signs, signs[1:])) == 1
+
+
+def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
+    """Shrink a bracketing interval (p(a)p(b) < 0) below `width` to the cell
+    that bisection gives, for the polynomial p with integer coefficients
+    `ints`: the K halvings that reach `width` end in a cell of the grid
+    (start + X span) / q, X = 0..2^K, and a grid point where p vanishes is
+    returned as (r, r).  Where the bracket holds one root, any search of the
+    grid finds that cell, so Newton steps in integers, rounded away from the
+    last point, narrow it; a step that would leave the bracket, or not halve
+    the step before last, is a bisection step.  Only the sign of p is tested.
     """
     if a == b:
         return a, b
@@ -283,18 +304,38 @@ def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> t
         return a, a
     if sa * _sign_at(ints, b) >= 0:
         raise ValueError("interval does not bracket a sign change")
-    rising = sa < 0  # p(lo) keeps the sign of p(a): p rises through the root
     q = math.lcm(a.denominator, b.denominator)
-    lo = a.numerator * (q // a.denominator)
-    hi = b.numerator * (q // b.denominator)
-    while (hi - lo) * width.denominator > width.numerator * q:
-        mid = lo + hi
-        q *= 2
-        fm = _horner_int(ints, mid, q)
-        if fm == 0:
-            return Fraction(mid, q), Fraction(mid, q)
-        if (fm < 0) == rising:
-            lo, hi = mid, 2 * hi
+    start = a.numerator * (q // a.denominator)
+    span = b.numerator * (q // b.denominator) - start
+    if span * width.denominator <= width.numerator * q:
+        return a, b
+    halvings = (-(-span * width.denominator // (width.numerator * q)) - 1).bit_length()
+    # one root when p has degree 2 or less, or Descartes' rule counts one;
+    # otherwise every step halves, which is bisection itself
+    slope = _int_derivative(ints) if len(ints) <= 3 or _one_root(ints, start, span, q) else None
+    start <<= halvings
+    q <<= halvings
+    rising = sa < 0  # p(lo) keeps the sign of p(a): p rises through the root
+    lo, hi = 0, 1 << halvings
+    x = hi >> 1
+    step = last = hi
+    while True:
+        num = start + x * span
+        v = _horner_int(ints, num, q)
+        if v == 0:
+            return Fraction(num, q), Fraction(num, q)
+        if (v < 0) == rising:
+            lo = x
         else:
-            lo, hi = 2 * lo, mid
-    return Fraction(lo, q), Fraction(hi, q)
+            hi = x
+        if hi - lo == 1:
+            return Fraction(start + lo * span, q), Fraction(start + hi * span, q)
+        nxt = (lo + hi) >> 1
+        if slope:
+            dv = _horner_int(slope, num, q) * span  # p / p' in grid units is v / dv
+            if dv:
+                move = -(-v // dv) if (v > 0) == (dv > 0) else v // dv
+                if lo < x - move < hi and 2 * abs(move) <= last:
+                    nxt = x - move
+        last, step = step, abs(nxt - x)
+        x = nxt

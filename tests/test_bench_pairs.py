@@ -21,22 +21,24 @@ DECLARED = [
 ]
 
 
-def run_lines(wall, cells, failed=0, ops=None, raw_passes=None):
-    """One run; `ops` maps an op name to its times in that run, and the raw
-    pass times default to the scaled wall time."""
+def run_lines(wall, cells, failed=0, ops=None, raw_passes=None, digests=None):
+    """One run; `ops` maps an op name to its times in that run and `digests`
+    to its output digest (default "d0"), and the raw pass times default to
+    the scaled wall time."""
     result = {
         "metrics": {"wall_s": {"value": wall}, "cells_per_s": {"value": cells}},
         "failed": failed,
     }
     details = {
-        "ops": [{"name": name, "times": times} for name, times in (ops or {}).items()],
+        "ops": [{"name": name, "times": times, "digest": (digests or {}).get(name, "d0")}
+                for name, times in (ops or {}).items()],
         "raw_passes": [wall] if raw_passes is None else raw_passes,
     }
     return [json.dumps({"details": details}), json.dumps(result)]
 
 
 def pairs(parent, change):
-    """Pairs from (wall, cells[, failed[, ops[, raw_passes]]]) tuples, one
+    """Pairs from (wall, cells[, failed[, ops[, raw_passes[, digests]]]]) tuples, one
     per side and seed."""
     return [
         {"seed": seed, "first": "parent", "parent": run_lines(*p), "change": run_lines(*c)}
@@ -97,9 +99,28 @@ def test_per_op_medians_and_ratio():
         DECLARED,
     )
     # medians within each run (2, 4 vs 1, 2), then over the runs
-    assert summary["ops"]["a"] == {"parent": 3.0, "change": 1.5, "ratio": 0.5}
-    # an op that never finished on one side has no median and no ratio
-    assert summary["ops"]["b"] == {"parent": 2.0, "change": None, "ratio": None}
+    assert summary["ops"]["a"] == {"parent": 3.0, "change": 1.5, "ratio": 0.5,
+                                   "change_better_pairs": "2/2", "digests_match": True}
+    # an op that never finished on one side has no median and no ratio, and
+    # no pair in which to compare its times
+    assert summary["ops"]["b"] == {"parent": 2.0, "change": None, "ratio": None,
+                                   "change_better_pairs": "0/0", "digests_match": True}
+
+
+def test_per_op_wins_and_digests_pair_by_pair():
+    # op a: the change is faster in pairs 0 and 2, tied in pair 1, and its
+    # digest differs in pair 2 only; op b runs in pair 1 on the change side
+    # only; op c matches everywhere and is slower every time.
+    parent = [(1.0, 1.0, 0, {"a": [2.0], "c": [1.0]}),
+              (1.0, 1.0, 0, {"a": [2.0], "c": [1.0]}),
+              (1.0, 1.0, 0, {"a": [2.0], "c": [1.0]})]
+    change = [(1.0, 1.0, 0, {"a": [1.0], "c": [3.0]}),
+              (1.0, 1.0, 0, {"a": [2.0], "b": [1.0], "c": [3.0]}),
+              (1.0, 1.0, 0, {"a": [1.0], "c": [3.0]}, None, {"a": "d1"})]
+    ops = bench_pairs.summarize(pairs(parent, change), DECLARED)["ops"]
+    assert (ops["a"]["change_better_pairs"], ops["a"]["digests_match"]) == ("2/3", False)
+    assert (ops["b"]["change_better_pairs"], ops["b"]["digests_match"]) == ("0/0", False)
+    assert (ops["c"]["change_better_pairs"], ops["c"]["digests_match"]) == ("0/3", True)
 
 
 def test_raw_pass_times_are_compared_next_to_the_scaled_ones():

@@ -1,5 +1,6 @@
 """Simulation layer: kernels vs direct counting, sweeps, queue paths."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -95,11 +96,17 @@ def random_block(rng, rows, n):
     return orders, orders + n * np.arange(rows)[:, None]
 
 
+@functools.cache
+def zero_pattern(ell):
+    """The all-zero window of `ell` cells, made once per length."""
+    return PatternFunctional(ell, (0,) * (1 << ell))
+
+
 def workspace(model, n, rows, ell=3):
     """A workspace for `rows` rows of the model's kernel (windows of `ell`
     cells for the pattern).  Tests size it for more rows than their block,
     so the kernels run in its leading rows, as a sweep's last block does."""
-    pattern = PatternFunctional(ell, (0,) * (1 << ell)) if model == "pattern" else None
+    pattern = zero_pattern(ell) if model == "pattern" else None
     config = SimConfig(model=model, n=n, reps=1, base_seed=0, pattern=pattern)
     return evolve._workspace(config, rows)
 

@@ -70,6 +70,21 @@ def test_table_size_validation():
         run_length_pattern(0)
 
 
+@pytest.mark.parametrize("ell", [1, 3, 9])
+def test_float_table_is_converted_once_and_read_only(ell):
+    rng = np.random.default_rng(ell)
+    pat = PatternFunctional(ell, tuple(Fraction(int(k), 997) for k in rng.integers(-1000, 1000, 1 << ell)))
+    table = pat.table_float()
+    assert table is pat.table_float()
+    want = np.array([v.numerator / v.denominator for v in pat.values])
+    assert table.dtype == np.float64 and table.tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        table[0] = 1.0
+    # the table is no field: equality and hashing still read the values only
+    assert pat == PatternFunctional(ell, pat.values) and hash(pat) == hash(PatternFunctional(ell, pat.values))
+    assert "_floats" not in repr(pat)
+
+
 def test_text_round_trip(tmp_path):
     pat = PatternFunctional(2, (Fraction(1, 3), -2, 0, Fraction(7, 2)))
     text = format_pattern_text(pat)

@@ -16,7 +16,8 @@ parent's relative IQR, whether the change's median is worse than the
 parent's by more than the bound, and whether the parent's spread is too
 wide for the bound to tell (`unresolved`); whether the scaled and raw
 times moved the same way (`raw_agrees`); per op, each side's median
-time and their ratio; and each side's line counts under src/runslab/ and
+time, their ratio, the pairs the change won and whether the output
+digests matched in every pair; and each side's line counts under src/runslab/ and
 tests/, so that a change's line delta, and any code it moved into the
 tests, come from the same record as its timings.
 
@@ -140,20 +141,32 @@ def summarize(pairs, declared):
 
 def op_medians(pairs):
     """Per op: each side's median over the pairs of the run's median op time
-    (seconds at reference speed), and the ratio change/parent.  A side on
-    which the op never finished reads None, and so does the ratio."""
-    times = {}
-    for side in ("parent", "change"):
-        for pair in pairs:
-            for op in json.loads(pair[side][0])["details"]["ops"]:
-                runs = times.setdefault(op["name"], {"parent": [], "change": []})[side]
-                if op["times"]:
-                    runs.append(statistics.median(op["times"]))
+    (seconds at reference speed), and the ratio change/parent; the pairs in
+    which the change's run median was lower (`change_better_pairs`, out of
+    the pairs in which both sides finished the op); and `digests_match`,
+    whether every pair ran the op on both sides with one output digest.  A
+    side on which the op never finished reads None, and so does the ratio."""
+    sides = ("parent", "change")
+    runs = [{side: {op["name"]: op for op in json.loads(pair[side][0])["details"]["ops"]}
+             for side in sides} for pair in pairs]
     out = {}
-    for name, sides in times.items():
-        med = {side: statistics.median(runs) if runs else None for side, runs in sides.items()}
-        both = None not in med.values()
-        out[name] = {**med, "ratio": med["change"] / med["parent"] if both else None}
+    for name in dict.fromkeys(name for run in runs for side in sides for name in run[side]):
+        medians = [{side: statistics.median(run[side][name]["times"])
+                    if name in run[side] and run[side][name]["times"] else None for side in sides}
+                   for run in runs]
+        med = {}
+        for side in sides:
+            finished = [m[side] for m in medians if m[side] is not None]
+            med[side] = statistics.median(finished) if finished else None
+        both = [m for m in medians if None not in m.values()]
+        out[name] = {
+            **med,
+            "ratio": med["change"] / med["parent"] if None not in med.values() else None,
+            "change_better_pairs": f"{sum(m['change'] < m['parent'] for m in both)}/{len(both)}",
+            "digests_match": all(
+                name in run["parent"] and name in run["change"]
+                and run["parent"][name]["digest"] == run["change"][name]["digest"] for run in runs),
+        }
     return out
 
 
