@@ -83,7 +83,6 @@ class PatternFunctional:
 
     length: int
     values: Tuple[Fraction, ...]
-    _floats: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 1 <= self.length <= MAX_WINDOW_LEN:
@@ -93,13 +92,19 @@ class PatternFunctional:
                 f"need {1 << self.length} window values for length {self.length}, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(_as_fraction(v) for v in self.values))
-        floats = np.array([float(v) for v in self.values], dtype=np.float64)
-        floats.flags.writeable = False
-        object.__setattr__(self, "_floats", floats)
 
     def table_float(self) -> np.ndarray:
-        """The values as a read-only float64 array, converted once."""
-        return self._floats
+        """The values as a read-only float64 array, converted on the first call."""
+        floats = self.__dict__.get("_floats")
+        if floats is None:
+            floats = np.array([float(v) for v in self.values], dtype=np.float64)
+            floats.flags.writeable = False
+            object.__setattr__(self, "_floats", floats)
+        return floats
+
+    def __getstate__(self):
+        # a pickled array comes back writeable, so the table is not sent
+        return {k: v for k, v in self.__dict__.items() if k != "_floats"}
 
 
 def runs_pattern() -> PatternFunctional:

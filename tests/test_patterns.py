@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import math
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -83,6 +84,10 @@ def test_float_table_is_converted_once_and_read_only(ell):
     # the table is no field: equality and hashing still read the values only
     assert pat == PatternFunctional(ell, pat.values) and hash(pat) == hash(PatternFunctional(ell, pat.values))
     assert "_floats" not in repr(pat)
+    # a copy sent to a worker converts its own, read-only too
+    copy = pickle.loads(pickle.dumps(pat))
+    assert copy == pat and copy.table_float().tobytes() == want.tobytes()
+    assert not copy.table_float().flags.writeable
 
 
 def test_text_round_trip(tmp_path):
