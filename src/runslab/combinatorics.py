@@ -374,9 +374,11 @@ def max_pmf_gap_dp(n: int) -> Dict[int, Fraction]:
             if base not in tables:
                 interior = interiors[base]
                 fills = _interior_fills(interior)
-                tables[base] = ([code(t) for t, _ in fills], [w for _, w in fills],
-                                [base * stride] + [code(tuple(sorted(interior + (g,))))
-                                                   for g in range(1, n - sum(interior))])
+                # each of the len(interior) + 1 runs keeps a cell, so a boundary
+                # gap x is at most `most`, and x - 1 - p below it
+                most = n - sum(interior) - len(interior) - 1
+                grown = [code(tuple(sorted(interior + (g,)))) for g in range(1, most)]
+                tables[base] = ([code(t) for t, _ in fills], [w for _, w in fills], [base * stride] + grown)
             fill_codes, fill_weights, grown = tables[base]
             moves = [f + pair for f in fill_codes]
             weight += fill_weights

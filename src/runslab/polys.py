@@ -6,10 +6,11 @@ decomposition, the mean rate) works on integers already, so it hands them
 over as they are.  Evaluation at an int or a Fraction N/M runs Horner's rule
 on the integers, den * M^d * p(N/M), and builds a single Fraction from the
 result.  Root isolation uses a Sturm chain on the squarefree part plus exact
-bisection, narrowed by Newton steps on bisection's own grid -- enough machinery to certify that a polynomial has exactly one
-critical point of interest inside (0, 1) and to pin it to any requested
-width.  It needs only signs, so it works on integer coefficient lists from
-start to finish and builds no Fraction to count.
+bisection, sped up by Newton steps on bisection's own grid -- enough
+machinery to certify that a polynomial has exactly one critical point of
+interest inside (0, 1) and to pin it to any requested width.  It needs only
+signs, so it works on integer coefficient lists from start to finish and
+builds no Fraction to count.
 """
 
 from __future__ import annotations
@@ -290,12 +291,16 @@ def _one_root(ints: Sequence[int], start: int, span: int, q: int) -> bool:
 def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink a bracketing interval (p(a)p(b) < 0) below `width` to the cell
     that bisection gives, for the polynomial p with integer coefficients
-    `ints`: the K halvings that reach `width` end in a cell of the grid
-    (start + X span) / q, X = 0..2^K, and a grid point where p vanishes is
-    returned as (r, r).  Where the bracket holds one root, any search of the
-    grid finds that cell, so Newton steps in integers, rounded away from the
-    last point, narrow it; a step that would leave the bracket, or not halve
-    the step before last, is a bisection step.  Only the sign of p is tested.
+    `ints`.
+
+    The K halvings that reach `width` end in a cell of the grid
+    (start + X span) / q, X = 0..2^K; a grid point where p vanishes is
+    returned as (r, r).  Where the bracket holds one root, that cell is the
+    only one with a sign change, so integer Newton steps narrow it, each
+    rounded away from the last point so that near the root it lands on the
+    far side; a step that would leave the bracket, or not halve the step
+    before last, is a bisection step.  Elsewhere every step halves.  Only
+    the sign of p is tested.
     """
     if a == b:
         return a, b
@@ -310,15 +315,14 @@ def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> t
     if span * width.denominator <= width.numerator * q:
         return a, b
     halvings = (-(-span * width.denominator // (width.numerator * q)) - 1).bit_length()
-    # one root when p has degree 2 or less, or Descartes' rule counts one;
-    # otherwise every step halves, which is bisection itself
+    # one root when p has degree 2 or less, or when Descartes' rule counts one
     slope = _int_derivative(ints) if len(ints) <= 3 or _one_root(ints, start, span, q) else None
     start <<= halvings
     q <<= halvings
     rising = sa < 0  # p(lo) keeps the sign of p(a): p rises through the root
     lo, hi = 0, 1 << halvings
     x = hi >> 1
-    step = last = hi
+    step = prev = hi
     while True:
         num = start + x * span
         v = _horner_int(ints, num, q)
@@ -335,7 +339,7 @@ def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> t
             dv = _horner_int(slope, num, q) * span  # p / p' in grid units is v / dv
             if dv:
                 move = -(-v // dv) if (v > 0) == (dv > 0) else v // dv
-                if lo < x - move < hi and 2 * abs(move) <= last:
+                if lo < x - move < hi and 2 * abs(move) <= prev:
                     nxt = x - move
-        last, step = step, abs(nxt - x)
+        prev, step = step, abs(nxt - x)
         x = nxt

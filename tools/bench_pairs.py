@@ -17,9 +17,9 @@ parent's by more than the bound, and whether the parent's spread is too
 wide for the bound to tell (`unresolved`); whether the scaled and raw
 times moved the same way (`raw_agrees`); per op, each side's median
 time, their ratio, the pairs the change won and whether the output
-digests matched in every pair; and each side's line counts under src/runslab/ and
-tests/, so that a change's line delta, and any code it moved into the
-tests, come from the same record as its timings.
+digests matched in every pair; and each side's line counts under
+src/runslab/ and tests/, so that a change's line delta, and any code it
+moved into the tests, come from the same record as its timings.
 
 Both checkouts must be git checkouts, so that the record names their
 commits; the tool refuses a side that git cannot describe before any run.
