@@ -120,6 +120,13 @@ _CHUNK_CELL_BUDGET = 1 << 22
 # puts it.
 _BLOCK_CELL_BUDGET = 1 << 15
 
+# Grid points and mask cells per count-read pass (`_count_read`): 4 points
+# keep a pass's masks (and a runs-time pass's run starts) inside the sort's
+# regions of the workspace, so counting does not enlarge it, and 2^18 cells
+# keep them in cache.  A pass over rows of more cells compares one point.
+_COUNT_PASS_POINTS = 4
+_COUNT_PASS_CELLS = 1 << 18
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -663,16 +670,20 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     """Byte regions for `rows` rows of the model's kernel, by name, with the
     ramp filled in.  Each kernel says which of its arrays share a region.
     Every integer-path model's `paths` region holds `_index_dtype` of the
-    steps in a row (n, or 2n for a queue), as `_paths` writes them.
+    steps in a row (n, or 2n for a queue), as `_paths` writes them.  A
+    counted block (`_count_read`) holds its draws in `times`, its masks in
+    `keys` and a runs-time block's run starts in `paths`, and touches no
+    other region.
 
     The regions are carved from one allocation.  When glibc frees a mapped
     block it raises its mmap threshold to that size and its trim threshold
     to twice that, so after a chunk or two the workspace comes from the heap
     and stays there for the next chunk's (with one allocation per array, the
     largest set a trim threshold below their sum).  The threshold is capped
-    at 32 MB, so runs sweeps above n = 1.8e6 (18 bytes a cell) and
-    pattern sweeps above n = 8.8e5 (38 bytes; 40 past 9-cell windows) map
-    it afresh each chunk: a warmed 8-rep runs sweep took 412 minor faults
+    at 32 MB, so runs sweeps above n = 1.8e6 (18 bytes a cell), runs-time
+    and queue sweeps above 1.5e6 steps (22 bytes a step; a queue's n is
+    half its steps) and pattern sweeps above n = 8.8e5 (38 bytes; 40 past
+    9-cell windows) map it afresh each chunk: a warmed 8-rep runs sweep took 412 minor faults
     at n = 2e6, against none at 10^6.
     """
     n, model = config.n, config.model
@@ -778,34 +789,59 @@ def _kernel_summary(config: SimConfig, block: np.ndarray, tables, pts, ws: dict)
     return values, maxv, argmax, picked[:, 0], (picked[:, 1:] if pts is not None else None)
 
 
+def _byte_sums(mask: np.ndarray) -> np.ndarray:
+    """The number of True cells along the mask's last axis.  Its bytes are
+    summed in 16 bits, 2-3 times as fast as in 64 bits (or as
+    `count_nonzero`), over spans of 2^15 cells when a row holds 2^16 or more,
+    whose sums are then added in 64 bits."""
+    cells, width = mask.view(np.uint8), mask.shape[-1]
+    if width < 1 << 16:
+        return cells.sum(axis=-1, dtype=np.uint16)
+    spans = width >> 15
+    head = cells[..., :spans << 15].reshape(*cells.shape[:-1], spans, 1 << 15)
+    return (head.sum(axis=-1, dtype=np.uint16).sum(axis=-1, dtype=np.int64)
+            + cells[..., spans << 15:].sum(axis=-1, dtype=np.uint16))
+
+
 def _count_read(config: SimConfig, block: np.ndarray, pts, ws: dict) -> np.ndarray:
-    """Per row of a time-ordered model's draws, its values at the times
-    `pts` (those `_kernel_summary` reads off the path) as the "up" draws
-    <= t less the "down" draws <= t.  A queue's ups are its arrivals, its
-    downs its departures.  A runs-time run up to t starts at each cell up
-    to t whose left neighbor is not, so the ups are the times and the downs
-    each neighbor pair's later time.  Comparisons meet ties, -0.0 and times
-    >= 2 as the sort does; a NaN, or a pair holding one, is never <= t.
+    """Per row of a time-ordered model's draws, C-ordered, its values at the
+    times `pts` (those `_kernel_summary` reads off the path), counted off
+    the masks x <= t.  A queue's is its arrivals <= t less its departures
+    <= t.  A runs-time row's is its cells <= t less its neighbor pairs
+    whose later time is <= t, which is the number of runs of its mask: a
+    run starts at each set cell whose left neighbor is not set.  The mask
+    is one comparison a cell, which meets ties, -0.0 and times >= 2 as the
+    sort does; a NaN is never <= t.
+
+    A pass compares the block with each of up to `_COUNT_PASS_POINTS`
+    points into its own plane of one (points, rows, cells) mask, in the
+    sort's `keys` region; the run starts (in `paths`) and the sums then
+    take one call for all its points.
     """
     rows, m = block.shape
-    if config.model == "runs-time":
-        up = block
-        down = np.maximum(block[:, 1:], block[:, :-1],
-                          out=_scratch(ws, "keys", (rows, m - 1), np.float64))
-    else:  # a queue: each rep's n arrival times, then its n departure times
-        up, down = block[:, :m // 2], block[:, m // 2:]
-    up_mask = _scratch(ws, "codes", up.shape, np.bool_)
-    down_mask = _scratch(ws, "steps", down.shape, np.bool_)
-    # A row's count is the sum of its mask bytes, in 16 bits while a row
-    # fits: 2-3 times as fast as in 64 bits, as `count_nonzero` sums, for
-    # rows of 10^3 to 10^4 cells.
-    total = np.uint16 if m < 1 << 16 else np.int64
+    runs = config.model == "runs-time"
+    width = m + 1 if runs else m  # a runs-time row's mask leads with a False
+    step = max(1, min(_COUNT_PASS_POINTS, _COUNT_PASS_CELLS // (rows * m)))
     values = np.empty((rows, len(pts)), dtype=np.int64)
-    for j, t in enumerate(pts):
-        np.less_equal(up, t, out=up_mask)
-        np.less_equal(down, t, out=down_mask)
-        values[:, j] = up_mask.view(np.uint8).sum(axis=1, dtype=total)
-        values[:, j] -= down_mask.view(np.uint8).sum(axis=1, dtype=total)
+    for lo in range(0, len(pts), step):
+        part = pts[lo:lo + step]
+        cols = slice(lo, lo + len(part))
+        mask = _scratch(ws, "keys", (len(part), rows, width), np.bool_)
+        for plane, t in zip(mask, part):
+            np.less_equal(block, t, out=plane[:, width - m:])
+        if runs:
+            mask[:, :, 0] = False
+            # A cell starts a run iff it is set and the byte before it is
+            # not: one shifted comparison down the whole flat mask, where
+            # each row's last cell meets the next row's leading False.
+            flat = mask.reshape(-1)
+            starts = _scratch(ws, "paths", flat.shape, np.bool_)
+            np.greater(flat[1:], flat[:-1], out=starts[:-1])
+            starts[-1] = False
+            values[:, cols] = _byte_sums(starts.reshape(mask.shape)).T
+        else:  # a queue: each rep's n arrival times, then its n departure times
+            values[:, cols] = _byte_sums(mask[..., :m // 2]).T
+            values[:, cols] -= _byte_sums(mask[..., m // 2:]).T
     return values
 
 
@@ -880,7 +916,9 @@ def _chunk_args(config: SimConfig, grid_only: bool):
 def grid_samples(config: SimConfig) -> np.ndarray:
     """Every rep's values at `config.grid`, one row per rep in rep order, for
     any `jobs`: the rows `run_sweep` reads off the paths into `grid_stats`,
-    bit for bit.  Runs-time and the queues count them off their draws."""
+    bit for bit.  Runs-time and the queues count them off their unsorted
+    draws, one comparison pass a grid point (`_count_read`), in C order;
+    the insertion-order models read them off their paths, in F order."""
     if not config.grid:
         raise ValueError("grid_samples needs a grid")
     chunks = ordered_map(_sweep_chunk, _chunk_args(config, grid_only=True), config.jobs)

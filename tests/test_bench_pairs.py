@@ -198,6 +198,31 @@ def test_a_parent_spread_wider_than_the_bound_is_unresolved_unless_separated():
     assert "bound" not in summary["raw_wall_s"] and "worse" not in summary["raw_wall_s"]
 
 
+def test_a_gain_needs_nine_tenths_of_the_pairs_and_a_median_drop_past_the_parent_iqr():
+    # Parent walls 1.00..1.09: median 1.045, inclusive quartiles 1.0225 and
+    # 1.0675, so an IQR of 0.045.  The change is 0.1 faster in nine pairs
+    # and slower in the tenth: a median drop of 0.1, past the IQR.
+    walls = [1.0 + i / 100 for i in range(10)]
+    met = [w - 0.1 for w in walls[:9]] + [walls[9] + 0.1]
+    summary = bench_pairs.summarize(
+        pairs([(w, 1 / w) for w in walls], [(w, 1 / w) for w in met]), DECLARED)
+    for name in ("wall_s", "cells_per_s", "raw_wall_s"):
+        assert summary[name]["change_better_pairs"] == "9/10"
+        assert summary[name]["gain"] is True
+    # eight pairs won, however far: no gain
+    eight = [w - 0.5 for w in walls[:8]] + [w + 0.1 for w in walls[8:]]
+    summary = bench_pairs.summarize(
+        pairs([(w, 1 / w) for w in walls], [(w, 1 / w) for w in eight]), DECLARED)
+    assert summary["wall_s"]["change_better_pairs"] == "8/10"
+    assert summary["wall_s"]["gain"] is False
+    # every pair won, by a median drop of 0.04, inside the parent's IQR
+    close = [w - 0.04 for w in walls]
+    summary = bench_pairs.summarize(
+        pairs([(w, 1 / w) for w in walls], [(w, 1 / w) for w in close]), DECLARED)
+    assert summary["wall_s"]["change_better_pairs"] == "10/10"
+    assert summary["wall_s"]["gain"] is False
+
+
 def test_source_lines_counts_python_files_under_src_runslab(tmp_path):
     package = tmp_path / "src" / "runslab"
     (package / "sub").mkdir(parents=True)

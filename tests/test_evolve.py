@@ -17,6 +17,7 @@ from runslab.combinatorics import brute_force_max_pmf, count_runs, mean_runs_dis
 from runslab import evolve
 from runslab._rng import StreamPool, mix_keys, stream
 from runslab.evolve import (
+    DEFAULT_TIME_GRID,
     MODELS,
     SimConfig,
     _runs_values,
@@ -593,12 +594,18 @@ def assert_count_read_is_path_read(model, block, pts):
     np.testing.assert_array_equal(counted, read)
 
 
+# 20 grid points, unsorted and repeated, at and past the ends of [0, 1]:
+# several passes of the count read, the last one short.
+MANY_PASS_GRID = (0.9, 0.1, 0.5, 0.5, 0.0, 1.0, 0.25, 0.75, -0.0, 0.1,
+                  2.0, 0.6, 0.45, 0.9, 0.05, 0.99, 0.7, 0.5, np.inf, 0.35)
+
+
 @pytest.mark.parametrize("model", TIME_MODELS)
 @pytest.mark.parametrize("name", sorted(tie_blocks()))
 def test_count_read_equals_path_read(model, name):
     # all-equal rows, k/8 times, NaNs, signed zeros, infinities, times >= 2,
     # and rows of 1 and 2 cells (a queue of 1 and 2 items)
-    assert_count_read_is_path_read(model, time_block(model, tie_blocks()[name]), (0.25, 0.5))
+    assert_count_read_is_path_read(model, time_block(model, tie_blocks()[name]), MANY_PASS_GRID)
 
 
 @pytest.mark.parametrize("model", TIME_MODELS)
@@ -609,6 +616,10 @@ def test_count_read_equals_path_read_past_16_bit_counts(model):
     u[1, ::7] = u[1, 3]  # ties
     block = u if model == "runs-time" else np.concatenate([np.minimum(u, v), np.maximum(u, v)], 1)
     assert_count_read_is_path_read(model, block, (0.5, 0.8, 0.94, 0.99))
+    # One tied row of 10^5 cells (2 * 10^5 steps for a queue): more cells
+    # than a pass of four points takes, so each pass holds one or two.
+    times = np.random.default_rng(8).integers(0, 1 << 12, size=(1, 100_000)) / (1 << 12)
+    assert_count_read_is_path_read(model, time_block(model, times), MANY_PASS_GRID)
 
 
 @given(
@@ -658,6 +669,16 @@ def test_grid_samples_in_the_sweeps_chunks_accumulate_to_its_grid_stats(monkeypa
         expected.add_batch(samples[lo:lo + count])
     assert expected.count == 50
     assert_same_comoments(run_sweep(config).grid_stats, expected)
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_grid_samples_row_layout_per_model(model):
+    # The last bit of stats.jackknife_covariance's SE follows its input's
+    # memory layout, so the recorded covariance-grid digests pin it: the
+    # counted rows are C-ordered, the rows read off the paths F-ordered.
+    samples = evolve.grid_samples(sweep_config(model, 52, 50, seed=31, grid=(0.1, 0.5, 0.9)))
+    counted = model in TIME_MODELS
+    assert (samples.flags.c_contiguous, samples.flags.f_contiguous) == (counted, not counted)
 
 
 @pytest.mark.parametrize("model", ["runs-linear", "priority-queue"])
@@ -1074,20 +1095,22 @@ def test_warmed_block_allocates_under_five_bytes_a_cell(model):
 
 @pytest.mark.parametrize("model", TIME_MODELS)
 def test_warmed_count_read_allocates_under_five_bytes_a_cell(model):
-    # The count read's masks and neighbor maxima live in the workspace; what
-    # it allocates is numpy's fixed-size ufunc buffers and per-row counts.
-    n, rows = 1000, 32
-    config = sweep_config(model, n, rows, 4, grid=(0.25, 0.5))
-    ws = evolve._workspace(config, rows)
-    block = evolve._draw_block(config, StreamPool(config.base_seed), mix_keys(4, 0, rows), ws)
-    evolve._count_read(config, block, config.grid, ws)
-    tracemalloc.start()
-    try:
+    # The count read's masks and run starts live in the workspace at any
+    # grid length; what it allocates is numpy's fixed-size ufunc buffers and
+    # per-row counts.  A one-row block of 10^5 cells, whose passes hold one
+    # or two points, allocates less than one mask plane (a byte a cell).
+    for n, rows, bound in ((1000, 32, 5 * 32 * 1000), (100_000, 1, 100_000)):
+        config = sweep_config(model, n, rows, 4, grid=DEFAULT_TIME_GRID)
+        ws = evolve._workspace(config, rows)
+        block = evolve._draw_block(config, StreamPool(4), mix_keys(4, 0, rows), ws)
         evolve._count_read(config, block, config.grid, ws)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 5 * rows * n
+        tracemalloc.start()
+        try:
+            evolve._count_read(config, block, config.grid, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (n, rows)
 
 
 def test_trajectory_value_dtypes(monkeypatch):

@@ -10,11 +10,13 @@ parent goes first on even pairs and the change on odd ones, so that drift
 of the machine's speed falls on both sides alike.  The JSON file holds the
 raw last two stdout lines of every run (the details record and the result)
 and, per end-to-end metric and for the raw (unscaled) pass time, each
-side's median and quartiles, the median ratio change/parent, and the pairs
-in which the change was better; per declared metric also its bound, the
-parent's relative IQR, whether the change's median is worse than the
-parent's by more than the bound, and whether the parent's spread is too
-wide for the bound to tell (`unresolved`); whether the scaled and raw
+side's median and quartiles, the median ratio change/parent, the pairs in
+which the change was better, and whether a gain may be claimed (`gain`:
+better in at least 9/10 pairs, with the medians apart by more than the
+parent's IQR); per declared metric also its bound, the parent's relative
+IQR, whether the change's median is worse than the parent's by more than
+the bound, and whether the parent's spread is too wide for the bound to
+tell (`unresolved`); whether the scaled and raw
 times moved the same way (`raw_agrees`); per op, each side's median
 time, their ratio, the pairs the change won and whether the output
 digests matched in every pair; and each side's line counts under
@@ -77,7 +79,10 @@ def quartiles(values):
 
 
 def compare(sides, unit, better, bound=None):
-    """Both sides' quartiles and the paired comparison of one metric.
+    """Both sides' quartiles and the paired comparison of one metric, with
+    `gain`: whether the change wins at least nine tenths of the pairs (ties
+    count for neither side) and its median beats the parent's by more than
+    the parent's IQR, the rule a claimed gain must meet.
 
     With a `bound` (a relative change, as BENCHMARK.json declares it), also:
     the parent's IQR over its median; `worse`, whether the change's median
@@ -96,8 +101,10 @@ def compare(sides, unit, better, bound=None):
         "median_ratio": statistics.median(change) / statistics.median(parent),
         "change_better_pairs": f"{wins}/{len(parent)}",
     }
+    p, c = out["parent"], out["change"]
+    margin = p["median"] - c["median"] if lower else c["median"] - p["median"]
+    out["gain"] = 10 * wins >= 9 * len(parent) and margin > p["q3"] - p["q1"]
     if bound is not None:
-        p = out["parent"]
         ratio = out["median_ratio"]
         separated = max(change) < min(parent) if lower else min(change) > max(parent)
         out["bound"] = bound
