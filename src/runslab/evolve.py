@@ -120,10 +120,10 @@ _CHUNK_CELL_BUDGET = 1 << 22
 # puts it.
 _BLOCK_CELL_BUDGET = 1 << 15
 
-# Grid points and mask cells per count-read pass (`_count_read`): 4 points
-# keep a pass's masks (and a runs-time pass's run starts) inside the sort's
-# regions of the workspace, so counting does not enlarge it, and 2^18 cells
-# keep them in cache.  A pass over rows of more cells compares one point.
+# Grid points and mask cells per count-read pass (`_count_read`).  Four
+# points keep a pass's masks, and a runs-time pass's run starts, inside the
+# sort's regions of the workspace, so counting does not enlarge it; 2^18
+# cells, passed only by a pass of one point, keep them in cache.
 _COUNT_PASS_POINTS = 4
 _COUNT_PASS_CELLS = 1 << 18
 
@@ -683,8 +683,8 @@ def _workspace(config: SimConfig, rows: int) -> dict:
     at 32 MB, so runs sweeps above n = 1.8e6 (18 bytes a cell), runs-time
     and queue sweeps above 1.5e6 steps (22 bytes a step; a queue's n is
     half its steps) and pattern sweeps above n = 8.8e5 (38 bytes; 40 past
-    9-cell windows) map it afresh each chunk: a warmed 8-rep runs sweep took 412 minor faults
-    at n = 2e6, against none at 10^6.
+    9-cell windows) map it afresh each chunk: a warmed 8-rep runs sweep
+    took 412 minor faults at n = 2e6, against none at 10^6.
     """
     n, model = config.n, config.model
     m = 2 * n if model in _QUEUE_MODELS else n  # steps in a row
@@ -791,9 +791,9 @@ def _kernel_summary(config: SimConfig, block: np.ndarray, tables, pts, ws: dict)
 
 def _byte_sums(mask: np.ndarray) -> np.ndarray:
     """The number of True cells along the mask's last axis.  Its bytes are
-    summed in 16 bits, 2-3 times as fast as in 64 bits (or as
-    `count_nonzero`), over spans of 2^15 cells when a row holds 2^16 or more,
-    whose sums are then added in 64 bits."""
+    summed in 16 bits (4-7 times as fast as in 64 bits, or as
+    `count_nonzero`, on rows of 2e4 to 2e6 bytes), over spans of 2^15 cells
+    when a row holds 2^16 or more, whose sums are then added in 64 bits."""
     cells, width = mask.view(np.uint8), mask.shape[-1]
     if width < 1 << 16:
         return cells.sum(axis=-1, dtype=np.uint16)
