@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import pickle
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -376,6 +377,30 @@ def peak_outcome(search, g):
         return search(g)
     except NoInteriorPeakError as exc:
         return str(exc)
+
+
+def test_peak_point_outcomes_are_pinned():
+    # Recorded from the search that tested the critical points on 2^-16
+    # brackets first.  The mean rates: verify --scale quick's 446 seeded
+    # windows, the six run-length counters, and every window the exact
+    # benchmark workload draws at seed 2331 until 8 of each length 2, 3 and
+    # 4 have a peak.
+    rng = np.random.default_rng(VerifyContext(base_seed=0).seed("random-windows"))
+    rates = [mean_rate(_random_pattern(rng)) for _ in range(446)]
+    rates += [mean_rate(run_length_pattern(d)) for d in range(1, 7)]
+    outcomes = [peak_outcome(patterns._peak_point, g) for g in rates]
+    draw = random.Random("exact:2331")
+    for ell in (2, 3, 4):
+        found = 0
+        while found < 8:
+            values = tuple(Fraction(draw.randint(-8, 8), 8) for _ in range(1 << ell))
+            outcomes.append(peak_outcome(patterns._peak_point, mean_rate(PatternFunctional(ell, values))))
+            found += not isinstance(outcomes[-1], str)
+    rejected = sum(isinstance(o, str) for o in outcomes)
+    assert (len(outcomes), rejected) == (532, 402)
+    assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
+        "331ebb8b7fb10fd5e0f2920b038acfff3536cd0550800ced7c368fab2b7f7212"
+    )
 
 
 def counting_coarse_verdicts(monkeypatch):
