@@ -26,7 +26,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,10 +60,6 @@ MAX_JUMP_WINDOW = 8       # cap for the jump-enumeration route (2^(2l-2) configs
 _ROOT_WIDTH = Fraction(1, 10**24)
 _PEAK_MARGIN = Fraction(1, 10**9)
 _TINY = Fraction(1, 10**18)
-_COARSE_WIDTH = Fraction(1, 2**16)  # where _peak_point first tests the critical points
-
-_NOT_UNIQUE = "mean rate has multiple near-maximal critical values; peak not unique"
-_AT_BOUNDARY = "mean rate is maximized at the boundary, not inside (0, 1)"
 
 Rational = Union[int, float, Fraction]
 
@@ -286,13 +282,6 @@ def _peak_point(g: Polynomial) -> Tuple[Fraction, Fraction]:
     bracket of width < 1e-24.  Raises NoInteriorPeakError when the peak is
     absent, non-unique within a 1e-9 value margin, attained at the boundary,
     or has non-negative curvature.
-
-    The critical points are first bracketed to `_COARSE_WIDTH` only, and the
-    uniqueness and boundary tests decided there when they can be
-    (`_coarse_peak`); then only the winning bracket is refined, on
-    the same halving grid, so the point is the one that refining
-    every bracket would give.  A test too close to call on the coarse
-    brackets is made on every point refined to 1e-24.
     """
     d1 = g.derivative()
     if d1.is_zero():
@@ -300,67 +289,20 @@ def _peak_point(g: Polynomial) -> Tuple[Fraction, Fraction]:
     ints, isolated = _isolate(d1, 0, 1)
     if not isolated:
         raise NoInteriorPeakError("mean rate has no interior critical point")
-    coarse = [_bisect(ints, a, b, _COARSE_WIDTH) for a, b in isolated]
-    best = _coarse_peak(g, coarse)
-    if best is None:
-        points = [(a + b) / 2 for a, b in (_bisect(ints, a, b, _ROOT_WIDTH) for a, b in coarse)]
-        best = _fine_peak(g, points)
-        point = points[best]
-    else:
-        a, b = _bisect(ints, *coarse[best], _ROOT_WIDTH)
-        point = (a + b) / 2
-    curv = d1.derivative()(point)
-    if curv >= -_TINY:
-        raise NoInteriorPeakError("degenerate curvature at the mean-rate peak")
-    return point, curv
-
-
-def _boundary_bar(g: Polynomial) -> Fraction:
-    """The value the peak must exceed to count as interior."""
-    return max(g(Fraction(0)), g(Fraction(1))) + _TINY
-
-
-def _fine_peak(g: Polynomial, points: Sequence[Fraction]) -> int:
-    """The index of the largest of g's values at `points` (the first, on a
-    tie), after the uniqueness and boundary tests on those values."""
+    points = [(a + b) / 2 for a, b in (_bisect(ints, a, b, _ROOT_WIDTH) for a, b in isolated)]
     vals = [g(pt) for pt in points]
     best = max(range(len(points)), key=vals.__getitem__)
     for i, v in enumerate(vals):
         if i != best and v > vals[best] - _PEAK_MARGIN:
-            raise NoInteriorPeakError(_NOT_UNIQUE)
-    if vals[best] <= _boundary_bar(g):
-        raise NoInteriorPeakError(_AT_BOUNDARY)
-    return best
-
-
-def _coarse_peak(g: Polynomial, brackets: Sequence[Tuple[Fraction, Fraction]]) -> Optional[int]:
-    """What `_fine_peak` would return, or raise, on the points that refining
-    `brackets` would give, decided on the brackets themselves; None when a
-    test is too close to call.
-
-    A point refined inside (a, b) lies within (b - a) / 2 of the midpoint,
-    and |g'| <= sum |k c_k| on [0, 1], so g there lies within that bound
-    times (b - a) / 2 of g at the midpoint.  Each test is decided only when
-    every value inside those slacks gives the same verdict.
-    """
-    lipschitz = Fraction(sum(k * abs(c) for k, c in enumerate(g.ints)), g.den)
-    lows, highs = [], []
-    for a, b in brackets:
-        v, slack = g((a + b) / 2), lipschitz * (b - a) / 2
-        lows.append(v - slack)
-        highs.append(v + slack)
-    best = max(range(len(brackets)), key=lows.__getitem__)
-    others = [i for i in range(len(brackets)) if i != best]
-    if any(highs[i] >= lows[best] for i in others):
-        return None  # which point is largest is not settled
-    if any(lows[i] > highs[best] - _PEAK_MARGIN for i in others):
-        raise NoInteriorPeakError(_NOT_UNIQUE)
-    if any(highs[i] > lows[best] - _PEAK_MARGIN for i in others):
-        return None
-    bar = _boundary_bar(g)
-    if highs[best] <= bar:
-        raise NoInteriorPeakError(_AT_BOUNDARY)
-    return best if lows[best] > bar else None
+            raise NoInteriorPeakError(
+                "mean rate has multiple near-maximal critical values; peak not unique"
+            )
+    if vals[best] <= max(g(Fraction(0)), g(Fraction(1))) + _TINY:
+        raise NoInteriorPeakError("mean rate is maximized at the boundary, not inside (0, 1)")
+    curv = d1.derivative()(points[best])
+    if curv >= -_TINY:
+        raise NoInteriorPeakError("degenerate curvature at the mean-rate peak")
+    return points[best], curv
 
 
 # -- variance rate and jump variance, two routes each ------------------------

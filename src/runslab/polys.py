@@ -230,9 +230,7 @@ def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fra
     root strictly inside (lo, hi), disjoint, in increasing order, with a
     sign change across it.
 
-    `_bisect` on that polynomial narrows a bracket; narrowing it to one
-    width and then to a smaller one gives what narrowing it to the smaller
-    one at once gives.
+    `_bisect` on that polynomial narrows a bracket.
     """
     lo = _as_fraction(lo)
     hi = _as_fraction(hi)

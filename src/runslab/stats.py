@@ -220,12 +220,6 @@ class ComparisonReport:
     def passed(self) -> bool:
         return abs(self.value - self.reference) <= self.band
 
-    @property
-    def z_score(self) -> float:
-        if not self.se:
-            return float("nan")
-        return (self.value - self.reference) / self.se
-
     def describe(self) -> str:
         status = "pass" if self.passed else "FAIL"
         return (

@@ -347,8 +347,9 @@ def test_inadmissible_window_is_rejected_before_decomposition(monkeypatch, case)
 
 
 def peak_point_oracle(g):
-    """The peak search that refined every critical point to 1e-24 before it
-    tested any: `_peak_point` must return, or raise, exactly what it did."""
+    """The peak search written out on `real_roots_in_interval`, every
+    critical point refined to 1e-24 before any is tested: `_peak_point` must
+    return, or raise, exactly what it does."""
     d1 = g.derivative()
     if d1.is_zero():
         raise NoInteriorPeakError("mean rate is constant; no interior peak")
@@ -403,69 +404,24 @@ def test_peak_point_outcomes_are_pinned():
     )
 
 
-def counting_coarse_verdicts(monkeypatch):
-    """Wrap `_coarse_peak`; the list records each call's outcome."""
-    seen = []
-    coarse_peak = patterns._coarse_peak
-
-    def counted(g, brackets):
-        try:
-            best = coarse_peak(g, brackets)
-        except NoInteriorPeakError:
-            seen.append("raised")
-            raise
-        seen.append("undecided" if best is None else "decided")
-        return best
-
-    monkeypatch.setattr(patterns, "_coarse_peak", counted)
-    return seen
-
-
-@pytest.mark.parametrize("coarse", [patterns._COARSE_WIDTH, Fraction(1, 4)])
-def test_peak_point_matches_oracle_on_verify_windows(monkeypatch, coarse):
+def test_peak_point_matches_oracle_on_verify_windows():
     # verify --scale quick's seeded windows: 446 draws give its 100
-    # admissible ones.  Quarter-width brackets leave many tests undecided,
-    # so the fallback to 1e-24 brackets runs too.
-    default = coarse == patterns._COARSE_WIDTH
-    monkeypatch.setattr(patterns, "_COARSE_WIDTH", coarse)
-    seen = counting_coarse_verdicts(monkeypatch)
+    # admissible ones.
     rng = np.random.default_rng(VerifyContext(base_seed=0).seed("random-windows"))
     for _ in range(446):
         g = mean_rate(_random_pattern(rng))
         assert peak_outcome(patterns._peak_point, g) == peak_outcome(peak_point_oracle, g)
-    if default:
-        # every window with a critical point is decided on coarse brackets,
-        # 108 of them rejected there without refining a point
-        assert (seen.count("decided"), seen.count("raised"), seen.count("undecided")) == (100, 108, 0)
-    else:
-        assert seen.count("undecided") > 20
 
 
 @settings(deadline=None, max_examples=300)
 @given(
     st.integers(1, 4).flatmap(
         lambda ell: st.lists(window_values, min_size=1 << ell, max_size=1 << ell)
-    ),
-    st.sampled_from([Fraction(1, 2**16), Fraction(1, 2**6), Fraction(1, 2)]),
+    )
 )
-def test_peak_point_matches_oracle_on_random_windows(values, coarse):
+def test_peak_point_matches_oracle_on_random_windows(values):
     g = mean_rate(PatternFunctional(len(values).bit_length() - 1, tuple(values)))
-    old = patterns._COARSE_WIDTH
-    patterns._COARSE_WIDTH = coarse
-    try:
-        got = peak_outcome(patterns._peak_point, g)
-    finally:
-        patterns._COARSE_WIDTH = old
-    assert got == peak_outcome(peak_point_oracle, g)
-
-
-def test_boundary_rejection_refines_no_point(monkeypatch):
-    widths = []
-    bisect = patterns._bisect
-    monkeypatch.setattr(patterns, "_bisect", lambda ints, a, b, w: widths.append(w) or bisect(ints, a, b, w))
-    with pytest.raises(NoInteriorPeakError, match="boundary"):
-        patterns._peak_point(mean_rate(PatternFunctional(2, (1, 1, 0, 1))))
-    assert widths and patterns._ROOT_WIDTH not in widths
+    assert peak_outcome(patterns._peak_point, g) == peak_outcome(peak_point_oracle, g)
 
 
 def test_window_lag_covariance_calls_each_lag_once_on_the_diagonal(monkeypatch):

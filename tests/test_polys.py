@@ -485,16 +485,32 @@ def requested_brackets(monkeypatch, capsys):
 
 
 def test_bisect_keeps_its_results_on_the_brackets_the_exact_layer_requests(monkeypatch, capsys):
-    # Recorded from the halving loop: 447 brackets, 310 narrowed to 2^-16
-    # and 137 to 1e-24; each also equals the Fraction bisection.
+    # 310 isolating brackets, each narrowed to 1e-24 and each equal to the
+    # Fraction bisection.
+    peaks = set()
+    peak_point = patterns._peak_point
+
+    def recorded(g):
+        got = peak_point(g)
+        peaks.add(got[0])
+        return got
+
+    monkeypatch.setattr(patterns, "_peak_point", recorded)
     calls = requested_brackets(monkeypatch, capsys)
     widths = [width for _, _, _, width, _ in calls]
-    assert (len(calls), widths.count(Fraction(1, 2**16)), widths.count(Fraction(1, 10**24))) == (447, 310, 137)
+    assert (len(calls), widths.count(Fraction(1, 2**16)), widths.count(Fraction(1, 10**24))) == (310, 0, 310)
     assert hashlib.sha256(repr(calls).encode()).hexdigest() == (
-        "5e4a7e57c9439abd3a21930af0bb728f3e7075a53577dd4e8f3fe5bef87a6b3d"
+        "b11daa88b347f56c7807a915808afdc79511050df1ea41dc412219d5e8c1d7e3"
     )
     for ints, a, b, width, got in calls:
         assert got == refine_root_oracle(Polynomial(ints), a, b, width)
+    # When the search narrowed every bracket to 2^-16 first, it refined only
+    # the winning one to 1e-24; those 137 calls gave these 109 results.
+    winners = sorted({got for *_, got in calls if (got[0] + got[1]) / 2 in peaks})
+    assert len(winners) == 109
+    assert hashlib.sha256(repr(winners).encode()).hexdigest() == (
+        "3d1e3beb6cddac906a1f4a6c73fde5ed0336e2d9c0262c4b2db736567062d012"
+    )
 
 
 @pytest.mark.parametrize(
