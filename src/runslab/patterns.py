@@ -30,7 +30,7 @@ from typing import Dict, Mapping, Sequence, Tuple, Union
 
 import numpy as np
 
-from .polys import Polynomial, _as_fraction, _bisect, _cleared, _horner_int, _isolate
+from .polys import Polynomial, _as_fraction, _cleared, _horner_int, _isolate
 
 __all__ = [
     "MAX_WINDOW_LEN",
@@ -286,10 +286,10 @@ def _peak_point(g: Polynomial) -> Tuple[Fraction, Fraction]:
     d1 = g.derivative()
     if d1.is_zero():
         raise NoInteriorPeakError("mean rate is constant; no interior peak")
-    ints, isolated = _isolate(d1, 0, 1)
-    if not isolated:
+    roots = _isolate(d1, 0, 1, _ROOT_WIDTH)
+    if not roots:
         raise NoInteriorPeakError("mean rate has no interior critical point")
-    points = [(a + b) / 2 for a, b in (_bisect(ints, a, b, _ROOT_WIDTH) for a, b in isolated)]
+    points = [(a + b) / 2 for a, b in roots]
     vals = [g(pt) for pt in points]
     best = max(range(len(points)), key=vals.__getitem__)
     for i, v in enumerate(vals):

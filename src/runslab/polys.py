@@ -5,10 +5,11 @@ terms, and nothing else: every kernel that builds one (the window
 decomposition, the mean rate) works on integers already, so it hands them
 over as they are.  Evaluation at an int or a Fraction N/M runs Horner's rule
 on the integers, den * M^d * p(N/M), and builds a single Fraction from the
-result.  Root isolation uses a Sturm chain on the squarefree part plus exact
-bisection, sped up by Newton steps on bisection's own grid -- enough
-machinery to certify that a polynomial has exactly one critical point of
-interest inside (0, 1) and to pin it to any requested width.  It needs only
+result.  Root isolation counts roots with a Sturm chain on the squarefree
+part until each bracket holds one simple root, then narrows each bracket
+to bisection's cell of any requested width by Newton steps on bisection's
+own grid -- enough machinery to certify that a polynomial has exactly one
+critical point of interest inside (0, 1) and to pin it down.  It needs only
 signs, so it works on integer coefficient lists from start to finish and
 builds no Fraction to count.
 """
@@ -224,13 +225,12 @@ def _split_point(p: Sequence[int], a: Fraction, b: Fraction) -> Fraction:
     raise AssertionError("no admissible split point found")  # pragma: no cover
 
 
-def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fraction]]]:
-    """The integer polynomial that root isolation brackets -- p's squarefree
-    part with roots at lo or hi divided out -- and one bracket (a, b) per
-    root strictly inside (lo, hi), disjoint, in increasing order, with a
-    sign change across it.
-
-    `_bisect` on that polynomial narrows a bracket.
+def _isolate(p: Polynomial, lo, hi, width: Fraction) -> list[tuple[Fraction, Fraction]]:
+    """One bracket per root of p strictly inside (lo, hi), narrowed by
+    `_bisect` below `width`: disjoint, in increasing order, each either
+    (r, r) for a root r that bisection's grid hits or (a, b) with the root
+    strictly inside.  Roots at lo or hi are excluded, and multiplicities
+    are erased.
     """
     lo = _as_fraction(lo)
     hi = _as_fraction(hi)
@@ -240,71 +240,51 @@ def _isolate(p: Polynomial, lo, hi) -> tuple[list[int], list[tuple[Fraction, Fra
         raise ValueError("zero polynomial has no isolated roots")
     ints = _squarefree(_primitive(list(p.ints)))
     if len(ints) <= 1:
-        return ints, []
+        return []
     # Deflate roots sitting exactly on the boundary so Sturm counting can
     # anchor there; they are excluded from the open interval anyway.
     for point in (lo, hi):
         if not _sign_at(ints, point):
             ints = _exact_quotient(ints, [-point.numerator, point.denominator])
     if len(ints) <= 1:
-        return ints, []
+        return []
     chain = _sturm_chain(ints)
 
+    # Every bracket end is lo, hi or a split point, where p does not vanish,
+    # so a count of one is one simple root and a sign change across it.
     brackets: list[tuple[Fraction, Fraction]] = []
     stack = [(lo, hi, _count_roots_halfopen(chain, lo, hi))]
     while stack:
         a, b, count = stack.pop()
         if count == 0:
             continue
-        if count == 1 and _sign_at(ints, a) * _sign_at(ints, b) < 0:
+        if count == 1:
             brackets.append((a, b))
             continue
         mid = _split_point(ints, a, b)
         left = _count_roots_halfopen(chain, a, mid)
         stack.append((a, mid, left))
         stack.append((mid, b, count - left))
-    brackets.sort()
-    return ints, brackets
-
-
-def _taylor_shift(ints: Sequence[int], s: int) -> list[int]:
-    """The coefficients of p(z + s)."""
-    c = list(ints)
-    for i in range(len(c) - 1):
-        for j in range(len(c) - 2, i - 1, -1):
-            c[j] += s * c[j + 1]
-    return c
-
-
-def _one_root(ints: Sequence[int], start: int, span: int, q: int) -> bool:
-    """Whether Descartes' rule of signs counts one root of p in (start/q,
-    (start + span)/q), which is then exact: p mapped onto (0, 1), then
-    y -> 1/(1 + y), has one sign variation."""
-    d = len(ints) - 1
-    at = _taylor_shift([c * q ** (d - i) for i, c in enumerate(ints)], start)  # q^d p((start + z)/q)
-    signs = [c > 0 for c in _taylor_shift([c * span**i for i, c in enumerate(at)][::-1], 1) if c]
-    return sum(s != t for s, t in zip(signs, signs[1:])) == 1
+    return [_bisect(ints, a, b, width) for a, b in sorted(brackets)]
 
 
 def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink a bracketing interval (p(a)p(b) < 0) below `width` to the cell
-    that bisection gives, for the polynomial p with integer coefficients
-    `ints`.
+    """Shrink a bracket (a, b) that holds exactly one root of the polynomial
+    p with integer coefficients `ints`, a simple one, below `width` to the
+    cell that bisection gives.  `_isolate`'s Sturm count proves that
+    precondition for every bracket it passes; a bracket without a sign
+    change raises ValueError.
 
     The K halvings that reach `width` end in a cell of the grid
     (start + X span) / q, X = 0..2^K; a grid point where p vanishes is
-    returned as (r, r).  Where the bracket holds one root, that cell is the
-    only one with a sign change, so integer Newton steps narrow it, each
-    rounded away from the last point so that near the root it lands on the
-    far side; a step that would leave the bracket, or not halve the step
-    before last, is a bisection step.  Elsewhere every step halves.  Only
-    the sign of p is tested.
+    returned as (r, r).  With one root in the bracket, that cell is the
+    only one with a sign change, so any probes that keep the sign change
+    end in it.  Integer Newton steps narrow it, each rounded away from the
+    last point so that near the root it lands on the far side; a step that
+    would leave the bracket, or not halve the step before last, is a
+    bisection step.  Only the sign of p is tested.
     """
-    if a == b:
-        return a, b
     sa = _sign_at(ints, a)
-    if sa == 0:
-        return a, a
     if sa * _sign_at(ints, b) >= 0:
         raise ValueError("interval does not bracket a sign change")
     q = math.lcm(a.denominator, b.denominator)
@@ -313,8 +293,7 @@ def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> t
     if span * width.denominator <= width.numerator * q:
         return a, b
     halvings = (-(-span * width.denominator // (width.numerator * q)) - 1).bit_length()
-    # one root when p has degree 2 or less, or when Descartes' rule counts one
-    slope = _int_derivative(ints) if len(ints) <= 3 or _one_root(ints, start, span, q) else None
+    slope = _int_derivative(ints)
     start <<= halvings
     q <<= halvings
     rising = sa < 0  # p(lo) keeps the sign of p(a): p rises through the root
@@ -333,11 +312,10 @@ def _bisect(ints: Sequence[int], a: Fraction, b: Fraction, width: Fraction) -> t
         if hi - lo == 1:
             return Fraction(start + lo * span, q), Fraction(start + hi * span, q)
         nxt = (lo + hi) >> 1
-        if slope:
-            dv = _horner_int(slope, num, q) * span  # p / p' in grid units is v / dv
-            if dv:
-                move = -(-v // dv) if (v > 0) == (dv > 0) else v // dv
-                if lo < x - move < hi and 2 * abs(move) <= prev:
-                    nxt = x - move
+        dv = _horner_int(slope, num, q) * span  # p / p' in grid units is v / dv
+        if dv:
+            move = -(-v // dv) if (v > 0) == (dv > 0) else v // dv
+            if lo < x - move < hi and 2 * abs(move) <= prev:
+                nxt = x - move
         prev, step = step, abs(nxt - x)
         x = nxt

@@ -571,7 +571,8 @@ def run_checks(
     overrides = dict(overrides or {})
     unknown = sorted(set(overrides) - set(REFERENCES))
     if unknown:
-        raise ValueError(f"unknown reference constant(s): {', '.join(unknown)}")
+        known = ", ".join(sorted(REFERENCES))
+        raise ValueError(f"unknown reference constant(s): {', '.join(unknown)}; choose from {known}")
     ctx = VerifyContext(base_seed=base_seed, jobs=jobs, overrides=overrides)
     reports: List[ComparisonReport] = []
     for name, tier, func in CHECKS:

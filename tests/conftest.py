@@ -1,5 +1,5 @@
-"""Collection order for the whole suite, and the window-table helpers,
-exhaustive oracles and root-isolation entry point that only tests use.
+"""Collection order for the whole suite, and the window-table helpers and
+exhaustive oracles that only tests use.
 
 The acceptance gate (``test_acceptance.py``) runs every Monte Carlo
 criterion at full scale and takes minutes; the other modules together take
@@ -14,24 +14,10 @@ from math import comb
 
 from runslab.combinatorics import MAX_SUBSET_CELLS
 from runslab.patterns import PatternFunctional
-from runslab.polys import _as_fraction, _bisect, _isolate
 
 
 def pytest_collection_modifyitems(items):
     items.sort(key=lambda item: item.path.name == "test_acceptance.py")
-
-
-def real_roots_in_interval(p, lo, hi, width=Fraction(1, 10**18)):
-    """All real roots of the `Polynomial` p strictly inside (lo, hi), to the
-    requested width: polys' isolation brackets, each bisected.
-
-    Returns disjoint pairs (a, b), in increasing order, one per root: either
-    a == b and the root is exactly that rational, or b - a < width with the
-    root strictly inside.  Roots sitting exactly at lo or hi are excluded.
-    Multiplicities are erased (isolation runs on the squarefree part).
-    """
-    ints, brackets = _isolate(p, lo, hi)
-    return [_bisect(ints, a, b, _as_fraction(width)) for a, b in brackets]
 
 
 def constant_pattern(c, length=1):

@@ -34,7 +34,8 @@ from runslab.patterns import (
 from runslab.polys import Polynomial, _cleared
 from runslab.verify import VerifyContext, _random_pattern
 
-from conftest import constant_pattern, format_pattern_text, real_roots_in_interval, save_pattern
+from conftest import constant_pattern, format_pattern_text, save_pattern
+from test_polys import real_roots_oracle
 
 
 # -- construction and the text format ----------------------------------------
@@ -347,13 +348,13 @@ def test_inadmissible_window_is_rejected_before_decomposition(monkeypatch, case)
 
 
 def peak_point_oracle(g):
-    """The peak search written out on `real_roots_in_interval`, every
-    critical point refined to 1e-24 before any is tested: `_peak_point` must
-    return, or raise, exactly what it does."""
+    """The peak search written out on the Fraction root pipeline of
+    test_polys, which shares no code with `polys._isolate` or `_bisect`:
+    `_peak_point` must return, or raise, exactly what it does."""
     d1 = g.derivative()
     if d1.is_zero():
         raise NoInteriorPeakError("mean rate is constant; no interior peak")
-    roots = real_roots_in_interval(d1, 0, 1, width=patterns._ROOT_WIDTH)
+    roots = real_roots_oracle(d1, 0, 1, patterns._ROOT_WIDTH)
     if not roots:
         raise NoInteriorPeakError("mean rate has no interior critical point")
     points = [(a + b) / 2 for a, b in roots]
@@ -402,15 +403,6 @@ def test_peak_point_outcomes_are_pinned():
     assert hashlib.sha256(repr(outcomes).encode()).hexdigest() == (
         "331ebb8b7fb10fd5e0f2920b038acfff3536cd0550800ced7c368fab2b7f7212"
     )
-
-
-def test_peak_point_matches_oracle_on_verify_windows():
-    # verify --scale quick's seeded windows: 446 draws give its 100
-    # admissible ones.
-    rng = np.random.default_rng(VerifyContext(base_seed=0).seed("random-windows"))
-    for _ in range(446):
-        g = mean_rate(_random_pattern(rng))
-        assert peak_outcome(patterns._peak_point, g) == peak_outcome(peak_point_oracle, g)
 
 
 @settings(deadline=None, max_examples=300)

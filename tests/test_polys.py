@@ -15,20 +15,19 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from runslab import patterns
+from runslab import patterns, polys
 from runslab.cli import main
 from runslab.patterns import PatternFunctional, mean_rate
 from runslab.polys import (
     Polynomial,
     _bisect,
     _cleared,
+    _isolate,
     _primitive,
     _squarefree,
     _sturm_chain,
 )
 from runslab.verify import _random_pattern
-
-from conftest import real_roots_in_interval
 
 
 def poly(cs):
@@ -49,7 +48,10 @@ def times(*factors):
     return poly(out)
 
 
-def refine_root(p, a, b, width=Fraction(1, 10**18)):
+WIDTH = Fraction(1, 10**18)  # the width the root tests ask for unless they say
+
+
+def refine_root(p, a, b, width=WIDTH):
     """The bisection that root isolation runs, on p's integer coefficients."""
     return _bisect(p.ints, Fraction(a), Fraction(b), Fraction(width))
 
@@ -241,30 +243,30 @@ def test_squarefree_part_drops_multiplicity():
 
 def test_roots_of_quadratic():
     p = times([-1, 2], [-2, 3])  # roots 1/2, 2/3
-    roots = real_roots_in_interval(p, 0, 1)
+    roots = _isolate(p, 0, 1, WIDTH)
     assert len(roots) == 2
     for (a, b), r in zip(roots, (Fraction(1, 2), Fraction(2, 3))):
         assert a <= r <= b
-        assert b - a == 0 or b - a < Fraction(1, 10**18)
+        assert b - a == 0 or b - a < WIDTH
 
 
 def test_root_hit_exactly_by_bisection():
-    roots = real_roots_in_interval(Polynomial([-1, 2]), 0, 1)
+    roots = _isolate(Polynomial([-1, 2]), 0, 1, WIDTH)
     assert roots == [(Fraction(1, 2), Fraction(1, 2))]
 
 
 def test_endpoint_roots_excluded():
     p = Polynomial([0, -1, 1])  # x (x - 1)
-    assert real_roots_in_interval(p, 0, 1) == []
+    assert _isolate(p, 0, 1, WIDTH) == []
 
 
 def test_no_real_roots():
-    assert real_roots_in_interval(Polynomial([1, 0, 1]), -10, 10) == []
+    assert _isolate(Polynomial([1, 0, 1]), -10, 10, WIDTH) == []
 
 
 def test_multiple_root_isolated_once():
     p = times([Fraction(-1, 3), 1], [Fraction(-1, 3), 1])
-    roots = real_roots_in_interval(p, 0, 1)
+    roots = _isolate(p, 0, 1, WIDTH)
     assert len(roots) == 1
     a, b = roots[0]
     assert a <= Fraction(1, 3) <= b
@@ -273,7 +275,7 @@ def test_multiple_root_isolated_once():
 def test_close_roots_separated():
     r1, r2 = Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**6)
     p = times([-r1, 1], [-r2, 1])
-    roots = real_roots_in_interval(p, 0, 1)
+    roots = _isolate(p, 0, 1, WIDTH)
     assert len(roots) == 2
     (a1, b1), (a2, b2) = roots
     assert b1 <= a2  # disjoint brackets
@@ -283,13 +285,13 @@ def test_close_roots_separated():
 def test_degree_five_root_count():
     # x(x^2-1)(x^2-4) has roots -2,-1,0,1,2
     p = times([0, 1], [-1, 0, 1], [-4, 0, 1])
-    assert len(real_roots_in_interval(p, -3, 3)) == 5
-    assert len(real_roots_in_interval(p, Fraction(-3, 2), 3)) == 4
+    assert len(_isolate(p, -3, 3, WIDTH)) == 5
+    assert len(_isolate(p, Fraction(-3, 2), 3, WIDTH)) == 4
 
 
 def test_requested_width_honored():
     width = Fraction(1, 10**24)
-    (a, b), = real_roots_in_interval(Polynomial([-2, 0, 1]), 0, 2, width=width)
+    (a, b), = _isolate(Polynomial([-2, 0, 1]), 0, 2, width)
     assert b - a < width
     # sqrt(2) truncated to 25 digits; the bracket midpoint must agree
     sqrt2 = Fraction(14142135623730950488016887, 10**25)
@@ -361,7 +363,7 @@ roots = st.one_of(
     st.fractions(min_value=-2, max_value=2, max_denominator=50),
     st.builds(lambda k, j: Fraction(k, 2**j), st.integers(-2**8, 2**8), st.integers(0, 8)),
 )
-gaps = st.fractions(min_value=0, max_value=2, max_denominator=64)
+shares = st.integers(1, 63).map(lambda k: Fraction(k, 64))  # of the gap to the next root out
 widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**18), Fraction(1, 10**24), Fraction(3, 7)])
 
 
@@ -370,15 +372,21 @@ widths = st.sampled_from([Fraction(1, 10**6), Fraction(1, 10**18), Fraction(1, 1
     st.lists(roots, min_size=1, max_size=5, unique=True),
     st.fractions(min_value=-4, max_value=4, max_denominator=9).filter(bool),
     st.booleans(),
-    gaps,
-    gaps,
+    shares,
+    shares,
     widths,
 )
 def test_refine_root_matches_fraction_bisection(rs, lead, quadratic, left, right, width):
+    # `_bisect` promises bisection's cell only for a bracket around one
+    # simple root, which is all that `_isolate` hands it: the bracket around
+    # the first root reaches only part of the way to the next root on each
+    # side (or 2 past it, when there is none).
     p = times([lead], *([-r, 1] for r in rs), *([[1, 1, 1]] if quadratic else []))
     assert squarefree_part(p) == p
-    a, b = rs[0] - left, rs[0] + right  # around the first root
-    assume(p(a) * p(b) < 0)
+    r = rs[0]
+    a = r - left * min((r - s for s in rs if s < r), default=2)
+    b = r + right * min((s - r for s in rs if s > r), default=2)
+    assert p(a) * p(b) < 0
     assert refine_root(p, a, b, width) == refine_root_oracle(p, a, b, width)
 
 
@@ -418,7 +426,7 @@ def test_roots_match_fraction_pipeline(factors, lead, extra, bounds, width):
     # repeated roots come from mult > 1 and repeats
     p = times([lead], extra, *([-r.numerator, r.denominator] for r, mult in factors for _ in range(mult)))
     lo, hi = bounds
-    assert real_roots_in_interval(p, lo, hi, width) == real_roots_oracle(p, lo, hi, width)
+    assert _isolate(p, lo, hi, width) == real_roots_oracle(p, lo, hi, width)
 
 
 @settings(deadline=None, max_examples=100)
@@ -446,27 +454,27 @@ def test_mean_rate_derivatives_match_fraction_pipeline():
         if d1.is_zero():
             continue
         width = Fraction(1, 10**24)
-        assert real_roots_in_interval(d1, 0, 1, width) == real_roots_oracle(d1, 0, 1, width)
+        assert _isolate(d1, 0, 1, width) == real_roots_oracle(d1, 0, 1, width)
 
 
 # -- the brackets the exact layer requests -------------------------------------
 
 
 def requested_brackets(monkeypatch, capsys):
-    """Every (ints, a, b, width) that the peak search hands to `_bisect`, with
-    its result, over one `verify --scale quick --seed 0` run, the six
-    run-length reports and 8 admissible random windows of each length 2, 3
-    and 4 drawn as the exact benchmark workload draws them at seed 2331
-    (values k/8, k uniform in -8..8)."""
+    """Every (ints, a, b, width) that the peak search's `_isolate` hands to
+    `_bisect`, with its result, over one `verify --scale quick --seed 0`
+    run, the six run-length reports and 8 admissible random windows of each
+    length 2, 3 and 4 drawn as the exact benchmark workload draws them at
+    seed 2331 (values k/8, k uniform in -8..8)."""
     calls = []
-    bisect = patterns._bisect
+    bisect = polys._bisect
 
     def recorded(ints, a, b, width):
         got = bisect(ints, a, b, width)
         calls.append((tuple(ints), a, b, width, got))
         return got
 
-    monkeypatch.setattr(patterns, "_bisect", recorded)
+    monkeypatch.setattr(polys, "_bisect", recorded)
     assert main(["verify", "--scale", "quick", "--seed", "0"]) == 0
     capsys.readouterr()
     for d in range(1, 7):

@@ -72,7 +72,7 @@ def test_override_injects_a_failure():
 
 
 def test_unknown_override_and_scale_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no-such-reference; choose from brownian-parabola-mean, "):
         run_checks("quick", overrides={"no-such-reference": 1.0})
     with pytest.raises(ValueError):
         run_checks("medium")
