@@ -48,7 +48,7 @@ def times(*factors):
     return poly(out)
 
 
-WIDTH = Fraction(1, 10**18)  # the width the root tests ask for unless they say
+WIDTH = Fraction(1, 10**18)  # the width the root tests below ask for, unless they name one
 
 
 def refine_root(p, a, b, width=WIDTH):
@@ -380,7 +380,7 @@ def test_refine_root_matches_fraction_bisection(rs, lead, quadratic, left, right
     # `_bisect` promises bisection's cell only for a bracket around one
     # simple root, which is all that `_isolate` hands it: the bracket around
     # the first root reaches only part of the way to the next root on each
-    # side (or 2 past it, when there is none).
+    # side, or up to 2 from it on a side with none.
     p = times([lead], *([-r, 1] for r in rs), *([[1, 1, 1]] if quadratic else []))
     assert squarefree_part(p) == p
     r = rs[0]
