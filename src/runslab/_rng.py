@@ -18,10 +18,9 @@ generator, which matters in million-rep sweeps.
 For many short streams at once, ``philox_words`` computes the first words
 of every key's stream together, in numpy uint64 arithmetic: Philox output
 is a pure function of (key, counter).  It equals numpy's ``random_raw``
-word for word.  The sweeps build small-n insertion orders from those words
-by replaying what numpy's ``Generator.permutation`` draws (see
-``evolve._batch_orders``); that replay rests on the installed numpy's
-shuffle algorithm, and tests pin it against the per-row shuffle.
+word for word, so its top 53 bits over 2^53 are what ``random`` draws.
+The sweeps sort those bits into small-n insertion orders (see
+``evolve._draw_orders``).
 
 Because each piece of work draws only from the streams of its own keys,
 ``ordered_map`` can run the pieces in worker processes and still return

@@ -18,12 +18,15 @@ Each model has one draw step (``_draw_block``) and one kernel step
 (``_kernel_summary``), and both work on a block: a (rows, n) array whose
 rows are the draws of separate repetitions (insertion orders, arrival
 times, or event times).  A sweep derives the keys of a chunk's repetitions
-in one vectorized pass (``mix_keys``) and fills the block with exactly the
-draws ``stream(base_seed, rep)`` would give: for insertion orders of up to
-``_BATCH_ORDER_MAX_N`` cells in blocks of at least ``_BATCH_ORDER_MIN_ROWS``
-rows, from every row's Philox words at once (``philox_words``) run through
-numpy's shuffle algorithm for all rows together; otherwise by re-keying one
-Philox instance per row.  It then runs the kernel once over the block.
+in one vectorized pass (``mix_keys``) and fills the block with draws
+from ``stream(base_seed, rep)``.  An insertion order of up to
+``_SORTED_ORDER_MAX_N`` cells is the stable argsort of the rep's
+``random(n)``, the order in which its cells' uniform times arrive, so
+runs-linear and runs-time share a path on one key; a longer one is the
+rep's ``permutation(n)``.  Uniforms come from every row's Philox words at
+once (``philox_words``) in blocks of at least ``_BATCH_ORDER_MIN_ROWS``
+rows, and otherwise from one re-keyed Philox instance per row.  The
+kernel then runs once over the block.
 Each kernel returns its block of paths, the time-ordered ones with their
 times in order; ``_kernel_summary`` reads every model's max, first argmax,
 mid value and grid samples off the paths in one place, at the steps the
@@ -33,7 +36,7 @@ amortize numpy's per-call cost over hundreds of repetitions while large-n
 sweeps keep one repetition, and one path, in memory at a time.
 
 A single trajectory is rep 0 of a one-rep sweep keyed by its seed, so it
-draws what ``stream(seed)`` gives; the ``*_from_order`` functions hand
+draws from ``stream(seed)``; the ``*_from_order`` functions hand
 their order to the kernel step instead.
 
 Every kernel writes its block-sized arrays into one workspace
@@ -64,7 +67,6 @@ grid times, which the time-ordered models count off their unsorted draws
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional, Sequence, Tuple
@@ -269,10 +271,12 @@ def _count_at_most(sorted_rows: np.ndarray, pts) -> np.ndarray:
 def _check_step_grid(grid: Optional[Sequence[int]], n: int) -> Optional[np.ndarray]:
     if grid is None:
         return None
-    idx = np.asarray(grid, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() > n):
-        raise ValueError(f"step grid must lie in 0..{n}")
-    return idx
+    for step in grid:
+        if not float(step).is_integer():
+            raise ValueError(f"step grid entries must be whole numbers, got {step!r}")
+        if not 0 <= step <= n:
+            raise ValueError(f"step grid must lie in 0..{n}, got {step!r}")
+    return np.asarray(grid, dtype=np.int64)
 
 
 # -- runs kernel -------------------------------------------------------------
@@ -349,7 +353,8 @@ def simulate_runs_randomized_time(
 
     The path visits exactly the states of the step-indexed process (in
     arrival order), so its max equals the step-indexed max; samples are
-    taken at fill fractions t by counting arrivals up to t.
+    taken at fill fractions t by counting arrivals up to t.  Up to
+    `_SORTED_ORDER_MAX_N` cells the path is `simulate_runs(n, seed)`'s.
     """
     grid = DEFAULT_TIME_GRID if grid is None else grid
     return _trajectory("runs-time", n, seed, grid, keep_values)
@@ -550,107 +555,48 @@ def _chunk_size(n: int, reps: int) -> int:
     return max(1, min(reps, _CHUNK_CELL_BUDGET // max(n, 1)))
 
 
-# A block's insertion orders come from one vectorized pass over its rows
-# (`_batch_orders`) when rows have at most _BATCH_ORDER_MAX_N cells and the
-# block has at least _BATCH_ORDER_MIN_ROWS rows; otherwise numpy shuffles
-# row by row.  The pass's cost per row grows with the draws a row makes,
-# while the per-row shuffle's is mostly call overhead, about 2 us.  On full
-# 2^15-cell blocks (2-core Xeon, numpy 2.4) the pass drew the orders 3.0x
-# as fast as the per-row shuffle at n = 9, 2.1x at n = 13, 1.1x at n = 31,
-# 0.96-1.06x at n = 32 and 0.66x at n = 52.  The pass also has a fixed cost
-# of about 0.4-0.6 ms a block, so it broke even at about 190 rows for
-# n = 2, 255 for n = 9, 320 for n = 13, 480 for n = 20 and 740 for n = 31;
-# smaller blocks (a chunk's last block, or a sweep of few reps) keep the
-# per-row shuffle.
-_BATCH_ORDER_MAX_N = 31
-_BATCH_ORDER_MIN_ROWS = 768
-
-
-def _shuffle_draw_blocks(n: int) -> int:
-    """Philox blocks (8 uint32 draws each) that cover the mean plus 3 SD of
-    the uint32 draws numpy's shuffle of n cells makes.
-
-    Step i takes a geometric number of draws, each accepted with
-    probability (i + 1) / (mask_i + 1).
-    """
-    mean = var = 0.0
-    for i in range(1, n):
-        p = (i + 1) / (1 << i.bit_length())
-        mean += 1 / p
-        var += (1 - p) / p**2
-    return max(1, math.ceil((mean + 3 * math.sqrt(var)) / 8))
-
-
-def _batch_orders(keys: np.ndarray, n: int, blocks: int, out: np.ndarray):
-    """Insertion orders for a block, row r keyed keys[r], from the first
-    `blocks` Philox blocks of each row's stream (into `out`); and which rows
-    they cover.
-
-    Numpy's shuffle of an n-cell array swaps cell i with cell j for i = n-1
-    down to 1, j drawn by `random_interval(i)`: uint32 draws u (the low,
-    then the high half of each 64-bit word), masked to the smallest
-    all-ones value >= i, until u & mask <= i.  The scan below carries every
-    row's step i through the draw positions at once, then applies the swaps
-    to an (n, rows) array.  A row is covered when all its steps are done
-    within those draws; an uncovered row holds some other permutation.
-    """
-    rows = keys.size
-    words = philox_words(keys, blocks).T
-    draws = np.empty((2 * words.shape[0], rows), dtype=np.uint32)
-    np.bitwise_and(words, np.uint64(0xFFFFFFFF), out=draws[0::2], casting="unsafe")
-    np.right_shift(words, np.uint64(32), out=draws[1::2], casting="unsafe")
-    # masks[i] for i = 0..n-1.  A row whose step reaches 0 accepts once more
-    # and rests at step -1, which reads masks[-1] and never accepts again.
-    masks = np.array([(1 << i.bit_length()) - 1 for i in range(n)], dtype=np.uint32)
-    step = np.full(rows, n - 1, dtype=np.int64)
-    # picks[(i + 1) * rows + r] is row r's j at step i; its first two rows
-    # take the writes of steps -1 and 0.
-    picks = np.empty((n + 1) * rows, dtype=np.uint32)
-    slot = np.arange(n * rows, (n + 1) * rows)
-    for u in draws:
-        v = u & masks[step]
-        picks[slot] = v  # a rejected draw is overwritten by the accepted one
-        accept = v <= step
-        step -= accept
-        np.subtract(slot, rows, out=slot, where=accept)
-    covered = step <= 0
-    # An uncovered row's picks are partial; any in-range value will do.
-    picks.reshape(n + 1, rows)[:, ~covered] = 0
-    perm = np.empty((n, rows), dtype=np.int64)
-    perm[...] = np.arange(n)[:, None]
-    flat = perm.reshape(-1)
-    cols = np.arange(rows)
-    for i in range(n - 1, 0, -1):
-        j = picks[(i + 1) * rows : (i + 2) * rows] * rows + cols
-        moved = flat[j]
-        flat[j] = perm[i]
-        perm[i] = moved
-    np.add(perm.T, (cols * n)[:, None], out=out)
-    return out, covered
-
-
-def _shuffle_rows(pool: StreamPool, orders: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Shuffle row r of `orders` in place on the stream keyed keys[r]."""
-    for row, key in zip(orders, keys.tolist()):  # Python ints re-key fastest
-        pool.rekey(key).shuffle(row)
-    return orders
+# Up to _SORTED_ORDER_MAX_N cells, a rep's insertion order is the stable
+# argsort of its `random(n)`: its cells fill in the order of their uniform
+# times, as runs-time sweeps them, so the two models share a path on one
+# key.  That is a stream protocol, not a tuning knob.  A sort key is the 53
+# bits `random` keeps of a Philox word, shifted past the cell's index: the
+# keys are distinct, so any sort gives the stable order.  Blocks of at least
+# _BATCH_ORDER_MIN_ROWS rows compute every row's words at once
+# (`philox_words`); smaller ones re-key one Philox a row, about 0.9 us a
+# row.  The batch words cost about 0.15 ms a block more, so they broke even
+# at about 190 rows for n = 2, 230 for n = 9 and 256 for n = 31 (2-core
+# Xeon, numpy 2.4).  Longer rows draw `permutation(n)`, a shuffle of arange
+# (its draws do not depend on the values it moves), row by row.
+_SORTED_ORDER_MAX_N = 31
+_CELL_BITS = np.uint64(_SORTED_ORDER_MAX_N.bit_length())
+_BATCH_ORDER_MIN_ROWS = 256
 
 
 def _draw_orders(pool: StreamPool, keys: np.ndarray, n: int, ws: dict) -> np.ndarray:
-    """Flat insertion orders; row r is r*n + the order the rep keyed keys[r]
-    draws by `permutation(n)`, which is a shuffle of arange (the shuffle's
-    draws do not depend on the values it moves).  Rows the batch pass does
-    not cover are shuffled one by one, so no row depends on its budget."""
+    """Flat insertion orders; row r is r*n + the order of the rep keyed
+    keys[r]: the stable argsort of its `random(n)` up to
+    `_SORTED_ORDER_MAX_N` cells, its `permutation(n)` above."""
     rows = keys.size
     orders = _scratch(ws, "orders", (rows, n), np.int64)
-    if n > _BATCH_ORDER_MAX_N or rows < _BATCH_ORDER_MIN_ROWS:
+    if n > _SORTED_ORDER_MAX_N:
         # the flat arange, from the row ramp: no n-sized temporary
         ramp = _scratch(ws, "ramp", (rows, n), _index_dtype(n))
         np.add(ramp, np.arange(0, rows * n, n)[:, None], out=orders)
-        return _shuffle_rows(pool, orders, keys)
-    _, covered = _batch_orders(keys, n, _shuffle_draw_blocks(n), orders)
-    redo = np.flatnonzero(~covered)
-    orders[redo] = _shuffle_rows(pool, redo[:, None] * n + np.arange(n), keys[redo])
+        for row, key in zip(orders, keys.tolist()):  # Python ints re-key fastest
+            pool.rekey(key).shuffle(row)
+        return orders
+    sort_keys = orders.view(np.uint64)
+    if rows >= _BATCH_ORDER_MIN_ROWS:
+        sort_keys[...] = philox_words(keys, -(-n // 4))[:, :n]
+    else:
+        for row, key in zip(sort_keys, keys.tolist()):
+            row[...] = pool.rekey(key).bit_generator.random_raw(n)
+    sort_keys >>= np.uint64(11)  # random() is these 53 bits over 2^53
+    sort_keys <<= _CELL_BITS
+    sort_keys |= np.arange(n, dtype=np.uint64)
+    sort_keys.sort(axis=1)
+    sort_keys &= (np.uint64(1) << _CELL_BITS) - np.uint64(1)
+    orders += np.arange(0, rows * n, n)[:, None]
     return orders
 
 

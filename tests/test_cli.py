@@ -75,18 +75,22 @@ def test_exact_empty_sequence_has_no_runs(capsys):
 # SHA-256 of stdout, recorded from the per-rep sweep implementation: the
 # block kernels must reproduce its rows byte for byte.  Rep counts are not
 # multiples of any block's row count; the seeds include a negative and a
-# wider-than-64-bit one, which the stream keys reduce modulo 2^64.
+# wider-than-64-bit one, which the stream keys reduce modulo 2^64.  The
+# runs and pattern entries at n <= 31 (n = 9, 12, 13 and 31) were
+# re-recorded when a rep's order of up to 31 cells became the stable
+# argsort of its uniforms; n = 2 and cyclic n = 3 give one path whatever
+# the order, and n >= 32 kept its bytes.
 GOLDEN_STDOUT = {
     "simulate --model runs --n 9 --reps 1500 --seed 5":
-        "cc0aa1e6e24dc86bc8ffa464f485098df770d8751808aba5969cf0ac51a4d172",
+        "184880a0a0c9a4fc6140dc79bc55d2161fa57ae788e4a2df825234a624a8cee7",
     "simulate --model runs --n 13 --reps 1300 --seed -3 --grid 0.5":
-        "d1541cd87f58ee8f431334ddcd0c4ad72f9aa603740c8051300be264524fe7a5",
+        "22ffbbfbb34da1dd56ad1e9e771e9d87a2959e2e6c7a4e4685694e677614d5e9",
     "simulate --model runs --n 52 --reps 700 --seed 18446744073709551621":
         "60511c6d9f8778cb63b82da729dca719301b7735cdfd25ec8c9e948c091c5ff9",
     "simulate --model runs-cyclic --n 40 --reps 900 --seed 2 --grid 0.25,0.5,0.75":
         "c481be823acb6c4ba117357968a1b993d201426f8528099c369cff82a33abbc6",
     "simulate --model pattern --run-length 1 --n 12 --reps 800 --seed 4":
-        "7fa283f02c7ce036bc66264639c0dd3f28f37081608eabe31cdd3104d5606456",
+        "7a6c1a0e5cfee9731acc97e504d80749f555642a08168227e5e6625a5de37f0c",
     "simulate --model pattern --run-length 1 --n 200 --reps 300 --seed 6 --grid 0.5":
         "00b16b5e2572e20e32948cde3356b17464df778f01e0ada44b3eb58fac197e31",
     # The time-ordered models, recorded while each row was still ordered by
@@ -165,23 +169,22 @@ GOLDEN_STDOUT = {
         "4f955b6a89dd5b665f1af48f1093054498fc0df4c0e821c1e163890b31e5554f",
     "simulate --model pattern --psi-file {dense9} --n 40 --reps 300 --seed 8 --grid 0.25,0.5,0.75 --linear":
         "5d8ac49c92496dfaba2bd1437056408a61b6195ef923e610a2507e24b51c2275",
-    # Small-n insertion orders, recorded while every row was drawn by its
-    # own re-keyed shuffle: the batch pass over a block's rows (n <= 31)
-    # must give the same rows.  n = 2 takes three blocks; n = 9 with 7300
-    # reps two full blocks and a 20-row one; n = 31 and 32 sit on either
-    # side of the batch pass's size limit.
+    # Small-n insertion orders: the batch words over a block's rows must
+    # give the per-row re-keys' rows.  n = 2 takes three blocks; n = 9 with
+    # 7300 reps two full blocks and a 20-row one; n = 31 and 32 sit on
+    # either side of the sorted-order protocol's size limit.
     "simulate --model runs --n 2 --reps 40000":
         "535b2ae3437fef6deafe0e61e0a12f4cee827b0ff9b35e016466839183fad334",
     "simulate --model runs-cyclic --n 3 --reps 5000 --seed 11":
         "cda4994aefda858e8a984e72c7310704d7a1e97af36837ea51442f4a56bc0ed3",
     "simulate --model runs --n 9 --reps 7300 --seed -4":
-        "22efd1635bae36a37fe96dd6f9d9cf26dc97a85b2e6c04b6e5a94a61446c9b09",
+        "049864d5c8c59c98c945127a1bb3e8ce599f8426b255e7f3eaeeefff557e7244",
     "simulate --model runs --n 31 --reps 2000 --seed 13":
-        "48aaedbd9edf3ea579206b5d81c0af51d52ea5003ac30d49b0a066889f9f9da8",
+        "9b70047ad5f840734effd9021064566e26a00ee6679a530ca9347f63bbed69d2",
     "simulate --model runs --n 32 --reps 2000 --seed 13":
         "31760d8776e846f5e7b30a84b624f463dc3327ac7da05d61f1da1c03bc4cf9ad",
     "simulate --model pattern --run-length 1 --n 12 --reps 5000":
-        "822a395db7498265ae3f75f3c34212bb478de618becea918e59a3d4dd89d85cd",
+        "563e222137f4f8d05e6d9eeeb2757d72419775e2a044e11c0207f20b5aef27e3",
     # More quick verify seeds, each with its own random windows, recorded
     # while each window's values were made one Fraction at a time.
     "verify --scale quick --seed 1":

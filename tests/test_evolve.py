@@ -215,6 +215,23 @@ def test_step_grid_validated():
         simulate_runs(10, seed=0, grid=[11])
 
 
+@pytest.mark.parametrize("grid,bad", [([0.25, 0.5], "0.25"), ([25.9, 50], "25.9"),
+                                      ([10, math.nan], "nan"), ([math.inf], "inf")])
+def test_step_grid_refuses_fractional_steps(grid, bad):
+    # A step grid is cast to int64 only once every entry is a whole number,
+    # so a fill fraction or 25.9 is refused, not truncated to step 0 or 25.
+    calls = (
+        lambda: simulate_runs(100, 1, grid=grid),
+        lambda: runs_from_order(range(100), grid=grid),
+        lambda: simulate_pattern(run_length_pattern(1), 100, 1, grid=grid),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"whole numbers, got {bad}$"):
+            call()
+    assert simulate_runs(100, 1, grid=[25.0, 50]).samples.tolist() == (
+        simulate_runs(100, 1, grid=[25, 50]).samples.tolist())
+
+
 # -- randomized-time model ---------------------------------------------------
 
 
@@ -729,7 +746,7 @@ def eighths_pattern(ell):
 
 def golden_trajectories():
     """Every single-trajectory function, over the sizes where the kernels
-    change shape: one and two cells, the batch-order boundary 31/32, and a
+    change shape: one and two cells, the sorted-order boundary 31/32, and a
     row of 1000; both flavors, both grids, and a negative seed."""
     for n in (1, 2, 31, 32, 1000):
         steps = [0, n // 3, n]
@@ -766,8 +783,11 @@ def trajectory_record(traj):
 
 
 # SHA-256 over `golden_trajectories`, recorded before the single-trajectory
-# functions ran as rep 0 of a sweep keyed by their seed.
-TRAJECTORY_DIGEST = "f66aab7f6d991e875b89d61bdbbbf66a1ff09195e73509270a43f4c324932c54"
+# functions ran as rep 0 of a sweep keyed by their seed, and re-recorded
+# (from f66aab7f...) when orders of up to 31 cells became the sorted order
+# of the rep's uniforms: only the n = 31 runs and n = 6 cyclic pattern
+# records moved.
+TRAJECTORY_DIGEST = "f666cf422c19a303422655f9b7132caad676b897828d77fb24952f57a37946c8"
 
 
 def test_trajectories_match_golden_digest():
@@ -779,12 +799,13 @@ def test_trajectories_match_golden_digest():
 @pytest.mark.parametrize("seed", [0, 7, -3])
 def test_trajectories_draw_from_the_seeds_stream(seed):
     # The single-trajectory contract, against numpy's own draws: orders are
-    # stream(seed).permutation(n), arrival times stream(seed).random(n), and
-    # a queue's items random((2, n)): row 0 is u, row 1 is v.
-    n, steps = 40, [5, 20, 40]
+    # `rep_order(seed, 0, n)` (either side of its 31-cell boundary), arrival
+    # times stream(seed).random(n), and a queue's items random((2, n)): row 0
+    # is u, row 1 is v.
     pattern = eighths_pattern(3)
-    for cyclic in (False, True):
-        order = stream(seed).permutation(n)
+    for n, cyclic in itertools.product((31, 40), (False, True)):
+        steps = [5, 20, n]
+        order = rep_order(seed, 0, n)
         assert trajectory_record(
             simulate_runs(n, seed, cyclic=cyclic, grid=steps, keep_values=True)
         ) == trajectory_record(runs_from_order(order, cyclic=cyclic, grid=steps, keep_values=True))
@@ -792,7 +813,7 @@ def test_trajectories_draw_from_the_seeds_stream(seed):
             simulate_pattern(pattern, n, seed, cyclic=cyclic, grid=steps, keep_values=True)
         ) == trajectory_record(
             pattern_from_order(pattern, order, cyclic=cyclic, grid=steps, keep_values=True))
-    pts = (0.25, 0.5, 0.75)
+    n, pts = 40, (0.25, 0.5, 0.75)
     traj = simulate_runs_randomized_time(n, seed, grid=pts, keep_values=True)
     times = stream(seed).random(n)[None, :]
     summary = time_summary("runs-time", times, pts, workspace("runs-time", n, 1))
@@ -841,12 +862,13 @@ def single_trajectories(case, n, seed, reps, grid):
         if case in ("runs-linear", "runs-cyclic"):
             traj = (
                 simulate_runs(n, seed, cyclic=cyclic, grid=steps) if rep == 0
-                else runs_from_order(rng.permutation(n), cyclic=cyclic, grid=steps)
+                else runs_from_order(rep_order(seed, rep, n), cyclic=cyclic, grid=steps)
             )
         elif case.startswith("pattern"):
             traj = (
                 simulate_pattern(pattern, n, seed, cyclic=cyclic, grid=steps) if rep == 0
-                else pattern_from_order(pattern, rng.permutation(n), cyclic=cyclic, grid=steps)
+                else pattern_from_order(pattern, rep_order(seed, rep, n), cyclic=cyclic,
+                                        grid=steps)
             )
         elif rep == 0:
             simulate = {
@@ -874,70 +896,60 @@ def single_trajectories(case, n, seed, reps, grid):
 # -- insertion-order draws ---------------------------------------------------
 
 
-def per_row_orders(keys, n):
-    """The oracle: re-key one Philox per row and shuffle that row."""
-    pool = StreamPool(0)
-    orders = np.arange(len(keys) * n, dtype=np.int64).reshape(len(keys), n)
-    for row, key in zip(orders, keys.tolist()):
-        pool.rekey(key).shuffle(row)
-    return orders
+def rep_order(seed, rep, n):
+    """The stream protocol's insertion order for rep `rep` of `seed`: the
+    stable argsort of its uniforms up to 31 cells, its permutation above."""
+    rng = stream(seed, rep)
+    return np.argsort(rng.random(n), kind="stable") if n <= 31 else rng.permutation(n)
 
 
-BATCH_MAX_N = evolve._BATCH_ORDER_MAX_N
+MIN_ROWS = evolve._BATCH_ORDER_MIN_ROWS
 
 
-@pytest.mark.parametrize("n", range(1, BATCH_MAX_N + 2))
-def test_batch_orders_equal_per_row_shuffle(n):
-    # Blocks of 1 and 2 rows take the per-row shuffle in sweeps; the pass
-    # itself is checked on them directly.
-    for rows in (1, 2, evolve._BLOCK_CELL_BUDGET // n):
+@pytest.mark.parametrize("n", [*range(1, 32), 32, 52])
+def test_orders_follow_the_stream_protocol(monkeypatch, n):
+    # Per-row re-keys below MIN_ROWS rows, the batch words from it on (up to
+    # 31 cells), and a full block; numpy's own argsort and permutation are
+    # the oracle.
+    batches = []
+    words = evolve.philox_words
+    monkeypatch.setattr(evolve, "philox_words", lambda k, b: batches.append(k.size) or words(k, b))
+    sizes = (1, 2, MIN_ROWS - 1, MIN_ROWS, evolve._BLOCK_CELL_BUDGET // n)
+    for rows in sizes:
         keys = mix_keys(n, 3 * rows, rows)
-        expected = per_row_orders(keys, n)
-        orders, covered = evolve._batch_orders(
-            keys, n, evolve._shuffle_draw_blocks(n), np.empty((rows, n), dtype=np.int64))
-        np.testing.assert_array_equal(orders[covered], expected[covered])
         orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows + 2))
+        expected = [rep_order(n, 3 * rows + r, n) + r * n for r in range(rows)]
         np.testing.assert_array_equal(orders, expected)
+    assert batches == ([rows for rows in sizes if rows >= MIN_ROWS] if n <= 31 else [])
 
 
-def test_batch_orders_only_on_blocks_of_min_rows(monkeypatch):
-    taken = []
-    batch = evolve._batch_orders
-    monkeypatch.setattr(evolve, "_batch_orders", lambda *a: taken.append(a) or batch(*a))
-    min_rows = evolve._BATCH_ORDER_MIN_ROWS
-    for rows in (min_rows - 1, min_rows):
-        keys = mix_keys(9, 0, rows)
-        orders = evolve._draw_orders(StreamPool(0), keys, 9, workspace("runs-linear", 9, rows))
-        np.testing.assert_array_equal(orders, per_row_orders(keys, 9))
-    assert [a[0].size for a in taken] == [min_rows]
+@pytest.mark.parametrize("n", [2, 9, 31])
+def test_orders_break_ties_in_cell_order(monkeypatch, n):
+    # Words that agree in the 53 bits random() keeps tie every uniform, so
+    # the stable order is the cell order, whatever their low 11 bits say.
+    def tied_words(keys, blocks):
+        low = np.uint64(2047) >> np.arange(4 * blocks, dtype=np.uint64)  # descending
+        return np.broadcast_to((np.uint64(12345) << np.uint64(11)) | low, (keys.size, 4 * blocks))
+
+    monkeypatch.setattr(evolve, "philox_words", tied_words)
+    keys = mix_keys(1, 0, MIN_ROWS)
+    orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, MIN_ROWS))
+    np.testing.assert_array_equal(orders, np.arange(MIN_ROWS * n).reshape(MIN_ROWS, n))
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 9, 13, 17, BATCH_MAX_N])
-def test_batch_orders_equal_per_row_shuffle_on_one_block_budget(monkeypatch, n):
-    # One Philox block is 8 draws.  At n = 9 a row is covered only when all
-    # 8 steps accept their first draw (about 1 row in 6), and above it no
-    # row is: those rows are redrawn row by row.
-    monkeypatch.setattr(evolve, "_shuffle_draw_blocks", lambda n: 1)
-    rows = evolve._BLOCK_CELL_BUDGET // n
-    keys = mix_keys(-n, 0, rows)
-    _, covered = evolve._batch_orders(keys, n, 1, np.empty((rows, n), dtype=np.int64))
-    if n == 9:
-        assert 0 < covered.sum() < rows // 4
-    elif n > 9:
-        assert not covered.any()
-    orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows))
-    np.testing.assert_array_equal(orders, per_row_orders(keys, n))
-
-
-@pytest.mark.parametrize("n", [2, 9, 13, BATCH_MAX_N, 52, 100])
-def test_batch_orders_cover_most_rows_on_default_budget(n):
-    # Also past the crossover, where sweeps do not take the batch pass.
-    rows = evolve._BLOCK_CELL_BUDGET // n
-    keys = mix_keys(5, 0, rows)
-    orders, covered = evolve._batch_orders(
-        keys, n, evolve._shuffle_draw_blocks(n), np.empty((rows, n), dtype=np.int64))
-    assert covered.mean() > 0.99
-    np.testing.assert_array_equal(orders[covered], per_row_orders(keys, n)[covered])
+@pytest.mark.parametrize("n", [1, 2, 9, 31])
+def test_runs_linear_and_runs_time_share_a_path(n):
+    # Up to 31 cells a rep's insertion order is the order its uniform times
+    # arrive in, so the step-indexed and time-ordered kernels check each
+    # other path for path: one trajectory a seed, and a sweep's batch rows.
+    for seed in range(-5, 40):
+        np.testing.assert_array_equal(
+            simulate_runs(n, seed, keep_values=True).values,
+            simulate_runs_randomized_time(n, seed, keep_values=True).values)
+    linear, timed = (run_sweep(SimConfig(model=model, n=n, reps=1200, base_seed=n,
+                                         keep_max_samples=True))
+                     for model in ("runs-linear", "runs-time"))
+    np.testing.assert_array_equal(linear.max_samples, timed.max_samples)
 
 
 @pytest.mark.parametrize("block_cells", [256, evolve._BLOCK_CELL_BUDGET])
@@ -991,7 +1003,7 @@ def test_sweep_matches_individual_trajectories(monkeypatch, case, n, block_cells
 
 def golden_chunks():
     """`_sweep_chunk`'s per-rep rows for every model at n = 2 and 40, with
-    and without a grid.  1,000 reps: n = 2 takes the batch order pass, and
+    and without a grid.  1,000 reps: n = 2 takes the batch order words, and
     n = 40 spans two blocks.  Windows are of 1 and 3 cells, both ways."""
     for model in MODELS:
         for n in (2, 40):
