@@ -559,13 +559,13 @@ def _chunk_size(n: int, reps: int) -> int:
 # argsort of its `random(n)`: its cells fill in the order of their uniform
 # times, as runs-time sweeps them, so the two models share a path on one
 # key.  That is a stream protocol, not a tuning knob.  A sort key is the 53
-# bits `random` keeps of a Philox word, shifted past the cell's index: the
+# bits `random` keeps of a Philox word, shifted up over the cell's index: the
 # keys are distinct, so any sort gives the stable order.  Blocks of at least
 # _BATCH_ORDER_MIN_ROWS rows compute every row's words at once
 # (`philox_words`); smaller ones re-key one Philox a row, about 0.9 us a
 # row.  The batch words cost about 0.15 ms a block more, so they broke even
-# at about 190 rows for n = 2, 230 for n = 9 and 256 for n = 31 (2-core
-# Xeon, numpy 2.4).  Longer rows draw `permutation(n)`, a shuffle of arange
+# at about 190 rows for n = 2, 230 for n = 9 and 256 for n = 31 (2-core AMD
+# EPYC, numpy 2.4).  Longer rows draw `permutation(n)`, a shuffle of arange
 # (its draws do not depend on the values it moves), row by row.
 _SORTED_ORDER_MAX_N = 31
 _CELL_BITS = np.uint64(_SORTED_ORDER_MAX_N.bit_length())

@@ -213,23 +213,20 @@ def test_simulate_runs_deterministic_and_sampled():
 def test_step_grid_validated():
     with pytest.raises(ValueError):
         simulate_runs(10, seed=0, grid=[11])
-
-
-@pytest.mark.parametrize("grid,bad", [([0.25, 0.5], "0.25"), ([25.9, 50], "25.9"),
-                                      ([10, math.nan], "nan"), ([math.inf], "inf")])
-def test_step_grid_refuses_fractional_steps(grid, bad):
     # A step grid is cast to int64 only once every entry is a whole number,
     # so a fill fraction or 25.9 is refused, not truncated to step 0 or 25.
     calls = (
-        lambda: simulate_runs(100, 1, grid=grid),
-        lambda: runs_from_order(range(100), grid=grid),
-        lambda: simulate_pattern(run_length_pattern(1), 100, 1, grid=grid),
+        lambda grid: simulate_runs(100, 1, grid=grid),
+        lambda grid: runs_from_order(range(100), grid=grid),
+        lambda grid: simulate_pattern(run_length_pattern(1), 100, 1, grid=grid),
     )
+    for grid, bad in (([0.25, 0.5], "0.25"), ([25.9, 50], "25.9"), ([10, math.nan], "nan"),
+                      ([math.inf], "inf")):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"whole numbers, got {bad}$"):
+                call(grid)
     for call in calls:
-        with pytest.raises(ValueError, match=f"whole numbers, got {bad}$"):
-            call()
-    assert simulate_runs(100, 1, grid=[25.0, 50]).samples.tolist() == (
-        simulate_runs(100, 1, grid=[25, 50]).samples.tolist())
+        assert call([25.0, 50]).samples.tolist() == call([25, 50]).samples.tolist()
 
 
 # -- randomized-time model ---------------------------------------------------
@@ -785,7 +782,7 @@ def trajectory_record(traj):
 # SHA-256 over `golden_trajectories`, recorded before the single-trajectory
 # functions ran as rep 0 of a sweep keyed by their seed, and re-recorded
 # (from f66aab7f...) when orders of up to 31 cells became the sorted order
-# of the rep's uniforms: only the n = 31 runs and n = 6 cyclic pattern
+# of the rep's uniforms: only the n = 31 runs and n = 6 linear pattern
 # records moved.
 TRAJECTORY_DIGEST = "f666cf422c19a303422655f9b7132caad676b897828d77fb24952f57a37946c8"
 
