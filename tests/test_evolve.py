@@ -904,20 +904,29 @@ MIN_ROWS = evolve._BATCH_ORDER_MIN_ROWS
 
 
 @pytest.mark.parametrize("n", [*range(1, 32), 32, 52])
-def test_orders_follow_the_stream_protocol(monkeypatch, n):
+def test_orders_follow_the_stream_protocol(n):
     # Per-row re-keys below MIN_ROWS rows, the batch words from it on (up to
     # 31 cells), and a full block; numpy's own argsort and permutation are
     # the oracle.
-    batches = []
-    words = evolve.philox_words
-    monkeypatch.setattr(evolve, "philox_words", lambda k, b: batches.append(k.size) or words(k, b))
-    sizes = (1, 2, MIN_ROWS - 1, MIN_ROWS, evolve._BLOCK_CELL_BUDGET // n)
-    for rows in sizes:
+    for rows in (1, 2, MIN_ROWS - 1, MIN_ROWS, evolve._BLOCK_CELL_BUDGET // n):
         keys = mix_keys(n, 3 * rows, rows)
         orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows + 2))
         expected = [rep_order(n, 3 * rows + r, n) + r * n for r in range(rows)]
         np.testing.assert_array_equal(orders, expected)
-    assert batches == ([rows for rows in sizes if rows >= MIN_ROWS] if n <= 31 else [])
+
+
+def test_batch_orders_only_on_blocks_of_min_rows(monkeypatch):
+    # The batch words serve blocks of at least MIN_ROWS rows up to 31 cells;
+    # smaller blocks re-key row by row, and longer rows never batch.
+    batches = []
+    words = evolve.philox_words
+    monkeypatch.setattr(evolve, "philox_words", lambda k, b: batches.append((k.size, b)) or words(k, b))
+    for n in (9, 31, 32):
+        for rows in (MIN_ROWS - 1, MIN_ROWS):
+            keys = mix_keys(n, 0, rows)
+            orders = evolve._draw_orders(StreamPool(0), keys, n, workspace("runs-linear", n, rows))
+            np.testing.assert_array_equal(orders, [rep_order(n, r, n) + r * n for r in range(rows)])
+    assert batches == [(MIN_ROWS, 3), (MIN_ROWS, 8)]
 
 
 @pytest.mark.parametrize("n", [2, 9, 31])
